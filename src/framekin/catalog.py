@@ -6,106 +6,25 @@ two distinguished frames: the comoving frame along the time axis, and a
 drifting geodesic frame with conserved coordinate momentum u along x^1
 whose metric speed at t = 0 is v = u (1 + u^2)^(-1/2).
 
-``z_chart`` builds the coordinate chart adapted to the drifting frame; its
-time integrals are evaluated by adaptive Simpson quadrature and inverted by
-bisection-seeded Newton iteration on the monotone forward map.  Closed
-forms for the chart-expressed metric and connection are provided for
-regression against the numerically pushed fields.
+``z_chart`` builds the coordinate chart adapted to the drifting frame.  For
+the linear scale factor its time integrals and their inverse are
+elementary, so the chart and its inverse are closed forms in plain dual
+arithmetic, written to stay stable as a -> 0 and u -> 0.  Closed forms for
+the chart-expressed metric and connection are provided for regression
+against the numerically pushed fields.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .frames import FrameField, make_frame
 from .geometry import DIM, ChartDomainError, MetricField, as_point, minkowski_metric
-from .hyperdual import HyperDual, sqrt, value
+from .hyperdual import asinh, sqrt
 from .maps import ChartMap
-
-
-# -- quadrature and monotone inversion --------------------------------------
-
-
-def adaptive_simpson(f, a, b, tol=1e-12, max_depth=48):
-    """Adaptive Simpson integral of a smooth scalar function."""
-    if a == b:
-        return 0.0
-    if a > b:
-        return -adaptive_simpson(f, b, a, tol, max_depth)
-
-    def simp(fa, fm, fb, h):
-        return h / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, depth, tol):
-        mid = 0.5 * (lo + hi)
-        lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        flm, frm = f(lm), f(rm)
-        left = simp(flo, flm, fmid, mid - lo)
-        right = simp(fmid, frm, fhi, hi - mid)
-        if depth >= max_depth or abs(left + right - whole) < 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(lo, mid, flo, flm, fmid, left, depth + 1, tol / 2.0) + recurse(
-            mid, hi, fmid, frm, fhi, right, depth + 1, tol / 2.0
-        )
-
-    fa, fb = f(a), f(b)
-    mid = 0.5 * (a + b)
-    fm = f(mid)
-    whole = simp(fa, fm, fb, b - a)
-    return recurse(a, b, fa, fm, fb, whole, 0, tol)
-
-
-def invert_monotone(fn, dfn, target, lo, hi, tol=1e-12, max_iter=200):
-    """Solve fn(t) = target for increasing fn by bisection-seeded Newton."""
-    flo, fhi = fn(lo) - target, fn(hi) - target
-    if flo > 0 or fhi < 0:
-        raise ValueError("target not bracketed by the supplied interval")
-    for _ in range(24):
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid) - target
-        if fm <= 0:
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    t = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        resid = fn(t) - target
-        step = resid / dfn(t)
-        t -= step
-        if not lo - 1e-9 <= t <= hi + 1e-9:
-            t = 0.5 * (lo + hi)
-        if abs(step) < tol:
-            return t
-    raise ArithmeticError("monotone inversion did not converge")
-
-
-class SmoothAntiderivative:
-    """F(t) = integral_0^t f, with exact dual propagation via f and f'.
-
-    ``f`` must be dual-capable; values come from adaptive Simpson at the
-    requested tolerance, derivatives from f itself.
-    """
-
-    def __init__(self, integrand, tol=1e-12):
-        self.integrand = integrand
-        self.tol = tol
-
-    def _float(self, t):
-        return adaptive_simpson(lambda r: value(self.integrand(r)), 0.0, t, self.tol)
-
-    def __call__(self, t):
-        if not isinstance(t, HyperDual):
-            return self._float(float(t))
-        base = self._float(t.val)
-        fd = self.integrand(HyperDual(t.val, np.array([1.0, 0, 0, 0])))
-        fval = value(fd)
-        fprime = fd.grad[0] if isinstance(fd, HyperDual) else 0.0
-        return t._chain(base, fval, fprime)
-
-    def derivative(self, t):
-        return value(self.integrand(t))
 
 
 # -- scale factor and the expanding model -----------------------------------
@@ -198,75 +117,50 @@ def drift_speed_to_momentum(v):
     return v / np.sqrt(1.0 - v * v)
 
 
-def z_chart(model: FriedmannModel, quad_tol=1e-12) -> ChartMap:
+def z_chart(model: FriedmannModel) -> ChartMap:
     """Chart adapted to the drifting frame.
 
     Forward map:
         t' = F(t) - u x1,  x1' = x1 - u H(t),  x2' = x2,  x3' = x3,
-    with F(t) the integral of (R^2+u^2)^(1/2)/R and H(t) the integral of
-    1/(R (R^2+u^2)^(1/2)) from 0 to t.  The inverse recovers t from
-    z = t' + u x1' through the monotone map G(t) = F(t) - u^2 H(t), whose
-    derivative is R/(R^2+u^2)^(1/2).
+    with F(t) the integral of W/R and H(t) the integral of 1/(R W) from 0
+    to t, where W = (R^2+u^2)^(1/2).  With W0 = (1+u^2)^(1/2) both are
+    elementary:
+
+        G = F - u^2 H = (W - W0)/a = t (R+1)/(W+W0),
+        H = asinh(a u G/R)/(a u)   (G/R when a u = 0),
+        F = G + u^2 H.
+
+    The inverse recovers G = z = t' + u x1', then W = W0 + a z,
+    R = (W^2 - u^2)^(1/2), t = z (2 W0 + a z)/(R+1) and x1 = x1' + u H.
+    Every form is free of cancellation as a -> 0 and u -> 0.
     """
     scale = model.scale
-    u = model.u
+    a, u = model.a, model.u
+    w0 = math.sqrt(1.0 + u * u)
 
-    def phi_f(t):
-        r = scale.value(t)
-        return sqrt(r * r + u * u) / r
-
-    def phi_h(t):
-        r = scale.value(t)
-        return 1.0 / (r * sqrt(r * r + u * u))
-
-    big_f = SmoothAntiderivative(phi_f, quad_tol)
-    big_h = SmoothAntiderivative(phi_h, quad_tol)
-
-    def g_of_t(t):
-        return big_f._float(t) - u * u * big_h._float(t)
-
-    def g_rate(t):
-        r = scale.value(t)
-        return r / np.sqrt(r * r + u * u)
+    def big_h(g, r):
+        if a * u == 0.0:
+            return g / r
+        return asinh(a * u * g / r) / (a * u)
 
     def forward_fn(coords):
         t, x1 = coords[0], coords[1]
-        return [big_f(t) - u * x1, x1 - u * big_h(t), coords[2], coords[3]]
-
-    def _t_from_z(zval):
-        # G is increasing with G(0) = 0, G -> -inf toward the domain edge.
-        hi = max(1.0, abs(zval) * 4.0 + 1.0)
-        while g_of_t(hi) < zval:
-            hi *= 2.0
-        if zval >= 0.0:
-            lo = 0.1 * scale.t_min if np.isfinite(scale.t_min) else -1.0
-        else:
-            frac = 0.5
-            while True:
-                if np.isfinite(scale.t_min):
-                    lo = (1.0 - frac) * scale.t_min
-                else:
-                    lo = -max(1.0, abs(zval) * 4.0) / frac
-                if g_of_t(lo) <= zval:
-                    break
-                frac *= 0.5
-                if frac < 1e-12:
-                    raise ChartDomainError("time outside the scale-factor domain")
-        return invert_monotone(g_of_t, g_rate, zval, lo, hi, tol=1e-13)
+        r = scale.value(t)
+        if r <= 0.0:
+            raise ChartDomainError("time outside the scale-factor domain")
+        g = t * (r + 1.0) / (sqrt(r * r + u * u) + w0)
+        h = big_h(g, r)
+        return [g + u * u * h - u * x1, x1 - u * h, coords[2], coords[3]]
 
     def inverse_fn(coords):
-        tp, x1p = coords[0], coords[1]
-        z = tp + u * x1p
-        tstar = _t_from_z(value(z))
-        if isinstance(z, HyperDual):
-            gp = g_rate(tstar)
-            r = scale.value(tstar)
-            g2 = scale.rate(tstar) * u * u / (r * r + u * u) ** 1.5
-            t = z._chain(tstar, 1.0 / gp, -g2 / gp**3)
-        else:
-            t = tstar
-        x1 = x1p + u * big_h(t)
-        return [t, x1, coords[2], coords[3]]
+        x1p = coords[1]
+        z = coords[0] + u * x1p
+        w = w0 + a * z
+        if w <= abs(u):
+            raise ChartDomainError("time outside the scale-factor domain")
+        r = sqrt(w * w - u * u)
+        t = z * (2.0 * w0 + a * z) / (r + 1.0)
+        return [t, x1p + u * big_h(z, r), coords[2], coords[3]]
 
     def inverse_jacobian_fn(coords):
         """d(t,x)/d(t',x') expressed through R at the recovered time."""

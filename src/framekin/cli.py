@@ -43,7 +43,7 @@ from .geometry import (
     minkowski_metric,
 )
 from .normal import build_normal_chart, metric_deviation_exponent, normal_chart_curvature_check
-from .reports import serialize, write_report
+from .reports import serialize
 
 log = logging.getLogger("framekin")
 
@@ -231,8 +231,9 @@ def run_scenario(config: dict) -> dict:
     if unknown:
         raise ValueError(f"unknown config keys for {scenario}: {sorted(unknown)}")
     cfg = dict(config)
-    cfg.setdefault("tol", 1e-7)
-    cfg["tol"] = float(cfg["tol"])
+    cfg["tol"] = float(cfg.get("tol", 1e-7))
+    if not np.isfinite(cfg["tol"]):
+        raise ValueError(f"tolerance must be finite, got {cfg['tol']}")
     start = time.perf_counter()
     result = _RUNNERS[scenario](cfg)
     elapsed = time.perf_counter() - start
@@ -351,6 +352,7 @@ def main(argv=None) -> int:
 
     try:
         report = run_scenario(config)
+        text = serialize(report)
     except (ChartDomainError, FrameCausalityError, ValueError) as err:
         if isinstance(err, SingularMetricError):
             print(f"framekin: numeric failure: {err}", file=sys.stderr)
@@ -362,15 +364,13 @@ def main(argv=None) -> int:
         return 3
 
     log.info("scenario %s finished in %.3fs", args.scenario, report["wall_time_s"])
-    if args.scenario == "geodesic":
-        # trajectory already written as CSV; the JSON report goes to stdout
-        print(serialize(report))
-        return 0
     out = config.get("out")
-    if out:
-        write_report(report, out)
+    # the geodesic trajectory already went to `out` as CSV; its report goes to stdout
+    if out and args.scenario != "geodesic":
+        with open(out, "w", encoding="utf-8") as f:
+            f.write(text + "\n")
     else:
-        print(serialize(report))
+        print(text)
     return 0
 
 

@@ -152,18 +152,21 @@ def _validate_initial(metric, x0, v0):
         raise ValueError("initial velocity must be future pointing")
 
 
-def _rk4_sweep(metric, x0, v0, s_target, h, max_steps):
-    """Fixed-step RK4 from s=0 toward s_target (sign of s_target chosen)."""
+def _rk4_sweep(metric, x0, v0, a0, s_target, h, max_steps):
+    """Fixed-step RK4 from s=0 toward s_target (sign of s_target chosen).
+
+    ``a0`` is the acceleration at (x0, v0); each step's first stage reuses
+    the knot acceleration the previous step ended with.
+    """
     sgn = 1.0 if s_target >= 0 else -1.0
     h = sgn * abs(h)
-    ss, xs, vs, accs = [0.0], [x0.copy()], [v0.copy()], [_geodesic_rhs(metric, x0, v0)]
-    s, x, v = 0.0, x0.copy(), v0.copy()
+    ss, xs, vs, accs = [0.0], [x0.copy()], [v0.copy()], [a0]
+    s, x, v, a1 = 0.0, x0.copy(), v0.copy(), a0
     truncated = None
     steps = 0
     while sgn * (s_target - s) > 1e-15 and steps < max_steps:
         dt = sgn * min(abs(h), abs(s_target - s))
         try:
-            a1 = _geodesic_rhs(metric, x, v)
             k1x, k1v = v, a1
             k2x = v + 0.5 * dt * k1v
             k2v = _geodesic_rhs(metric, x + 0.5 * dt * k1x, k2x)
@@ -177,7 +180,7 @@ def _rk4_sweep(metric, x0, v0, s_target, h, max_steps):
         except (ChartDomainError, SingularMetricError) as err:
             truncated = str(err)
             break
-        s, x, v = s + dt, xn, vn
+        s, x, v, a1 = s + dt, xn, vn, an
         ss.append(s)
         xs.append(x.copy())
         vs.append(v.copy())
@@ -199,10 +202,10 @@ _RK45_B5 = [16 / 135, 0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55]
 _RK45_B4 = [25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0]
 
 
-def _rk45_sweep(metric, x0, v0, s_target, control):
+def _rk45_sweep(metric, x0, v0, a0, s_target, control):
     sgn = 1.0 if s_target >= 0 else -1.0
     h = sgn * abs(control.step)
-    ss, xs, vs, accs = [0.0], [x0.copy()], [v0.copy()], [_geodesic_rhs(metric, x0, v0)]
+    ss, xs, vs, accs = [0.0], [x0.copy()], [v0.copy()], [a0]
     s, x, v = 0.0, x0.copy(), v0.copy()
     y = np.concatenate([x, v])
     truncated = None
@@ -263,15 +266,17 @@ def integrate_geodesic(
     if s_max <= s_min:
         raise ValueError("need s_max > s_min")
 
+    a0 = _geodesic_rhs(metric, x0, v0)
+
     def sweep(target):
         if control.method == "rk4":
-            out = _rk4_sweep(metric, x0, v0, target, control.step, control.max_steps)
+            out = _rk4_sweep(metric, x0, v0, a0, target, control.step, control.max_steps)
             return (*out, None)
         if control.method == "rk45":
-            return _rk45_sweep(metric, x0, v0, target, control)
+            return _rk45_sweep(metric, x0, v0, a0, target, control)
         raise ValueError(f"unknown integrator method {control.method!r}")
 
-    ss, xs, vs, accs = [0.0], [x0], [v0], [_geodesic_rhs(metric, x0, v0)]
+    ss, xs, vs, accs = [0.0], [x0], [v0], [a0]
     steps = 0
     truncated = None
     max_err = None

@@ -164,6 +164,14 @@ def log(x):
     return math.log(x)
 
 
+def asinh(x):
+    if isinstance(x, HyperDual):
+        v = x.val
+        q = 1.0 / math.sqrt(1.0 + v * v)
+        return x._chain(math.asinh(v), q, -v * q * q * q)
+    return math.asinh(x)
+
+
 def sin(x):
     if isinstance(x, HyperDual):
         s, c = math.sin(x.val), math.cos(x.val)

@@ -1,8 +1,8 @@
-"""Independent finite-difference evaluators.
+"""Independent finite-difference and quadrature evaluators.
 
-These exist as cross-checks for the exact derivative engine and for report
-evidence.  Production code paths never derive geometry from them; tests and
-evidence payloads do.
+These exist as cross-checks for the exact derivative engine, for the closed
+forms of the drift-adapted chart, and for report evidence.  Production code
+paths never derive geometry from them; tests and evidence payloads do.
 """
 
 from __future__ import annotations
@@ -100,3 +100,56 @@ def fd_divergence(metric: MetricField, frame, p, step=1e-4) -> float:
     refined = (4.0 * d2 - d1) / 3.0
     g0 = eval_metric(metric, p)
     return float(refined / np.sqrt(abs(np.linalg.det(g0))))
+
+
+def adaptive_simpson(f, a, b, tol=1e-12, max_depth=48):
+    """Adaptive Simpson integral of a smooth scalar function."""
+    if a == b:
+        return 0.0
+    if a > b:
+        return -adaptive_simpson(f, b, a, tol, max_depth)
+
+    def simp(fa, fm, fb, h):
+        return h / 6.0 * (fa + 4.0 * fm + fb)
+
+    def recurse(lo, hi, flo, fmid, fhi, whole, depth, tol):
+        mid = 0.5 * (lo + hi)
+        lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
+        flm, frm = f(lm), f(rm)
+        left = simp(flo, flm, fmid, mid - lo)
+        right = simp(fmid, frm, fhi, hi - mid)
+        if depth >= max_depth or abs(left + right - whole) < 15.0 * tol:
+            return left + right + (left + right - whole) / 15.0
+        return recurse(lo, mid, flo, flm, fmid, left, depth + 1, tol / 2.0) + recurse(
+            mid, hi, fmid, frm, fhi, right, depth + 1, tol / 2.0
+        )
+
+    fa, fb = f(a), f(b)
+    mid = 0.5 * (a + b)
+    fm = f(mid)
+    whole = simp(fa, fm, fb, b - a)
+    return recurse(a, b, fa, fm, fb, whole, 0, tol)
+
+
+def invert_monotone(fn, dfn, target, lo, hi, tol=1e-12, max_iter=200):
+    """Solve fn(t) = target for increasing fn by bisection-seeded Newton."""
+    flo, fhi = fn(lo) - target, fn(hi) - target
+    if flo > 0 or fhi < 0:
+        raise ValueError("target not bracketed by the supplied interval")
+    for _ in range(24):
+        mid = 0.5 * (lo + hi)
+        fm = fn(mid) - target
+        if fm <= 0:
+            lo, flo = mid, fm
+        else:
+            hi, fhi = mid, fm
+    t = 0.5 * (lo + hi)
+    for _ in range(max_iter):
+        resid = fn(t) - target
+        step = resid / dfn(t)
+        t -= step
+        if not lo - 1e-9 <= t <= hi + 1e-9:
+            t = 0.5 * (lo + hi)
+        if abs(step) < tol:
+            return t
+    raise ArithmeticError("monotone inversion did not converge")

@@ -17,7 +17,7 @@ def _fmt_number(x) -> str:
     if isinstance(x, int):
         return str(x)
     if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite number {x!r}")
+        raise ArithmeticError(f"cannot serialize non-finite number {x!r}")
     if x == int(x) and abs(x) < 1e16:
         return f"{x:.1f}"
     return f"{x:.17g}"
@@ -69,10 +69,3 @@ def serialize(obj, indent=0) -> str:
         rows = [f"{inner}{serialize(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(rows) + f"\n{pad}]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def write_report(payload: dict, path) -> str:
-    text = serialize(payload) + "\n"
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
-    return text

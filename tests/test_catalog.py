@@ -6,14 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 import framekin as fk
 from framekin.catalog import (
-    adaptive_simpson,
     friedmann_connection_closed,
-    invert_monotone,
     theta_drifting_as_printed,
     theta_drifting_closed,
     z_chart_connection_closed,
     z_chart_metric_closed,
 )
+from framekin.oracles import adaptive_simpson, invert_monotone
 
 
 def test_make_friedmann_flat_limit():
@@ -78,6 +77,65 @@ def test_z_chart_time_integral_flat_closed_form():
     for t in (0.3, 1.0, 7.5):
         image = cmap.forward((t, 0.0, 0, 0))
         assert abs(image[0] - t * np.sqrt(1 + u * u)) < 1e-12
+
+
+def _quad_f_h(a, u, t):
+    def r(s):
+        return 1.0 + a * s
+
+    big_f = adaptive_simpson(lambda s: np.sqrt(r(s) ** 2 + u * u) / r(s), 0.0, t)
+    big_h = adaptive_simpson(lambda s: 1.0 / (r(s) * np.sqrt(r(s) ** 2 + u * u)), 0.0, t)
+    return big_f, big_h
+
+
+@pytest.mark.parametrize("a", [0.0, 1e-7, 1e-5, 1e-3, 0.3])
+@pytest.mark.parametrize("u", [0.0, 0.1005, 0.5])
+def test_z_chart_closed_form_against_quadrature(a, u):
+    cmap = fk.z_chart(fk.make_friedmann(a, u))
+    for t in (-0.5, 0.3, 1.0, 2.5):
+        big_f, big_h = _quad_f_h(a, u, t)
+        image = cmap.forward((t, 0.0, 0.0, 0.0))
+        assert abs(image[0] - big_f) < 1e-12 and abs(image[1] + u * big_h) < 1e-12
+    for q in ((-0.4, 0.3, 0.5, -1.0), (0.5, -2.0, 0.0, 0.0), (2.0, 1.5, 1.0, 1.0)):
+        back = cmap.inverse(q)
+        assert np.max(np.abs(cmap.forward(back) - np.array(q))) < 1e-12
+        if a < 1e-3:
+            continue  # the quadrature bracket below needs the domain edge in view
+
+        def big_g(t):
+            big_f, big_h = _quad_f_h(a, u, t)
+            return big_f - u * u * big_h
+
+        def g_rate(t):
+            return (1.0 + a * t) / np.sqrt((1.0 + a * t) ** 2 + u * u)
+
+        t_ref = invert_monotone(big_g, g_rate, q[0] + u * q[1], -1.0, 10.0, tol=1e-13)
+        assert abs(back[0] - t_ref) < 1e-12
+        assert abs(back[1] - (q[1] + u * _quad_f_h(a, u, t_ref)[1])) < 1e-12
+
+
+@pytest.mark.parametrize("u", [0.0, 0.1005, 0.5])
+def test_z_chart_continuous_at_zero_expansion(u):
+    # the charts differ by O(a t^2), so the points stay near the origin; a
+    # cancelling form such as (W - W0)/a would miss by eps/a = 1e-4
+    tiny, flat = fk.z_chart(fk.make_friedmann(1e-12, u)), fk.z_chart(fk.make_friedmann(0.0, u))
+    for p in ((0.0, 0.0, 0.0, 0.0), (0.5, 0.3, -0.8, 0.2), (-0.5, 0.4, 0.0, 1.0)):
+        assert np.max(np.abs(tiny.forward(p) - flat.forward(p))) < 1e-12
+        assert np.max(np.abs(tiny.inverse(p) - flat.inverse(p))) < 1e-12
+        assert np.max(np.abs(tiny.jacobian(p) - flat.jacobian(p))) < 1e-12
+
+
+def test_z_chart_domain_edge():
+    # W0 + a z <= |u| has no preimage: R would vanish or turn imaginary;
+    # here W0 = 1.0440..., so the edge sits at z = (|u| - W0)/a = -7.440...
+    for u in (0.3, -0.3):
+        cmap = fk.z_chart(fk.make_friedmann(0.1, u))
+        with pytest.raises(fk.ChartDomainError):
+            cmap.forward((-10.5, 0.0, 0.0, 0.0))
+        for z in (-7.45, -8.0):
+            with pytest.raises(fk.ChartDomainError):
+                cmap.inverse((z - u, 1.0, 0.0, 0.0))
+        assert np.all(np.isfinite(cmap.inverse((-7.43 - u, 1.0, 0.0, 0.0))))
 
 
 def test_z_chart_metric_matches_printed_coefficient(friedmann_small):

@@ -54,6 +54,15 @@ def test_plli_report(tmp_path):
     assert res["published_coefficient"] == 2.0
 
 
+def test_plli_small_expansion_rate(tmp_path):
+    out = tmp_path / "plli.json"
+    rc = main(["plli", "--a", "1e-7", "--v", "0.1", "--out", str(out)])
+    assert rc == 0
+    v = 0.1
+    want = ((3 - v * v) / np.sqrt(1 - v * v) - 3) / (v * v)
+    assert abs(_load(out)["result"]["ratio_to_av2"] - want) < 1e-6
+
+
 def test_geodesic_csv_matches_closed_form(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     csv_path = tmp_path / "traj.csv"
@@ -194,6 +203,21 @@ def test_numeric_failure_exits_3(monkeypatch, capsys):
     rc = main(["plli", "--a", "1e-3", "--v", "0.1"])
     assert rc == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_non_finite_result_exits_3(capsys):
+    # flat space has zero metric deviation, so its growth exponent is log(0)
+    rc = main(["normal-chart", "--model", "minkowski"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "Traceback" not in err
+
+
+def test_non_finite_tolerance_exits_2(capsys):
+    rc = main(["classify", "--model", "minkowski", "--tol", "nan"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and "Traceback" not in err
 
 
 def test_log_level_env(monkeypatch, tmp_path, caplog):

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import framekin as fk
-from framekin.catalog import adaptive_simpson, experiment_accelerations_closed
+from framekin.catalog import experiment_accelerations_closed
 from framekin.geodesics import StepSizeUnderflowError
+from framekin.oracles import adaptive_simpson
 
 
 def drift_velocity_closed(a, u, t):

@@ -5,6 +5,7 @@ import pytest
 
 from framekin.hyperdual import (
     HyperDual,
+    asinh,
     dual_matrix_inverse,
     dual_newton_invert,
     seed,
@@ -14,12 +15,12 @@ from framekin.hyperdual import (
 
 
 def f_scalar(x):
-    # generic smooth composition exercising mul/div/pow/sqrt
-    return (x[0] * x[1] + 2.0) ** 2 / (1.0 + x[2] * x[2]) + sqrt(4.0 + x[3] * x[0])
+    # generic smooth composition exercising mul/div/pow/sqrt/asinh
+    return (x[0] * x[1] + 2.0) ** 2 / (1.0 + x[2] * x[2]) + sqrt(4.0 + x[3] * x[0]) + asinh(x[1] * x[2] - x[3])
 
 
 def f_scalar_np(c):
-    return (c[0] * c[1] + 2.0) ** 2 / (1.0 + c[2] ** 2) + np.sqrt(4.0 + c[3] * c[0])
+    return (c[0] * c[1] + 2.0) ** 2 / (1.0 + c[2] ** 2) + np.sqrt(4.0 + c[3] * c[0]) + np.arcsinh(c[1] * c[2] - c[3])
 
 
 def test_gradient_matches_finite_differences():
