@@ -49,7 +49,6 @@ from .geodesics import (
     TransportedTetrad,
     free_particle_experiment,
     integrate_geodesic,
-    parallel_transport_tetrad,
 )
 from .maps import (
     ChartMap,

@@ -152,20 +152,24 @@ def z_chart(model: FriedmannModel) -> ChartMap:
         h = big_h(g, r)
         return [g + u * u * h - u * x1, x1 - u * h, coords[2], coords[3]]
 
-    def inverse_fn(coords):
-        x1p = coords[1]
-        z = coords[0] + u * x1p
+    def time_from_z(z):
+        """(t, R) where G(t) = z."""
         w = w0 + a * z
         if w <= abs(u):
             raise ChartDomainError("time outside the scale-factor domain")
         r = sqrt(w * w - u * u)
-        t = z * (2.0 * w0 + a * z) / (r + 1.0)
+        return z * (2.0 * w0 + a * z) / (r + 1.0), r
+
+    def inverse_fn(coords):
+        x1p = coords[1]
+        z = coords[0] + u * x1p
+        t, r = time_from_z(z)
         return [t, x1p + u * big_h(z, r), coords[2], coords[3]]
 
     def inverse_jacobian_fn(coords):
         """d(t,x)/d(t',x') expressed through R at the recovered time."""
-        back = inverse_fn(coords)
-        r = scale.value(back[0])
+        t, _ = time_from_z(coords[0] + u * coords[1])
+        r = scale.value(t)
         root = sqrt(r * r + u * u)
         p = root / r
         one = 1.0

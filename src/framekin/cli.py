@@ -353,6 +353,17 @@ def main(argv=None) -> int:
     try:
         report = run_scenario(config)
         text = serialize(report)
+        log.info("scenario %s finished in %.3fs", args.scenario, report["wall_time_s"])
+        out = config.get("out")
+        # the geodesic trajectory already went to `out` as CSV; its report goes to stdout
+        if out and args.scenario != "geodesic":
+            with open(out, "w", encoding="utf-8") as f:
+                f.write(text + "\n")
+        else:
+            print(text)
+    except OSError as err:
+        print(f"framekin: cannot write output: {err}", file=sys.stderr)
+        return 2
     except (ChartDomainError, FrameCausalityError, ValueError) as err:
         if isinstance(err, SingularMetricError):
             print(f"framekin: numeric failure: {err}", file=sys.stderr)
@@ -362,15 +373,6 @@ def main(argv=None) -> int:
     except (ArithmeticError, ZeroDivisionError, FloatingPointError) as err:
         print(f"framekin: numeric failure: {err}", file=sys.stderr)
         return 3
-
-    log.info("scenario %s finished in %.3fs", args.scenario, report["wall_time_s"])
-    out = config.get("out")
-    # the geodesic trajectory already went to `out` as CSV; its report goes to stdout
-    if out and args.scenario != "geodesic":
-        with open(out, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
-    else:
-        print(text)
     return 0
 
 

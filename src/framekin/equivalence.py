@@ -261,19 +261,17 @@ def moving_lab_expansion_pair(
     epoch = (0.0, 0.0, 0.0, 0.0)
 
     path_rest = integrate_geodesic(
-        model.metric, epoch, (1.0, 0.0, 0.0, 0.0), span, control, s_min=-span
+        model.metric, epoch, (1.0, 0.0, 0.0, 0.0), span, control, s_min=-span, tetrad=_comoving_tetrad(model)
     )
-    lab_rest = lab_frame_along_geodesic(
-        model.metric, path_rest, _comoving_tetrad(model), validity_radius=validity_radius, label="lab"
-    )
+    lab_rest = lab_frame_along_geodesic(model.metric, path_rest, validity_radius=validity_radius, label="lab")
     theta_lab = lab_frame_expansion(model.metric, lab_rest, epoch).theta
 
     w = np.sqrt(1.0 + u * u)
     path_move = integrate_geodesic(
-        model.metric, epoch, (w, u, 0.0, 0.0), span, control, s_min=-span
+        model.metric, epoch, (w, u, 0.0, 0.0), span, control, s_min=-span, tetrad=_drifting_tetrad(model)
     )
     lab_move = lab_frame_along_geodesic(
-        model.metric, path_move, _drifting_tetrad(model), validity_radius=validity_radius, label="lab-moving"
+        model.metric, path_move, validity_radius=validity_radius, label="lab-moving"
     )
     theta_move_chart = lab_frame_expansion(model.metric, lab_move, epoch).theta
 

@@ -1,16 +1,22 @@
-"""Geodesic integration, tetrad transport and the free-particle probe.
+"""Geodesic integration with in-pass tetrad transport, and the free-particle probe.
 
-Worldlines are parameterized by proper time and integrated with a fixed-step
-classical 4th-order Runge-Kutta scheme by default (reproducible runs); an
-embedded adaptive 4(5) scheme is available through ``StepControl``.  Paths
-carry a piecewise-quintic dense representation built from exact endpoint
-jets (position, velocity, geodesic acceleration), so downstream consumers
-can evaluate positions and velocities, including derivative propagation,
-anywhere along the path.
+Worldlines are parameterized by proper time and integrated by one explicit
+Runge-Kutta loop over a Butcher tableau: the classical 4th-order one with a
+fixed step by default (reproducible runs), or the embedded Fehlberg 4(5)
+one with adaptive steps, both selected through ``StepControl``.  Given an initial
+tetrad, the same pass parallel-transports it: the state is (x, v, e_a), and
+each stage's one connection evaluation feeds both the geodesic equation
+a = -Gamma(v, v) and the transport equation de_a/ds = -Gamma(v, e_a).
+Every step starts from the derivative stored at the knot it leaves.  Paths
+and their tetrads carry piecewise-quintic dense representations built from
+exact knot jets, so downstream consumers can evaluate positions,
+velocities and tetrads, including derivative propagation, anywhere along
+the path.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,6 +24,7 @@ import numpy as np
 
 from .geometry import (
     DIM,
+    SIGNATURE,
     ChartDomainError,
     SingularMetricError,
     MetricField,
@@ -27,6 +34,8 @@ from .geometry import (
     eval_metric,
 )
 from .hyperdual import value
+
+log = logging.getLogger(__name__)
 
 
 class StepSizeUnderflowError(ArithmeticError):
@@ -44,10 +53,69 @@ class StepControl:
     max_steps: int = 2_000_000
 
 
-def _geodesic_rhs(metric, x, v):
-    gamma = christoffel(metric, x).gamma
+@dataclass(frozen=True)
+class _Tableau:
+    """Explicit Runge-Kutta tableau (Hairer, Norsett & Wanner, Solving ODEs I, II.1).
+
+    The update weights are ``b / b_den``; ``b_low`` are the weights of the
+    embedded lower-order solution, whose difference drives step control.
+    """
+
+    a: tuple
+    b: tuple
+    b_den: float = 1.0
+    b_low: Optional[tuple] = None
+
+
+_TABLEAUX = {
+    "rk4": _Tableau(a=((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)), b=(1.0, 2.0, 2.0, 1.0), b_den=6.0),
+    "rk45": _Tableau(  # Fehlberg 4(5), advancing with the 5th-order solution
+        a=(
+            (),
+            (1 / 4,),
+            (3 / 32, 9 / 32),
+            (1932 / 2197, -7200 / 2197, 7296 / 2197),
+            (439 / 216, -8, 3680 / 513, -845 / 4104),
+            (-8 / 27, 2, -3544 / 2565, 1859 / 4104, -11 / 40),
+        ),
+        b=(16 / 135, 0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55),
+        b_low=(25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0),
+    ),
+}
+
+
+def _rhs(metric, y, knot=False):
+    """Derivative of the state y = (x, v[, e_a]) from one connection evaluation.
+
+    Returns (dy/ds, d2e) with d2e None unless a tetrad is carried and
+    ``knot`` is set: then the connection comes with its gradient and d2e is
+    the second s-derivative of the tetrad, the last knot jet of its dense
+    output.
+    """
+    x, v = y[:DIM], y[DIM : 2 * DIM]
+    carried = len(y) > 2 * DIM
+    if knot and carried:
+        gamma, dgamma = christoffel_jet(metric, x)
+    else:
+        gamma = christoffel(metric, x).gamma
     acc = -np.einsum("mnr,n,r->m", gamma, v, v)
-    return acc
+    if not carried:
+        return np.concatenate([v, acc]), None
+    e = y[2 * DIM :].reshape(DIM, DIM)
+    de = -np.einsum("mnr,n,ar->am", gamma, v, e)
+    dy = np.concatenate([v, acc, de.ravel()])
+    if not knot:
+        return dy, None
+    dgamma_ds = np.einsum("smnr,s,n->mr", dgamma, v, v) + np.einsum("mnr,n->mr", gamma, acc)
+    d2e = -np.einsum("mr,ar->am", dgamma_ds, e) - np.einsum("mnr,n,ar->am", gamma, v, de)
+    return dy, d2e.ravel()
+
+
+def _weighted(weights, ks):
+    """sum_i w_i k_i over the nonzero weights, starting from the first term,
+    so the RK4 update rounds exactly like dt/6 (k1 + 2 k2 + 2 k3 + k4)."""
+    terms = [w * k for w, k in zip(weights, ks) if w]
+    return sum(terms[1:], terms[0])
 
 
 def _norm2(metric, x, v):
@@ -72,24 +140,25 @@ class QuinticDense:
     def __init__(self, s, y, dy, d2y):
         self.s = np.asarray(s, dtype=float)
         y, dy, d2y = (np.asarray(a, dtype=float) for a in (y, dy, d2y))
-        n = len(self.s) - 1
         self.width = y.shape[1]
-        self.coeffs = np.zeros((n, 6, self.width))
-        for k in range(n):
-            h = self.s[k + 1] - self.s[k]
-            c0, c1, c2 = y[k], dy[k], 0.5 * d2y[k]
-            a_res = y[k + 1] - c0 - c1 * h - c2 * h * h
-            b_res = dy[k + 1] - c1 - d2y[k] * h
-            c_res = d2y[k + 1] - d2y[k]
-            m = np.array(
-                [
-                    [h**3, h**4, h**5],
-                    [3 * h**2, 4 * h**3, 5 * h**4],
-                    [6 * h, 12 * h**2, 20 * h**3],
-                ]
-            )
-            c345 = np.linalg.solve(m, np.stack([a_res, b_res, c_res]))
-            self.coeffs[k] = np.concatenate([np.stack([c0, c1, c2]), c345])
+        h = np.diff(self.s)
+        hc = h[:, None]
+        c0, c1, c2 = y[:-1], dy[:-1], 0.5 * d2y[:-1]
+        residuals = np.stack(
+            [y[1:] - c0 - c1 * hc - c2 * hc * hc, dy[1:] - c1 - d2y[:-1] * hc, d2y[1:] - d2y[:-1]],
+            axis=1,
+        )
+        # one matrix per distinct step, from scalar powers (numpy's array
+        # power rounds differently from pow())
+        distinct, which = np.unique(h, return_inverse=True)
+        m = np.array(
+            [
+                [[x**3, x**4, x**5], [3 * x**2, 4 * x**3, 5 * x**4], [6 * x, 12 * x**2, 20 * x**3]]
+                for x in distinct.tolist()
+            ]
+        ).reshape(-1, 3, 3)
+        c345 = np.linalg.solve(m[which], residuals)
+        self.coeffs = np.concatenate([np.stack([c0, c1, c2], axis=1), c345], axis=1)
 
     def eval(self, s, derivative=0):
         sval = value(s)
@@ -102,7 +171,11 @@ class QuinticDense:
 
 @dataclass
 class GeodesicPath:
-    """Proper-time parameterized geodesic with dense evaluation."""
+    """Proper-time parameterized geodesic with dense evaluation.
+
+    ``tetrad`` is the transported tetrad when one was given to
+    ``integrate_geodesic``.
+    """
 
     s: np.ndarray
     points: np.ndarray
@@ -111,6 +184,7 @@ class GeodesicPath:
     metric_id: str
     stats: dict
     metric: Optional[MetricField] = None
+    tetrad: Optional[TransportedTetrad] = None
     _dense: Optional[QuinticDense] = None
 
     def __post_init__(self):
@@ -152,181 +226,159 @@ def _validate_initial(metric, x0, v0):
         raise ValueError("initial velocity must be future pointing")
 
 
-def _rk4_sweep(metric, x0, v0, a0, s_target, h, max_steps):
-    """Fixed-step RK4 from s=0 toward s_target (sign of s_target chosen).
+def _validate_tetrad(metric, x0, v0, tetrad):
+    e0 = np.asarray(tetrad, dtype=float)
+    g = eval_metric(metric, x0)
+    if np.max(np.abs(e0 @ g @ e0.T - SIGNATURE)) > 1e-8:
+        raise ValueError("initial tetrad is not orthonormal for this metric")
+    if np.max(np.abs(e0[0] - v0)) > 1e-8:
+        raise ValueError("initial tetrad must have e_0 equal to the path velocity")
+    return e0
 
-    ``a0`` is the acceleration at (x0, v0); each step's first stage reuses
-    the knot acceleration the previous step ended with.
+
+def _sweep(metric, start, s_target, control, tableau, counts):
+    """Integrate from the knot ``start`` = (s, y, dy/ds, d2e) toward s_target.
+
+    The first stage of every step is the derivative stored at the knot the
+    step leaves, so a step costs one connection evaluation per further
+    stage plus one at the knot it reaches.  The error norm of an embedded
+    tableau covers (x, v) only: a carried tetrad never changes the steps.
+    Returns (knots, steps, truncation reason or None, largest accepted
+    error estimate or None).
     """
     sgn = 1.0 if s_target >= 0 else -1.0
-    h = sgn * abs(h)
-    ss, xs, vs, accs = [0.0], [x0.copy()], [v0.copy()], [a0]
-    s, x, v, a1 = 0.0, x0.copy(), v0.copy(), a0
-    truncated = None
-    steps = 0
-    while sgn * (s_target - s) > 1e-15 and steps < max_steps:
-        dt = sgn * min(abs(h), abs(s_target - s))
-        try:
-            k1x, k1v = v, a1
-            k2x = v + 0.5 * dt * k1v
-            k2v = _geodesic_rhs(metric, x + 0.5 * dt * k1x, k2x)
-            k3x = v + 0.5 * dt * k2v
-            k3v = _geodesic_rhs(metric, x + 0.5 * dt * k2x, k3x)
-            k4x = v + dt * k3v
-            k4v = _geodesic_rhs(metric, x + dt * k3x, k4x)
-            xn = x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-            vn = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-            an = _geodesic_rhs(metric, xn, vn)
-        except (ChartDomainError, SingularMetricError) as err:
-            truncated = str(err)
-            break
-        s, x, v, a1 = s + dt, xn, vn, an
-        ss.append(s)
-        xs.append(x.copy())
-        vs.append(v.copy())
-        accs.append(an)
-        steps += 1
-    return ss, xs, vs, accs, steps, truncated
-
-
-_RK45_A = [
-    [],
-    [1 / 4],
-    [3 / 32, 9 / 32],
-    [1932 / 2197, -7200 / 2197, 7296 / 2197],
-    [439 / 216, -8, 3680 / 513, -845 / 4104],
-    [-8 / 27, 2, -3544 / 2565, 1859 / 4104, -11 / 40],
-]
-_RK45_C = [0, 1 / 4, 3 / 8, 12 / 13, 1, 1 / 2]
-_RK45_B5 = [16 / 135, 0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55]
-_RK45_B4 = [25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0]
-
-
-def _rk45_sweep(metric, x0, v0, a0, s_target, control):
-    sgn = 1.0 if s_target >= 0 else -1.0
     h = sgn * abs(control.step)
-    ss, xs, vs, accs = [0.0], [x0.copy()], [v0.copy()], [a0]
-    s, x, v = 0.0, x0.copy(), v0.copy()
-    y = np.concatenate([x, v])
+    knots = [start]
+    s, y, k = start[0], start[1], start[2]
     truncated = None
     steps = 0
-    max_err = 0.0
-
-    def rhs(yv):
-        return np.concatenate([yv[DIM:], _geodesic_rhs(metric, yv[:DIM], yv[DIM:])])
-
+    max_err = None if tableau.b_low is None else 0.0
     while sgn * (s_target - s) > 1e-15 and steps < control.max_steps:
         dt = sgn * min(abs(h), abs(s_target - s))
         try:
-            ks = []
-            for i in range(6):
-                yi = y.copy()
-                for j, aij in enumerate(_RK45_A[i]):
-                    yi = yi + dt * aij * ks[j]
-                ks.append(rhs(yi))
-            y5 = y + dt * sum(b * k for b, k in zip(_RK45_B5, ks))
-            y4 = y + dt * sum(b * k for b, k in zip(_RK45_B4, ks))
-        except (ChartDomainError, SingularMetricError) as err:
-            truncated = str(err)
+            ks = [k]
+            for row in tableau.a[1:]:
+                yi = y
+                for aij, kj in zip(row, ks):
+                    if aij:
+                        yi = yi + dt * aij * kj
+                counts["stage"] += 1
+                ks.append(_rhs(metric, yi)[0])
+            y_new = y + dt / tableau.b_den * _weighted(tableau.b, ks)
+            if tableau.b_low is not None:
+                y_low = y + dt * _weighted(tableau.b_low, ks)
+                err = float(np.max(np.abs(y_new[: 2 * DIM] - y_low[: 2 * DIM])))
+                accept = err <= control.tol or abs(dt) <= control.min_step
+                if accept and err > control.tol:
+                    raise StepSizeUnderflowError(
+                        f"step underflow at s={s}: error {err} above tolerance {control.tol}"
+                    )
+                scale = 0.9 * (control.tol / err) ** 0.2 if err > 0 else 2.0
+                h = dt * min(4.0, max(0.1, scale))
+                if abs(h) < control.min_step:
+                    h = sgn * control.min_step
+                if not accept:
+                    continue
+                max_err = max(max_err, err)
+            counts["knot"] += 1
+            k, d2e = _rhs(metric, y_new, knot=True)
+        except (ChartDomainError, SingularMetricError) as exc:
+            truncated = str(exc)
             break
-        err = float(np.max(np.abs(y5 - y4)))
-        if err <= control.tol or abs(dt) <= control.min_step:
-            if abs(dt) <= control.min_step and err > control.tol:
-                raise StepSizeUnderflowError(
-                    f"step underflow at s={s}: error {err} above tolerance {control.tol}"
-                )
-            s, y = s + dt, y5
-            max_err = max(max_err, err)
-            ss.append(s)
-            xs.append(y[:DIM].copy())
-            vs.append(y[DIM:].copy())
-            accs.append(_geodesic_rhs(metric, y[:DIM], y[DIM:]))
-            steps += 1
-        scale = 0.9 * (control.tol / err) ** 0.2 if err > 0 else 2.0
-        h = dt * min(4.0, max(0.1, scale))
-        if abs(h) < control.min_step:
-            h = sgn * control.min_step
-    return ss, xs, vs, accs, steps, truncated, max_err
+        s, y = s + dt, y_new
+        knots.append((s, y, k, d2e))
+        steps += 1
+    return knots, steps, truncated, max_err
 
 
 def integrate_geodesic(
-    metric: MetricField, p0, v0, s_max, control: Optional[StepControl] = None, s_min=0.0
+    metric: MetricField, p0, v0, s_max, control: Optional[StepControl] = None, s_min=0.0, tetrad=None
 ) -> GeodesicPath:
     """Integrate the geodesic equation from p0 with unit velocity v0.
 
     Covers proper times [s_min, s_max] (s_min may be negative; the path then
     extends backward through p0).  Leaving the chart domain truncates the
     path and records the reason in ``stats['truncated']``.
+
+    Args:
+        tetrad: optional 4x4 array, rows e_a^mu at p0, orthonormal with e_0
+            equal to v0 (``ValueError`` otherwise).  It is parallel-transported
+            in the same pass and returned as the path's ``tetrad``.
     """
     control = control or StepControl()
+    tableau = _TABLEAUX.get(control.method)
+    if tableau is None:
+        raise ValueError(f"unknown integrator method {control.method!r}")
     p0 = as_point(p0, metric.chart_id)
     x0 = p0.array.copy()
     v0 = np.asarray(v0, dtype=float).copy()
     _validate_initial(metric, x0, v0)
     if s_max <= s_min:
         raise ValueError("need s_max > s_min")
+    y0 = np.concatenate([x0, v0])
+    if tetrad is not None:
+        y0 = np.concatenate([y0, _validate_tetrad(metric, x0, v0, tetrad).ravel()])
 
-    a0 = _geodesic_rhs(metric, x0, v0)
+    counts = {"stage": 0, "knot": 1}
+    origin = (0.0, y0, *_rhs(metric, y0, knot=True))
+    idle = ([origin], 0, None, None)
+    forward = _sweep(metric, origin, s_max, control, tableau, counts) if s_max > 0 else idle
+    backward = _sweep(metric, origin, s_min, control, tableau, counts) if s_min < 0 else idle
+    knots = backward[0][:0:-1] + forward[0]
+    truncated = forward[2] or backward[2]
+    errors = [e for e in (forward[3], backward[3]) if e is not None]
 
-    def sweep(target):
-        if control.method == "rk4":
-            out = _rk4_sweep(metric, x0, v0, a0, target, control.step, control.max_steps)
-            return (*out, None)
-        if control.method == "rk45":
-            return _rk45_sweep(metric, x0, v0, a0, target, control)
-        raise ValueError(f"unknown integrator method {control.method!r}")
-
-    ss, xs, vs, accs = [0.0], [x0], [v0], [a0]
-    steps = 0
-    truncated = None
-    max_err = None
-    if s_max > 0:
-        fs, fx, fv, fa, fsteps, ftrunc, *rest = sweep(s_max)
-        ss, xs, vs, accs = fs, fx, fv, fa
-        steps += fsteps
-        truncated = ftrunc
-        max_err = rest[0] if rest else None
-    if s_min < 0:
-        bs, bx, bv, ba, bsteps, btrunc, *rest = sweep(s_min)
-        steps += bsteps
-        truncated = truncated or btrunc
-        if rest and rest[0] is not None:
-            max_err = max(max_err or 0.0, rest[0])
-        ss = [*reversed(bs[1:]), *ss]
-        xs = [*reversed(bx[1:]), *xs]
-        vs = [*reversed(bv[1:]), *vs]
-        accs = [*reversed(ba[1:]), *accs]
-
-    s_arr = np.array(ss)
-    x_arr = np.array(xs)
-    v_arr = np.array(vs)
-    a_arr = np.array(accs)
-    drift = max(
-        abs(_norm2(metric, x_arr[k], v_arr[k]) - 1.0) for k in range(0, len(s_arr), max(1, len(s_arr) // 64))
-    )
+    n = len(knots)
+    s_arr = np.array([kn[0] for kn in knots])
+    ys = np.array([kn[1] for kn in knots])
+    dys = np.array([kn[2] for kn in knots])
+    x_arr, v_arr, a_arr = ys[:, :DIM], ys[:, DIM : 2 * DIM], dys[:, DIM : 2 * DIM]
+    drift = max(abs(_norm2(metric, x_arr[k], v_arr[k]) - 1.0) for k in range(0, n, max(1, n // 64)))
     stats = {
-        "steps": steps,
-        "max_step_error_estimate": max_err if max_err is not None else drift,
+        "steps": forward[1] + backward[1],
+        "max_step_error_estimate": max(errors) if errors else drift,
         "max_norm_drift": drift,
         "truncated": truncated is not None,
         "reason": truncated,
         "method": control.method,
+        "christoffel_evals": counts["stage"] + (0 if tetrad is not None else counts["knot"]),
+        "christoffel_jet_evals": counts["knot"] if tetrad is not None else 0,
     }
-    return GeodesicPath(s_arr, x_arr, v_arr, a_arr, metric.name, stats, metric)
+    transported = None
+    if tetrad is not None:
+        d2e = np.array([kn[3] for kn in knots])
+        dense = QuinticDense(s_arr, ys[:, 2 * DIM :], dys[:, 2 * DIM :], d2e)
+        transported = TransportedTetrad(x_arr, ys[:, 2 * DIM :].reshape(n, DIM, DIM), dense)
+    if log.isEnabledFor(logging.DEBUG):
+        tetrad_health = ""
+        if transported is not None:
+            tetrad_health = f", tetrad orthonormality drift {transported.orthonormality_drift(metric):.3g}"
+        log.debug(
+            "geodesic on %s: %s, %d steps, %d christoffel and %d christoffel_jet evaluations, "
+            "norm drift %.3g%s",
+            metric.name,
+            control.method,
+            stats["steps"],
+            stats["christoffel_evals"],
+            stats["christoffel_jet_evals"],
+            drift,
+            tetrad_health,
+        )
+    return GeodesicPath(s_arr, x_arr, v_arr, a_arr, metric.name, stats, metric, transported)
 
 
 @dataclass
 class TransportedTetrad:
     """Orthonormal tetrad parallel-transported along a geodesic.
 
-    Row a of each 4x4 sample is the vector e_a; e_0 is the path velocity.
-    Transport preserves inner products, so g(e_a, e_b) stays eta_{ab} up to
-    integration error.
+    Row a of each 4x4 sample is the vector e_a at the path knot of the same
+    index; e_0 is the path velocity.  Transport preserves inner products,
+    so g(e_a, e_b) stays eta_{ab} up to integration error.
     """
 
-    path: GeodesicPath
+    points: np.ndarray  # (n, 4) knot positions of the path
     samples: np.ndarray  # (n, 4, 4), [k, a, mu]
-    _dense: Optional[QuinticDense] = None
+    _dense: QuinticDense
 
     def tetrad(self, s):
         """4x4 of scalars e[a][mu] at proper time s (dual-capable)."""
@@ -339,72 +391,12 @@ class TransportedTetrad:
         return [[flat[4 * a + mu] for mu in range(4)] for a in range(4)]
 
     def orthonormality_drift(self, metric: MetricField) -> float:
-        eta = np.diag([1.0, -1.0, -1.0, -1.0])
         worst = 0.0
-        for k in range(0, len(self.path.s), max(1, len(self.path.s) // 64)):
-            g = eval_metric(metric, self.path.points[k])
+        for k in range(0, len(self.points), max(1, len(self.points) // 64)):
+            g = eval_metric(metric, self.points[k])
             e = self.samples[k]
-            worst = max(worst, float(np.max(np.abs(e @ g @ e.T - eta))))
+            worst = max(worst, float(np.max(np.abs(e @ g @ e.T - SIGNATURE))))
         return worst
-
-
-def parallel_transport_tetrad(metric: MetricField, path: GeodesicPath, initial_tetrad) -> TransportedTetrad:
-    """Transport an orthonormal tetrad along a path by De_a/ds = 0.
-
-    Args:
-        initial_tetrad: 4x4 array, rows e_a^mu at the path point s=0, with
-            e_0 equal to the initial velocity.  Non-orthonormal input is
-            rejected.
-    """
-    e0 = np.asarray(initial_tetrad, dtype=float)
-    k0 = int(np.searchsorted(path.s, 0.0))
-    k0 = min(max(k0, 0), len(path.s) - 1)
-    g = eval_metric(metric, path.points[k0])
-    eta = np.diag([1.0, -1.0, -1.0, -1.0])
-    if np.max(np.abs(e0 @ g @ e0.T - eta)) > 1e-8:
-        raise ValueError("initial tetrad is not orthonormal for this metric")
-    if np.max(np.abs(e0[0] - path.velocities[k0])) > 1e-8:
-        raise ValueError("initial tetrad must have e_0 equal to the path velocity")
-
-    n = len(path.s)
-    samples = np.zeros((n, 4, 4))
-    samples[k0] = e0
-
-    def rhs(s, e):
-        x = np.array([value(c) for c in path.position(float(s))])
-        v = np.array([value(c) for c in path.velocity(float(s))])
-        gamma = christoffel(metric, x).gamma
-        return -np.einsum("mnr,n,ar->am", gamma, v, e)
-
-    def sweep(start, stop, step_dir):
-        e = samples[start].copy()
-        for k in range(start, stop, step_dir):
-            s0, s1 = path.s[k], path.s[k + step_dir]
-            h = s1 - s0
-            k1 = rhs(s0, e)
-            k2 = rhs(s0 + h / 2, e + h / 2 * k1)
-            k3 = rhs(s0 + h / 2, e + h / 2 * k2)
-            k4 = rhs(s1, e + h * k3)
-            e = e + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            samples[k + step_dir] = e
-
-    sweep(k0, n - 1, 1)
-    sweep(k0, 0, -1)
-
-    # Knot jets for the dense representation: first derivative from the
-    # transport equation, second from its s-derivative along the path.
-    d1 = np.zeros_like(samples)
-    d2 = np.zeros_like(samples)
-    for k in range(n):
-        x, v, a = path.points[k], path.velocities[k], path.accelerations[k]
-        gamma, dgamma = christoffel_jet(metric, x)
-        e = samples[k]
-        de = -np.einsum("mnr,n,ar->am", gamma, v, e)
-        dgam_dt = np.einsum("smnr,s,n->mr", dgamma, v, v) + np.einsum("mnr,n->mr", gamma, a)
-        d2[k] = -np.einsum("mr,ar->am", dgam_dt, e) - np.einsum("mnr,n,ar->am", gamma, v, de)
-        d1[k] = de
-    dense = QuinticDense(path.s, samples.reshape(n, 16), d1.reshape(n, 16), d2.reshape(n, 16))
-    return TransportedTetrad(path, samples, dense)
 
 
 @dataclass

@@ -27,11 +27,10 @@ itself (see ``_TubeChart``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .geodesics import GeodesicPath, TransportedTetrad, parallel_transport_tetrad
+from .geodesics import GeodesicPath
 from .geometry import (
     DIM,
     ChartPoint,
@@ -244,10 +243,10 @@ class _TubeChart:
     on the curve.
     """
 
-    def __init__(self, metric: MetricField, path: GeodesicPath, transported: TransportedTetrad):
+    def __init__(self, metric: MetricField, path: GeodesicPath):
         self.metric = metric
         self.path = path
-        self.transported = transported
+        self.tetrad = path.tetrad
 
     def _gamma_dual(self, coords_dual):
         x_float = [value(c) for c in coords_dual]
@@ -264,7 +263,7 @@ class _TubeChart:
     def inverse_fn(self, xi):
         s = xi[0]
         center = self.path.position(s)
-        e = self.transported.tetrad(s)
+        e = self.tetrad.tetrad(s)
         y = [sum(e[i][mu] * xi[i] for i in (1, 2, 3)) for mu in range(DIM)]
         gamma_dual, _, _ = self._gamma_dual(center)
         out = []
@@ -282,8 +281,8 @@ class _TubeChart:
         s = xi[0]
         center = self.path.position(s)
         vel = self.path.velocity(s)
-        e = self.transported.tetrad(s)
-        ep = self.transported.tetrad_rate(s)
+        e = self.tetrad.tetrad(s)
+        ep = self.tetrad.tetrad_rate(s)
         y = [sum(e[i][mu] * xi[i] for i in (1, 2, 3)) for mu in range(DIM)]
         yp = [sum(ep[i][mu] * xi[i] for i in (1, 2, 3)) for mu in range(DIM)]
         gamma_dual, _, dgamma = self._gamma_dual(center)
@@ -314,7 +313,7 @@ class _TubeChart:
         target = np.array([value(c) for c in coords])
         dists = np.linalg.norm(self.path.points - target[None, :], axis=1)
         k = int(np.argmin(dists))
-        e = self.transported.samples[k]
+        e = self.tetrad.samples[k]
         delta = target - self.path.points[k]
         comp = np.linalg.solve(e.T, delta)
         guess = np.array([self.path.s[k] + comp[0], comp[1], comp[2], comp[3]])
@@ -333,7 +332,6 @@ class GeodesicLabFrame:
     chart: NormalChart
     frame: FrameField
     path: GeodesicPath
-    transported: TransportedTetrad
     validity_radius: float
     label: str
 
@@ -356,28 +354,23 @@ class GeodesicLabFrame:
 def lab_frame_along_geodesic(
     metric: MetricField,
     path: GeodesicPath,
-    initial_tetrad=None,
-    transported: Optional[TransportedTetrad] = None,
     validity_radius=0.05,
     label="lab",
 ) -> GeodesicLabFrame:
     """Build the inertial lab frame carried by a geodesic.
 
     Args:
-        path: geodesic from the integrator (its s=0 point becomes the chart
-            base point).
-        initial_tetrad: orthonormal tetrad at s=0 with e_0 the initial
-            velocity; ignored when ``transported`` is given.
+        path: geodesic from the integrator, integrated with a tetrad (its
+            s=0 point becomes the chart base point, its transported tetrad
+            the axes).
         validity_radius: declared tube radius (chart units); guidance is the
             inverse square root of the local curvature scale.
     """
     if validity_radius <= 0:
         raise ValueError("validity radius must be positive")
-    if transported is None:
-        if initial_tetrad is None:
-            raise ValueError("need an initial tetrad or a transported tetrad")
-        transported = parallel_transport_tetrad(metric, path, initial_tetrad)
-    tube = _TubeChart(metric, path, transported)
+    if path.tetrad is None:
+        raise ValueError("the path carries no tetrad; integrate it with integrate_geodesic(..., tetrad=...)")
+    tube = _TubeChart(metric, path)
     k0 = int(np.argmin(np.abs(path.s)))
     base = as_point(tuple(path.points[k0]), metric.chart_id)
 
@@ -390,7 +383,7 @@ def lab_frame_along_geodesic(
         inverse_jacobian_fn=tube.inverse_jacobian_fn,
     )
     gamma0 = christoffel(metric, base)
-    chart = NormalChart(base, transported.samples[k0], gamma0, cmap, validity_radius)
+    chart = NormalChart(base, path.tetrad.samples[k0], gamma0, cmap, validity_radius)
 
     def raw_field(coords):
         xi = tube.forward_fn(coords)
@@ -398,7 +391,7 @@ def lab_frame_along_geodesic(
         return [jac[mu][0] for mu in range(DIM)]
 
     frame = make_frame(raw_field, metric, label=label, sample_points=[base.coords])
-    return GeodesicLabFrame(chart, frame, path, transported, validity_radius, label)
+    return GeodesicLabFrame(chart, frame, path, validity_radius, label)
 
 
 @dataclass

@@ -227,9 +227,9 @@ def test_equivalence_verdicts():
     u = fk.drift_speed_to_momentum(v_param)
     m2 = fk.make_friedmann(a_param, u)
     path = fk.integrate_geodesic(
-        m2.metric, (0, 0, 0, 0), (1, 0, 0, 0), 0.25, fk.StepControl(step=2e-3), s_min=-0.25
+        m2.metric, (0, 0, 0, 0), (1, 0, 0, 0), 0.25, fk.StepControl(step=2e-3), s_min=-0.25, tetrad=np.eye(4)
     )
-    lab = fk.lab_frame_along_geodesic(m2.metric, path, np.eye(4))
+    lab = fk.lab_frame_along_geodesic(m2.metric, path)
     cmap = fk.z_chart(m2)
     gz = fk.pushed_metric_field(cmap, m2.metric)
     moving = fk.deformed_frame(cmap, lab.frame, gz, label="lab-moving")

@@ -220,6 +220,22 @@ def test_non_finite_tolerance_exits_2(capsys):
     assert "invalid configuration" in err and "Traceback" not in err
 
 
+def test_unwritable_report_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    rc = main(["decompose", "--model", "minkowski", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("framekin: cannot write output") and "Traceback" not in err
+
+
+def test_unwritable_trajectory_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "t.csv"
+    rc = main(["geodesic", "--smax", "0.01", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("framekin: cannot write output") and "Traceback" not in err
+
+
 def test_log_level_env(monkeypatch, tmp_path, caplog):
     monkeypatch.setenv("FRAMEKIN_LOG", "INFO")
     out = tmp_path / "r.json"

@@ -121,8 +121,8 @@ def test_lab_frames_not_equivalent_at_epoch():
     u = fk.drift_speed_to_momentum(v_param)
     m = fk.make_friedmann(a_param, u)
     ctrl = fk.StepControl(method="rk4", step=2e-3)
-    path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), 0.25, ctrl, s_min=-0.25)
-    lab = fk.lab_frame_along_geodesic(m.metric, path, np.eye(4))
+    path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), 0.25, ctrl, s_min=-0.25, tetrad=np.eye(4))
+    lab = fk.lab_frame_along_geodesic(m.metric, path)
     cmap = fk.z_chart(m)
     gz = fk.pushed_metric_field(cmap, m.metric)
     moving = fk.deformed_frame(cmap, lab.frame, gz, label="lab-moving")

@@ -251,8 +251,8 @@ def test_is_pirf_lab_frame_off_curve_fails():
     # expansion (the linear scale factor suppresses the leading tidal term)
     m = fk.make_friedmann(0.5)
     ctrl = fk.StepControl(method="rk4", step=2e-3)
-    path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), 0.3, ctrl, s_min=-0.3)
-    lab = fk.lab_frame_along_geodesic(m.metric, path, np.eye(4), validity_radius=1.0)
+    path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), 0.3, ctrl, s_min=-0.3, tetrad=np.eye(4))
+    lab = fk.lab_frame_along_geodesic(m.metric, path, validity_radius=1.0)
     on_curve = fk.is_pirf(m.metric, lab.frame, [(0.0, 0, 0, 0), (0.1, 0, 0, 0)])
     assert on_curve.is_pirf
     off = fk.is_pirf(m.metric, lab.frame, [(0.0, 0.4, 0.0, 0.0)])

@@ -7,6 +7,8 @@ accelerations are assembled independently from the closed-form chart
 connection.
 """
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,23 @@ def test_dense_output_consistency():
     assert v[1] / v[0] == pytest.approx(drift_velocity_closed(0.01, 0.3, t), abs=1e-10)
 
 
+def test_dense_coefficients_match_per_interval_solve():
+    # reference: one 3x3 solve per interval, the textbook quintic Hermite fit
+    m = fk.make_friedmann(0.01, 0.3)
+    u, w = 0.3, np.sqrt(1.09)
+    ctrl = fk.StepControl(method="rk45", step=0.05, tol=1e-10)
+    for control in (fk.StepControl(step=0.01), ctrl):
+        path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (w, u, 0, 0), 1.0, control, s_min=-0.5)
+        y, dy, d2y = path.points, path.velocities, path.accelerations
+        for k in range(len(path.s) - 1):
+            h = path.s[k + 1] - path.s[k]
+            c0, c1, c2 = y[k], dy[k], 0.5 * d2y[k]
+            rhs = np.stack([y[k + 1] - c0 - c1 * h - c2 * h * h, dy[k + 1] - c1 - d2y[k] * h, d2y[k + 1] - d2y[k]])
+            mat = np.array([[h**3, h**4, h**5], [3 * h**2, 4 * h**3, 5 * h**4], [6 * h, 12 * h**2, 20 * h**3]])
+            expect = np.concatenate([np.stack([c0, c1, c2]), np.linalg.solve(mat, rhs)])
+            assert np.array_equal(path._dense.coeffs[k], expect)
+
+
 def test_csv_export(tmp_path):
     m = fk.make_friedmann(0.001, 0.1005)
     u, w = 0.1005, np.sqrt(1 + 0.1005**2)
@@ -138,15 +157,20 @@ def test_csv_export(tmp_path):
 
 
 def test_transport_constant_in_flat_space(minkowski):
-    path = fk.integrate_geodesic(minkowski, (0, 0, 0, 0), (1, 0, 0, 0), 2.0, fk.StepControl(step=0.05))
-    tet = fk.parallel_transport_tetrad(minkowski, path, np.eye(4))
+    path = fk.integrate_geodesic(minkowski, (0, 0, 0, 0), (1, 0, 0, 0), 2.0, fk.StepControl(step=0.05), tetrad=np.eye(4))
+    tet = path.tetrad
     assert np.max(np.abs(tet.samples - np.eye(4)[None])) < 1e-14
 
 
+def comoving_transport(a=0.05):
+    m = fk.make_friedmann(a)
+    path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), 3.0, fk.StepControl(step=0.01), tetrad=np.eye(4))
+    return m, path
+
+
 def test_transport_comoving_scales_inverse_scale_factor():
-    m = fk.make_friedmann(0.05)
-    path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), 3.0, fk.StepControl(step=0.01))
-    tet = fk.parallel_transport_tetrad(m.metric, path, np.eye(4))
+    m, path = comoving_transport()
+    tet = path.tetrad
     # spatial legs contract like 1/R along the curve (hand-solved transport)
     for k in (50, 150, 299):
         r = m.scale.value(path.points[k][0])
@@ -157,22 +181,99 @@ def test_transport_comoving_scales_inverse_scale_factor():
     assert tet.orthonormality_drift(m.metric) < 1e-8
 
 
+def test_transport_dense_between_knots():
+    m, path = comoving_transport()
+    for k in (0, 49, 150, 298):
+        s = 0.5 * (path.s[k] + path.s[k + 1])
+        r = m.scale.value(float(path.position(s)[0]))
+        e = np.array(path.tetrad.tetrad(s), dtype=float)
+        for i in (1, 2, 3):
+            expect = np.zeros(4)
+            expect[i] = 1.0 / r
+            assert np.max(np.abs(e[i] - expect)) < 1e-10
+
+
 def test_transport_preserves_inner_products():
     m = fk.make_friedmann(0.01, 0.3)
     u, w = 0.3, np.sqrt(1.09)
-    path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (w, u, 0, 0), 4.0, fk.StepControl(step=0.01))
     e = np.eye(4)
     e[0] = [w, u, 0, 0]
     e[1] = [u, w, 0, 0]
-    tet = fk.parallel_transport_tetrad(m.metric, path, e)
-    assert tet.orthonormality_drift(m.metric) < 1e-8
+    path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (w, u, 0, 0), 4.0, fk.StepControl(step=0.01), tetrad=e)
+    assert path.tetrad.orthonormality_drift(m.metric) < 1e-8
 
 
 def test_transport_rejects_bad_tetrad():
     m = fk.make_friedmann(0.01)
-    path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), 1.0, fk.StepControl(step=0.05))
     with pytest.raises(ValueError):
-        fk.parallel_transport_tetrad(m.metric, path, 2.0 * np.eye(4))
+        fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), 1.0, fk.StepControl(step=0.05), tetrad=2.0 * np.eye(4))
+
+
+def test_transported_e0_follows_velocity():
+    m = fk.make_friedmann(0.01, 0.3)
+    u, w = 0.3, np.sqrt(1.09)
+    e = np.eye(4)
+    e[0] = [w, u, 0, 0]
+    e[1] = [u, w, 0, 0]
+    ctrl = fk.StepControl(step=0.01)
+    path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (w, u, 0, 0), 2.0, ctrl, s_min=-1.0, tetrad=e)
+    assert np.max(np.abs(path.tetrad.samples[:, 0] - path.velocities)) < 1e-12
+
+
+def test_connection_evaluations_per_rk4_step(monkeypatch):
+    import framekin.geodesics as geo
+
+    calls = {"christoffel": 0, "christoffel_jet": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(geo, "christoffel", counted("christoffel", geo.christoffel))
+    monkeypatch.setattr(geo, "christoffel_jet", counted("christoffel_jet", geo.christoffel_jet))
+    m = fk.make_friedmann(0.01, 0.3)
+    u, w = 0.3, np.sqrt(1.09)
+    ctrl = fk.StepControl(step=0.01)
+    path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (w, u, 0, 0), 0.3, ctrl, s_min=-0.2)
+    n = path.stats["steps"]
+    assert n == 50
+    assert calls == {"christoffel": 4 * n + 1, "christoffel_jet": 0}
+
+    calls.update(christoffel=0, christoffel_jet=0)
+    e = np.eye(4)
+    e[0] = [w, u, 0, 0]
+    e[1] = [u, w, 0, 0]
+    path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (w, u, 0, 0), 0.3, ctrl, s_min=-0.2, tetrad=e)
+    assert calls == {"christoffel": 3 * n, "christoffel_jet": n + 1}
+    assert (path.stats["christoffel_evals"], path.stats["christoffel_jet_evals"]) == (3 * n, n + 1)
+
+
+def test_adaptive_steps_independent_of_tetrad():
+    m = fk.make_friedmann(0.01, 0.3)
+    u, w = 0.3, np.sqrt(1.09)
+    e = np.eye(4)
+    e[0] = [w, u, 0, 0]
+    e[1] = [u, w, 0, 0]
+    ctrl = fk.StepControl(method="rk45", step=0.05, tol=1e-10)
+    bare = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (w, u, 0, 0), 3.0, ctrl, s_min=-1.0)
+    carried = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (w, u, 0, 0), 3.0, ctrl, s_min=-1.0, tetrad=e)
+    for name in ("s", "points", "velocities", "accelerations"):
+        assert np.array_equal(getattr(bare, name), getattr(carried, name))
+    assert bare.stats["max_step_error_estimate"] == carried.stats["max_step_error_estimate"]
+    assert carried.tetrad.orthonormality_drift(m.metric) < 1e-8
+
+
+def test_debug_log_reports_work_and_drift(caplog):
+    m = fk.make_friedmann(0.05)
+    with caplog.at_level(logging.DEBUG, logger="framekin.geodesics"):
+        fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), 0.1, fk.StepControl(step=0.01), tetrad=np.eye(4))
+    (record,) = [r for r in caplog.records if r.name == "framekin.geodesics"]
+    text = record.getMessage()
+    assert "rk4, 10 steps, 30 christoffel and 11 christoffel_jet evaluations" in text
+    assert "norm drift" in text and "tetrad orthonormality drift" in text
 
 
 # -- free-particle experiment ---------------------------------------------------

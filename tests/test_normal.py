@@ -85,14 +85,16 @@ def test_chart_serialization(friedmann_a03):
 def build_comoving_lab(a, span=0.25, step=2e-3, radius=0.05):
     m = fk.make_friedmann(a)
     ctrl = fk.StepControl(method="rk4", step=step)
-    path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), span, ctrl, s_min=-span)
-    lab = fk.lab_frame_along_geodesic(m.metric, path, np.eye(4), validity_radius=radius)
+    path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), span, ctrl, s_min=-span, tetrad=np.eye(4))
+    lab = fk.lab_frame_along_geodesic(m.metric, path, validity_radius=radius)
     return m, lab
 
 
 def test_flat_lab_frame_is_constant(minkowski):
-    path = fk.integrate_geodesic(minkowski, (0, 0, 0, 0), (1, 0, 0, 0), 0.5, fk.StepControl(step=0.02), s_min=-0.5)
-    lab = fk.lab_frame_along_geodesic(minkowski, path, np.eye(4), validity_radius=1.0)
+    path = fk.integrate_geodesic(
+        minkowski, (0, 0, 0, 0), (1, 0, 0, 0), 0.5, fk.StepControl(step=0.02), s_min=-0.5, tetrad=np.eye(4)
+    )
+    lab = fk.lab_frame_along_geodesic(minkowski, path, validity_radius=1.0)
     for p in ((0.0, 0, 0, 0), (0.2, 0.3, -0.1, 0.2)):
         q = [value(c) for c in lab.frame.component_fn(list(p))]
         assert np.max(np.abs(np.array(q) - [1, 0, 0, 0])) < 1e-12
@@ -153,8 +155,8 @@ def test_lab_expansion_small_time_band():
 def test_lab_frame_free_fall_only_on_curve():
     m = fk.make_friedmann(0.5)
     ctrl = fk.StepControl(method="rk4", step=2e-3)
-    path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), 0.3, ctrl, s_min=-0.3)
-    lab = fk.lab_frame_along_geodesic(m.metric, path, np.eye(4), validity_radius=1.0)
+    path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), 0.3, ctrl, s_min=-0.3, tetrad=np.eye(4))
+    lab = fk.lab_frame_along_geodesic(m.metric, path, validity_radius=1.0)
     on = fk.kinematic_decompose(m.metric, lab.frame, (0.0, 0, 0, 0))
     assert np.max(np.abs(on.accel)) < 1e-8
     off = fk.kinematic_decompose(m.metric, lab.frame, (0.0, 0.4, 0, 0))
@@ -166,4 +168,11 @@ def test_validity_tube_enforced():
     with pytest.raises(TubeDomainError):
         fk.lab_frame_expansion(m.metric, lab, (0.0, 0.2, 0, 0))
     with pytest.raises(ValueError):
-        fk.lab_frame_along_geodesic(m.metric, lab.path, np.eye(4), validity_radius=-1.0)
+        fk.lab_frame_along_geodesic(m.metric, lab.path, validity_radius=-1.0)
+
+
+def test_lab_frame_needs_transported_tetrad():
+    m = fk.make_friedmann(1e-2)
+    path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), 0.1, fk.StepControl(step=0.01), s_min=-0.1)
+    with pytest.raises(ValueError, match="no tetrad"):
+        fk.lab_frame_along_geodesic(m.metric, path)
