@@ -23,7 +23,7 @@ import numpy as np
 
 from .frames import FrameField, make_frame
 from .geometry import DIM, ChartDomainError, MetricField, as_point, minkowski_metric
-from .hyperdual import asinh, sqrt
+from .hyperdual import asinh, first, sqrt
 from .maps import ChartMap
 
 
@@ -146,7 +146,7 @@ def z_chart(model: FriedmannModel) -> ChartMap:
     def forward_fn(coords):
         t, x1 = coords[0], coords[1]
         r = scale.value(t)
-        if r <= 0.0:
+        if first(r <= 0.0) is not None:
             raise ChartDomainError("time outside the scale-factor domain")
         g = t * (r + 1.0) / (sqrt(r * r + u * u) + w0)
         h = big_h(g, r)
@@ -155,7 +155,7 @@ def z_chart(model: FriedmannModel) -> ChartMap:
     def time_from_z(z):
         """(t, R) where G(t) = z."""
         w = w0 + a * z
-        if w <= abs(u):
+        if first(w <= abs(u)) is not None:
             raise ChartDomainError("time outside the scale-factor domain")
         r = sqrt(w * w - u * u)
         return z * (2.0 * w0 + a * z) / (r + 1.0), r

@@ -108,10 +108,16 @@ def _resolve_frame(cfg):
     raise ValueError(f"unknown frame {name!r} for the minkowski model")
 
 
+# Largest sample grid per axis: 16^4 = 65,536 samples bounds the work of a run.
+_MAX_GRID = 16
+
+
 def _sample_box(cfg):
     lo = _parse_point(cfg["box_lo"]) if "box_lo" in cfg else (0.0, -0.5, -0.5, -0.5)
     hi = _parse_point(cfg["box_hi"]) if "box_hi" in cfg else (1.0, 0.5, 0.5, 0.5)
-    n = int(cfg.get("grid", 3))
+    n = cfg.get("grid", 3)
+    if type(n) is not int or not 1 <= n <= _MAX_GRID:
+        raise ValueError(f"grid must be an integer from 1 to {_MAX_GRID}, got {n!r}")
     return grid_samples(lo, hi, n)
 
 

@@ -16,7 +16,8 @@ time) is the covariant divergence Q^mu_{;mu}.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import logging
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,11 +27,19 @@ from .geometry import (
     ChartPoint,
     MetricField,
     as_point,
+    as_points,
+    covariant_derivative_field,
     eval_metric,
     metric_jet,
     _gamma_from_jets,
 )
-from .hyperdual import jet1_vector, sqrt, value
+from .hyperdual import first, jet, seed, sqrt, take, value
+
+log = logging.getLogger(__name__)
+
+# Samples per block in classify_synchronizability and is_pirf: one jet call
+# covers a block, and peak memory stays bounded however many samples.
+_BLOCK = 4096
 
 
 class FrameCausalityError(ValueError):
@@ -77,33 +86,26 @@ def make_frame(components, metric: MetricField, label="Q", sample_points=None) -
         def raw_fn(coords, _c=const):
             return list(_c)
 
-    def normalized_fn(coords):
+    def raw_norm2(coords):
+        """(q, g(q, q)), raising at the first point where q is not timelike future pointing."""
         q = list(raw_fn(coords))
         g = metric.component_fn(coords)
         norm2 = sum(g[i][j] * q[i] * q[j] for i in range(DIM) for j in range(DIM))
-        if value(norm2) <= 0.0:
-            raise FrameCausalityError(
-                f"{label}: components not timelike at {[value(c) for c in coords]}"
-            )
-        if value(q[0]) <= 0.0:
-            raise FrameCausalityError(f"{label}: components not future pointing")
+        checks = ((first(value(norm2) <= 0.0), "timelike"), (first(value(q[0]) <= 0.0), "future pointing"))
+        for bad, what in checks:
+            if bad is not None:
+                where = [float(value(c)) for c in take(coords, bad)]
+                raise FrameCausalityError(f"{label}: components not {what} at {where}")
+        return q, norm2
+
+    def normalized_fn(coords):
+        q, norm2 = raw_norm2(coords)
         inv = 1.0 / sqrt(norm2)
         return [qi * inv for qi in q]
 
-    if sample_points is None:
-        sample_points = [np.zeros(DIM)]
-    rescaled = False
-    for sp in sample_points:
-        coords = list(as_point(sp, metric.chart_id).coords)
-        q = raw_fn(coords)
-        g = metric.component_fn(coords)
-        norm2 = value(sum(g[i][j] * q[i] * q[j] for i in range(DIM) for j in range(DIM)))
-        if norm2 <= 0.0:
-            raise FrameCausalityError(f"{label}: not timelike at sample {coords}")
-        if value(q[0]) <= 0.0:
-            raise FrameCausalityError(f"{label}: not future pointing at sample {coords}")
-        if abs(norm2 - 1.0) > 1e-10:
-            rescaled = True
+    _, samples = as_points([np.zeros(DIM)] if sample_points is None else list(sample_points), metric.chart_id)
+    _, norm2 = raw_norm2(seed(samples, order=0))
+    rescaled = first(np.abs(value(norm2) - 1.0) > 1e-10) is not None
     return FrameField(normalized_fn, metric.chart_id, label, metric, raw_fn, rescaled)
 
 
@@ -124,7 +126,7 @@ def coframe(metric: MetricField, frame: FrameField, p) -> Coframe:
 
 @dataclass
 class KinematicDecomposition:
-    """Acceleration, vorticity, shear, expansion and projector at a point."""
+    """Acceleration, vorticity, shear, expansion and projector at a point (or batch-first, a block)."""
 
     theta: float
     accel: np.ndarray
@@ -145,73 +147,56 @@ class KinematicDecomposition:
         }
 
 
-def frame_jet(frame: FrameField, p):
-    """Components and first derivatives (q[mu], dq[nu, mu] = d_nu q^mu)."""
-    p = as_point(p, frame.chart_id)
-    return jet1_vector(frame.component_fn, p.coords)
-
-
 def kinematic_decompose(metric: MetricField, frame: FrameField, p) -> KinematicDecomposition:
-    """Split the covariant derivative of a frame into its kinematic parts."""
-    p = as_point(p, metric.chart_id)
+    """Split the covariant derivative of a frame into its kinematic parts, at a point or a block."""
+    p, coords = as_points(p, metric.chart_id)
     g, dg = metric_jet(metric, p, order=1)
     gamma = _gamma_from_jets(g, dg)
-    q, dq = frame_jet(frame, p)
+    q, dq = jet(frame.component_fn, coords)
 
-    nabla = dq.T + np.einsum("mnr,r->mn", gamma, q)  # Q^mu_{;nu}
+    nabla = np.swapaxes(dq, -1, -2) + np.einsum("...mnr,...r->...mn", gamma, q)  # Q^mu_{;nu}
     nabla_lo = g @ nabla  # Q_{mu;nu}
-    q_lo = g @ q
-    theta = float(np.trace(nabla))
-    accel = nabla_lo @ q
-    h_lo = g - np.outer(q_lo, q_lo)
-    hmix = np.eye(DIM) - np.outer(q, q_lo)  # h^a_m
-    proj = np.einsum("am,bn,ab->mn", hmix, hmix, nabla_lo)
-    vort = 0.5 * (proj - proj.T)
-    shear = 0.5 * (proj + proj.T) - (theta / 3.0) * h_lo
+    q_lo = (g @ q[..., None])[..., 0]
+    theta = np.trace(nabla, axis1=-2, axis2=-1)
+    accel = (nabla_lo @ q[..., None])[..., 0]
+    h_lo = g - q_lo[..., :, None] * q_lo[..., None, :]
+    hmix = np.eye(DIM) - q[..., :, None] * q_lo[..., None, :]  # h^a_m
+    proj = np.einsum("...am,...bn,...ab->...mn", hmix, hmix, nabla_lo)
+    vort = 0.5 * (proj - np.swapaxes(proj, -1, -2))
+    shear = 0.5 * (proj + np.swapaxes(proj, -1, -2)) - (theta / 3.0)[..., None, None] * h_lo
+    theta = float(theta) if theta.ndim == 0 else theta
     return KinematicDecomposition(theta, accel, vort, shear, h_lo, p, frame.label)
 
 
 def expansion_rate(metric: MetricField, frame: FrameField, p) -> float:
     """Covariant divergence Q^mu_{;mu} alone (cheaper than the full split)."""
-    p = as_point(p, metric.chart_id)
-    g, dg = metric_jet(metric, p, order=1)
-    gamma = _gamma_from_jets(g, dg)
-    q, dq = frame_jet(frame, p)
-    return float(np.trace(dq.T) + np.einsum("mmr,r->", gamma, q))
-
-
-def _coframe_jet(metric: MetricField, frame: FrameField, p):
-    """alpha components and first derivatives via one dual evaluation."""
-
-    def alpha_fn(coords):
-        g = metric.component_fn(coords)
-        q = frame.component_fn(coords)
-        return [sum(g[i][j] * q[j] for j in range(DIM)) for i in range(DIM)]
-
-    p = as_point(p, metric.chart_id)
-    return jet1_vector(alpha_fn, p.coords)
+    return float(np.trace(covariant_derivative_field(metric, frame, p)))
 
 
 def curl_and_wedge(metric: MetricField, frame: FrameField, p):
-    """(alpha, d alpha, alpha ^ d alpha) at a point.
+    """(alpha, d alpha, alpha ^ d alpha) at a point or, batch axis first, a block.
 
     The 2-form is d alpha_{mu nu} = d_mu alpha_nu - d_nu alpha_mu and the
     3-form components are the cyclic combination
     alpha_mu (d alpha)_{nu rho} - alpha_nu (d alpha)_{mu rho}
     + alpha_rho (d alpha)_{mu nu}.
     """
-    alpha, dalpha = _coframe_jet(metric, frame, p)
-    two_form = dalpha - dalpha.T  # [mu, nu] = d_mu alpha_nu - d_nu alpha_mu
-    wedge = np.zeros((DIM, DIM, DIM))
-    for m in range(DIM):
-        for n in range(DIM):
-            for r in range(DIM):
-                wedge[m, n, r] = (
-                    alpha[m] * two_form[n, r]
-                    - alpha[n] * two_form[m, r]
-                    + alpha[r] * two_form[m, n]
-                )
-    return alpha, two_form, wedge
+
+    def alpha_fn(coords):
+        g = metric.component_fn(coords)
+        q = frame.component_fn(coords)
+        return [sum(g[i][j] * q[j] for j in range(DIM)) for i in range(DIM)]
+
+    _, coords = as_points(p, metric.chart_id)
+    metric.check_domain(coords)
+    a, dalpha = jet(alpha_fn, coords)
+    tf = dalpha - np.swapaxes(dalpha, -1, -2)  # [mu, nu] = d_mu alpha_nu - d_nu alpha_mu
+    wedge = (
+        a[..., :, None, None] * tf[..., None, :, :]
+        - a[..., None, :, None] * tf[..., :, None, :]
+        + a[..., None, None, :] * tf[..., :, :, None]
+    )
+    return a, tf, wedge
 
 
 class SynchronizabilityClass(str, enum.Enum):
@@ -241,15 +226,7 @@ class SynchronizabilityResult:
     n_samples: int
 
     def to_json_dict(self):
-        return {
-            "classification": self.classification.value,
-            "dalpha_max": self.dalpha_max,
-            "wedge_max": self.wedge_max,
-            "alpha_spatial_max": self.alpha_spatial_max,
-            "alpha_time_dev_max": self.alpha_time_dev_max,
-            "threshold": self.threshold,
-            "n_samples": self.n_samples,
-        }
+        return {**asdict(self), "classification": self.classification.value}
 
 
 def classify_synchronizability(
@@ -261,16 +238,14 @@ def classify_synchronizability(
     below ``threshold`` in chart units.  The classification never claims
     more than the sampled points support.
     """
-    samples = list(sample_points)
-    if not samples:
-        raise ValueError("synchronizability needs at least one sample point")
+    blocks = _blocks(sample_points, "synchronizability", 1)
     dal = wed = spat = tdev = 0.0
-    for sp in samples:
-        alpha, two_form, wedge = curl_and_wedge(metric, frame, sp)
+    for block in blocks:
+        alpha, two_form, wedge = curl_and_wedge(metric, frame, block)
         dal = max(dal, float(np.max(np.abs(two_form))))
         wed = max(wed, float(np.max(np.abs(wedge))))
-        spat = max(spat, float(np.max(np.abs(alpha[1:]))))
-        tdev = max(tdev, float(abs(alpha[0] - 1.0)))
+        spat = max(spat, float(np.max(np.abs(alpha[:, 1:]))))
+        tdev = max(tdev, float(np.max(np.abs(alpha[:, 0] - 1.0))))
     if wed > threshold:
         cls = SynchronizabilityClass.NON
     elif spat <= threshold and tdev <= threshold:
@@ -281,7 +256,7 @@ def classify_synchronizability(
         cls = SynchronizabilityClass.SYNCHRONIZABLE
     else:
         cls = SynchronizabilityClass.LOCALLY
-    return SynchronizabilityResult(cls, dal, wed, spat, tdev, threshold, len(samples))
+    return SynchronizabilityResult(cls, dal, wed, spat, tdev, threshold, sum(map(len, blocks)))
 
 
 @dataclass
@@ -295,13 +270,7 @@ class PirfResult:
     n_samples: int
 
     def to_json_dict(self):
-        return {
-            "is_pirf": self.is_pirf,
-            "max_accel": self.max_accel,
-            "max_wedge": self.max_wedge,
-            "tolerance": self.tolerance,
-            "n_samples": self.n_samples,
-        }
+        return asdict(self)
 
 
 def is_pirf(metric: MetricField, frame: FrameField, sample_points, tolerance=1e-8) -> PirfResult:
@@ -310,17 +279,26 @@ def is_pirf(metric: MetricField, frame: FrameField, sample_points, tolerance=1e-
     True iff the acceleration covector and the 3-form alpha ^ d alpha stay
     below ``tolerance`` (max-abs over components and samples).
     """
-    samples = list(sample_points)
-    if not samples:
-        raise ValueError("pseudo-inertial test needs at least one sample point")
+    blocks = _blocks(sample_points, "pseudo-inertial test", 3)
     max_accel = max_wedge = 0.0
-    for sp in samples:
-        dec = kinematic_decompose(metric, frame, sp)
-        _, _, wedge = curl_and_wedge(metric, frame, sp)
+    for block in blocks:
+        dec = kinematic_decompose(metric, frame, block)
+        _, _, wedge = curl_and_wedge(metric, frame, block)
         max_accel = max(max_accel, float(np.max(np.abs(dec.accel))))
         max_wedge = max(max_wedge, float(np.max(np.abs(wedge))))
     ok = max_accel < tolerance and max_wedge < tolerance
-    return PirfResult(ok, max_accel, max_wedge, tolerance, len(samples))
+    return PirfResult(ok, max_accel, max_wedge, tolerance, sum(map(len, blocks)))
+
+
+def _blocks(sample_points, what, jets_per_block):
+    """Sample points as (N, 4) blocks of at most _BLOCK rows, logged at DEBUG."""
+    samples = np.asarray(list(sample_points), dtype=float)
+    if len(samples) == 0:
+        raise ValueError(f"{what} needs at least one sample point")
+    blocks = [samples[k : k + _BLOCK] for k in range(0, len(samples), _BLOCK)]
+    n = len(blocks)
+    log.debug("%s: %d samples in %d blocks, %d jet evaluations", what, len(samples), n, jets_per_block * n)
+    return blocks
 
 
 def grid_samples(lo, hi, n=3):

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .hyperdual import DIM, jet1_matrix, jet1_vector, jet2_matrix, value
+from .hyperdual import DIM, first, jet
 
 SIGNATURE = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -71,6 +71,23 @@ def as_point(p, chart_id="default") -> ChartPoint:
     return ChartPoint(tuple(p), chart_id)
 
 
+def as_points(p, chart_id="default"):
+    """(point, coords): a ChartPoint and its (4,) array, or an (N, 4) block twice
+    (whose finiteness ``check_domain`` checks)."""
+    coords = p.array if isinstance(p, ChartPoint) else np.asarray(p, dtype=float)
+    if coords.ndim == 1:
+        return as_point(p, chart_id), coords
+    if coords.ndim != 2 or coords.shape[1] != DIM:
+        raise ValueError(f"a block of chart points has shape (N, 4), got {coords.shape}")
+    return coords, coords
+
+
+def _sample(coords, k):
+    """The k-th point of a point or block, as error messages name it."""
+    coords = np.asarray(coords, dtype=float)
+    return f"{coords.tolist()}" if coords.ndim == 1 else f"sample {k} {coords[k].tolist()}"
+
+
 @dataclass
 class MetricField:
     """A chart-expressed Lorentzian metric with exact derivative evaluation.
@@ -99,72 +116,83 @@ class MetricField:
             raise ValueError("metric fields must support second derivatives")
 
     def check_domain(self, coords):
-        coords = np.asarray([float(c) for c in coords])
-        if not np.all(np.isfinite(coords)):
-            raise ChartDomainError(f"{self.name}: non-finite coordinates {coords}")
-        if self.domain_fn is not None and not self.domain_fn(coords):
-            raise ChartDomainError(
-                f"{self.name}: point {coords.tolist()} outside chart domain"
-            )
+        """Raise ChartDomainError at the first non-finite or out-of-domain point of a point or block."""
+        coords = np.asarray(coords, dtype=float)
+        block = coords.reshape(-1, DIM)
+        if not np.isfinite(coords).all():
+            bad = first(~np.isfinite(block).all(axis=1))
+            raise ChartDomainError(f"{self.name}: non-finite coordinates {_sample(coords, bad)}")
+        if self.domain_fn is not None:
+            bad = next((k for k, c in enumerate(block) if not self.domain_fn(c)), None)
+            if bad is not None:
+                raise ChartDomainError(f"{self.name}: point {_sample(coords, bad)} outside chart domain")
 
 
 def eval_metric(metric: MetricField, p, symmetry_tol=1e-12) -> np.ndarray:
-    """Metric components at a point, with symmetry and signature checks."""
-    p = as_point(p, metric.chart_id)
-    metric.check_domain(p.coords)
-    rows = metric.component_fn(list(p.coords))
-    g = np.array([[value(rows[i][j]) for j in range(DIM)] for i in range(DIM)])
-    scale = max(1.0, np.max(np.abs(g)))
-    if np.max(np.abs(g - g.T)) > symmetry_tol * scale:
-        raise MetricSignatureError(f"{metric.name}: components not symmetric at {p.coords}")
-    eig = np.linalg.eigvalsh(0.5 * (g + g.T))
-    if not (np.sum(eig > 0) == 1 and np.sum(eig < 0) == 3 and g[0, 0] > 0):
-        raise MetricSignatureError(
-            f"{metric.name}: not Lorentzian (+,-,-,-) at {p.coords}: eigenvalues {eig}"
-        )
+    """Metric components at a point (4, 4) or a block (N, 4, 4), with symmetry and signature checks."""
+    _, coords = as_points(p, metric.chart_id)
+    metric.check_domain(coords)
+    (g,) = jet(metric.component_fn, coords, order=0)
+    _check_lorentzian(metric, g, coords, symmetry_tol)
     return g
+
+
+def _check_lorentzian(metric: MetricField, g, coords, symmetry_tol=1e-12):
+    """Raise MetricSignatureError at the first point where g is not symmetric (+,-,-,-) with g_00 > 0."""
+    gt = np.swapaxes(g, -1, -2)
+    scale = np.maximum(1.0, np.abs(g).max(axis=(-2, -1)))
+    bad = first(np.abs(g - gt).max(axis=(-2, -1)) > symmetry_tol * scale)
+    if bad is not None:
+        raise MetricSignatureError(f"{metric.name}: components not symmetric at {_sample(coords, bad)}")
+    eig = np.linalg.eigvalsh(0.5 * (g + gt))  # ascending: three negative, then one positive
+    bad = first(~((eig[..., 2] < 0) & (eig[..., 3] > 0) & (g[..., 0, 0] > 0)))
+    if bad is not None:
+        where = f"{_sample(coords, bad)}: eigenvalues {eig.reshape(-1, DIM)[bad]}"
+        raise MetricSignatureError(f"{metric.name}: not Lorentzian (+,-,-,-) at {where}")
 
 
 def inverse_metric(metric: MetricField, p) -> np.ndarray:
     """Inverse metric g^{mu nu} at a point."""
-    g = eval_metric(metric, p)
-    return _invert(g, metric.name)
+    return _invert(eval_metric(metric, p), metric.name)
 
 
 def _invert(g: np.ndarray, name="metric") -> np.ndarray:
+    """Inverse of a metric (4, 4) or of each metric of a stack (N, 4, 4), refusing singular ones."""
+    where = "" if g.ndim == 2 else " at sample {}"
     det = np.linalg.det(g)
-    if det == 0.0 or not np.isfinite(det):
-        raise SingularMetricError(f"{name}: singular metric, det={det}")
+    bad = first((det == 0.0) | ~np.isfinite(det))
+    if bad is not None:
+        raise SingularMetricError(f"{name}: singular metric, det={np.ravel(det)[bad]}" + where.format(bad))
     sv = np.linalg.svd(g, compute_uv=False)
-    if sv[-1] == 0.0 or sv[0] / sv[-1] > 1e13:
-        raise SingularMetricError(f"{name}: metric numerically singular, cond={sv[0] / sv[-1]:.2e}")
+    # det != 0 rules out g = 0, so a zero smallest singular value gives cond = inf
+    cond = sv[..., 0] / sv[..., -1]
+    bad = first(cond > 1e13)
+    if bad is not None:
+        cond = np.ravel(cond)[bad]
+        raise SingularMetricError(f"{name}: metric numerically singular, cond={cond:.2e}" + where.format(bad))
     return np.linalg.inv(g)
 
 
 def metric_jet(metric: MetricField, p, order=2):
-    """Metric with exact derivatives at a point.
+    """Metric with exact derivatives at a point or a block of points.
 
     Returns (g, dg) for order 1 and (g, dg, d2g) for order 2; derivative
-    indices first.
+    indices first, after the batch axis of a block.
     """
-    p = as_point(p, metric.chart_id)
-    metric.check_domain(p.coords)
-    if order == 1:
-        g, dg = jet1_matrix(metric.component_fn, p.coords)
-        return g, dg
-    g, dg, d2g = jet2_matrix(metric.component_fn, p.coords)
-    return g, dg, d2g
+    _, coords = as_points(p, metric.chart_id)
+    metric.check_domain(coords)
+    return jet(metric.component_fn, coords, order)
 
 
 @dataclass
 class ConnectionCoefficients:
-    """Levi-Civita connection coefficients Gamma^mu_{nu rho} at a point."""
+    """Levi-Civita connection coefficients Gamma^mu_{nu rho} at a point (or block: (N, 4, 4, 4))."""
 
     gamma: np.ndarray
     point: ChartPoint
 
     def __post_init__(self):
-        if self.gamma.shape != (DIM, DIM, DIM):
+        if self.gamma.shape[-3:] != (DIM, DIM, DIM):
             raise ValueError("connection array must be 4x4x4")
 
 
@@ -182,21 +210,34 @@ class CurvatureTensor:
     point: ChartPoint
 
 
+def _braces(dg):
+    """[..., k, i, j] = d_i g_{kj} + d_j g_{ki} - d_k g_{ij}; leading axes of dg pass through."""
+    return np.einsum("...ikj->...kij", dg) + np.einsum("...jki->...kij", dg) - dg
+
+
 def _gamma_from_jets(g, dg):
-    ginv = _invert(g)
     # Gamma^m_{ij} = 1/2 g^{mk} (d_i g_{kj} + d_j g_{ki} - d_k g_{ij})
-    braces = (
-        np.einsum("ikj->kij", dg) + np.einsum("jki->kij", dg) - np.einsum("kij->kij", dg)
-    )
-    return 0.5 * np.einsum("mk,kij->mij", ginv, braces)
+    return 0.5 * np.einsum("...mk,...kij->...mij", _invert(g), _braces(dg))
 
 
 def christoffel(metric: MetricField, p) -> ConnectionCoefficients:
-    """Connection coefficients from the exact first metric derivatives."""
-    p = as_point(p, metric.chart_id)
+    """Connection coefficients from the exact first metric derivatives, at a point or a block."""
+    p, _ = as_points(p, metric.chart_id)
     g, dg = metric_jet(metric, p, order=1)
     gamma = _gamma_from_jets(g, dg)
     return ConnectionCoefficients(gamma, p)
+
+
+def _connection_jet(metric: MetricField, p):
+    """(g, g^-1, gamma, dgamma) from one order-2 metric jet and one inversion."""
+    g, dg, d2g = metric_jet(metric, p, order=2)
+    ginv = _invert(g)
+    braces = _braces(dg)
+    gamma = 0.5 * np.einsum("mk,kij->mij", ginv, braces)
+    dginv = -np.einsum("ma,sab,bk->smk", ginv, dg, ginv)
+    dbraces = _braces(d2g)
+    dgamma = 0.5 * (np.einsum("smk,kij->smij", dginv, braces) + np.einsum("mk,skij->smij", ginv, dbraces))
+    return g, ginv, gamma, dgamma
 
 
 def christoffel_jet(metric: MetricField, p):
@@ -205,26 +246,14 @@ def christoffel_jet(metric: MetricField, p):
     Returns (gamma, dgamma) with dgamma[sigma, mu, nu, rho] =
     d_sigma Gamma^mu_{nu rho}.
     """
-    p = as_point(p, metric.chart_id)
-    g, dg, d2g = metric_jet(metric, p, order=2)
-    ginv = _invert(g)
-    braces = np.einsum("ikj->kij", dg) + np.einsum("jki->kij", dg) - dg
-    gamma = 0.5 * np.einsum("mk,kij->mij", ginv, braces)
-    dginv = -np.einsum("ma,sab,bk->smk", ginv, dg, ginv)
-    dbraces = (
-        np.einsum("sikj->skij", d2g) + np.einsum("sjki->skij", d2g) - d2g
-    )
-    dgamma = 0.5 * (
-        np.einsum("smk,kij->smij", dginv, braces)
-        + np.einsum("mk,skij->smij", ginv, dbraces)
-    )
-    return gamma, dgamma
+    return _connection_jet(metric, as_point(p, metric.chart_id))[2:]
 
 
 def riemann(metric: MetricField, p) -> CurvatureTensor:
     """Curvature tensor under the module's documented sign convention."""
     p = as_point(p, metric.chart_id)
-    gamma, dgamma = christoffel_jet(metric, p)
+    g, ginv, gamma, dgamma = _connection_jet(metric, p)
+    _check_lorentzian(metric, g, p.coords)
     rm = (
         np.einsum("cadb->abcd", dgamma)
         - np.einsum("dacb->abcd", dgamma)
@@ -232,8 +261,6 @@ def riemann(metric: MetricField, p) -> CurvatureTensor:
         - np.einsum("adl,lcb->abcd", gamma, gamma)
     )
     ric = np.einsum("abad->bd", rm)
-    g = eval_metric(metric, p)
-    ginv = _invert(g)
     scalar = float(np.einsum("bd,bd->", ginv, ric))
     einstein = ric - 0.5 * scalar * g
     return CurvatureTensor(rm, ric, scalar, einstein, p)
@@ -252,7 +279,7 @@ def covariant_derivative_field(metric: MetricField, frame, p) -> np.ndarray:
     ``frame`` is anything with a dual-capable ``component_fn``.
     """
     p = as_point(p, metric.chart_id)
-    q, dq = jet1_vector(frame.component_fn, p.coords)
+    q, dq = jet(frame.component_fn, p.coords)
     gamma = christoffel(metric, p).gamma
     return dq.T + np.einsum("mnr,r->mn", gamma, q)
 

@@ -16,13 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import DIM, MetricField, as_point
-from .hyperdual import (
-    HyperDual,
-    dual_matrix_inverse,
-    jet1_vector,
-    seed,
-    value,
-)
+from .hyperdual import dual_matrix_inverse, jet, value
 
 
 @dataclass
@@ -52,7 +46,7 @@ class ChartMap:
 
     def jacobian(self, p):
         """Lambda[mu, alpha] = d x'^mu / d x^alpha at the source point p."""
-        _, dJ = jet1_vector(self.forward_fn, as_point(p, self.source_chart_id).coords)
+        _, dJ = jet(self.forward_fn, as_point(p, self.source_chart_id).coords)
         return dJ.T
 
     def inverse_jacobian(self, p_image):
@@ -61,7 +55,7 @@ class ChartMap:
         if self.inverse_jacobian_fn is not None:
             rows = self.inverse_jacobian_fn(list(coords))
             return np.array([[value(rows[i][j]) for j in range(DIM)] for i in range(DIM)])
-        _, dJ = jet1_vector(self.inverse_fn, coords)
+        _, dJ = jet(self.inverse_fn, coords)
         return dJ.T
 
     def _inverse_jacobian_dual(self, coords_dual):
@@ -245,15 +239,8 @@ def transform_connection(cmap: ChartMap, metric: MetricField, p):
     image = cmap.forward(p)
     lam = cmap.jacobian(p)
     lam_inv = np.linalg.inv(lam)
-    xs = seed(image, order=2)
-    back = cmap.inverse_fn(xs)
-    second = np.zeros((DIM, DIM, DIM))  # [a, i, j] = d2 x^a / dx'^i dx'^j
-    for a_idx in range(DIM):
-        comp = back[a_idx]
-        if isinstance(comp, HyperDual):
-            if comp.hess is None:
-                raise ValueError("inverse map does not carry second derivatives")
-            second[a_idx] = comp.hess
+    _, _, d2 = jet(cmap.inverse_fn, image, order=2)
+    second = np.moveaxis(d2, -1, 0)  # [a, i, j] = d2 x^a / dx'^i dx'^j
     out = np.einsum("ma,bi,cj,abc->mij", lam, lam_inv, lam_inv, gamma)
     out += np.einsum("ma,aij->mij", lam, second)
     return out

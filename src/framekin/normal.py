@@ -43,7 +43,7 @@ from .geometry import (
     riemann,
 )
 from .frames import FrameField, kinematic_decompose, make_frame
-from .hyperdual import dual_newton_invert, taylor_apply, value
+from .hyperdual import dual_newton_invert, per_point, taylor_apply, value
 from .maps import ChartMap, pushed_metric_field
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -161,7 +161,8 @@ def build_normal_chart(metric: MetricField, p0, initial_tetrad, validity_radius=
         return [[cols[a][mu] for a in range(DIM)] for mu in range(DIM)]
 
     def forward_fn(coords):
-        seed_guess = np.linalg.solve(e.T, np.array([value(c) for c in coords]) - x0)
+        # (4,) for a point, (N, 4) for a block
+        seed_guess = np.linalg.solve(e.T, (np.array([value(c) for c in coords]).T - x0).T).T
         return dual_newton_invert(inverse_fn, coords, seed_guess)
 
     cmap = ChartMap(
@@ -184,19 +185,12 @@ def normal_chart_curvature_check(metric: MetricField, chart: NormalChart, step=1
     to the chart axes.  Returns (max_abs_deviation, measured, expected).
     """
     pushed = chart.metric_in_chart(metric)
-
-    def dgamma_numeric(h):
-        out = np.zeros((DIM, DIM, DIM, DIM))
-        for d in range(DIM):
-            hi = np.zeros(DIM)
-            lo = np.zeros(DIM)
-            hi[d] = h
-            lo[d] = -h
-            out[d] = (christoffel(pushed, hi).gamma - christoffel(pushed, lo).gamma) / (2 * h)
-        return out
-
-    d1 = dgamma_numeric(step)
-    d2 = dgamma_numeric(step / 2.0)
+    # one block: +h and -h along each axis, for h = step and step / 2
+    hs = (step, -step, step / 2.0, -step / 2.0)
+    gam = christoffel(pushed, np.concatenate([np.diag(np.full(DIM, h)) for h in hs])).gamma
+    gam = gam.reshape(len(hs), DIM, DIM, DIM, DIM)  # [h, d, a, b, c]
+    d1 = (gam[0] - gam[1]) / (2 * step)
+    d2 = (gam[2] - gam[3]) / (2 * (step / 2.0))
     measured = (4.0 * d2 - d1) / 3.0  # [d, a, b, c]
 
     curv = riemann(metric, chart.base_point).riemann
@@ -221,10 +215,8 @@ def metric_deviation_exponent(metric: MetricField, chart: NormalChart, radii=Non
     if direction is None:
         direction = np.array([0.3, 0.8, -0.4, 0.33])
     direction = np.asarray(direction) / np.linalg.norm(direction)
-    devs = []
-    for r in radii:
-        g = eval_metric(pushed, r * direction)
-        devs.append(np.max(np.abs(g - ETA)))
+    g = eval_metric(pushed, np.outer(radii, direction))
+    devs = np.max(np.abs(g - ETA), axis=(1, 2))
     logs_r = np.log(np.asarray(radii))
     logs_d = np.log(np.asarray(devs))
     slope = np.polyfit(logs_r, logs_d, 1)[0]
@@ -255,9 +247,7 @@ class _TubeChart:
         for m in range(DIM):
             for n in range(DIM):
                 for r in range(DIM):
-                    out[m][n][r] = taylor_apply(
-                        gamma[m, n, r], dgamma[:, m, n, r], coords_dual, hessian=None
-                    )
+                    out[m][n][r] = taylor_apply(gamma[m, n, r], dgamma[:, m, n, r], coords_dual)
         return out, gamma, dgamma
 
     def inverse_fn(self, xi):
@@ -374,17 +364,19 @@ def lab_frame_along_geodesic(
     k0 = int(np.argmin(np.abs(path.s)))
     base = as_point(tuple(path.points[k0]), metric.chart_id)
 
+    # the sliding chart looks up path knots per point, so blocks run sample by sample
     cmap = ChartMap(
-        tube.forward_fn,
-        tube.inverse_fn,
+        per_point(tube.forward_fn),
+        per_point(tube.inverse_fn),
         source_chart_id=metric.chart_id,
         target_chart_id=f"lab@{label}",
         name=f"lab-chart-{label}",
-        inverse_jacobian_fn=tube.inverse_jacobian_fn,
+        inverse_jacobian_fn=per_point(tube.inverse_jacobian_fn),
     )
     gamma0 = christoffel(metric, base)
     chart = NormalChart(base, path.tetrad.samples[k0], gamma0, cmap, validity_radius)
 
+    @per_point
     def raw_field(coords):
         xi = tube.forward_fn(coords)
         jac = tube.inverse_jacobian_fn(xi)

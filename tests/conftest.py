@@ -30,3 +30,17 @@ def random_points(rng, n, t_range=(0.0, 2.0), x_range=(-1.0, 1.0)):
     pts[:, 0] = rng.uniform(*t_range, n)
     pts[:, 1:] = rng.uniform(*x_range, (n, 3))
     return [tuple(p) for p in pts]
+
+
+def survey_frames():
+    """(metric, frame) for the five frame kinds the CLI surveys."""
+    mink = fk.minkowski_metric()
+    model = fk.make_friedmann(0.05, 0.3)
+    rot = fk.rotating_minkowski_frame(0.15, 5.0)
+    return [
+        (mink, fk.inertial_frame(mink)),
+        (mink, fk.boosted_inertial_frame(0.4, mink)),
+        (rot.metric, rot),
+        (model.metric, model.frame_comoving),
+        (model.metric, model.frame_drifting),
+    ]

@@ -220,6 +220,20 @@ def test_non_finite_tolerance_exits_2(capsys):
     assert "invalid configuration" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("grid", [0, 17, 2.5])
+def test_grid_out_of_range_exits_2(grid, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "minkowski", "frame": "inertial", "grid": grid}))
+    runs = [["classify", "--config", str(cfg)]]
+    if isinstance(grid, int):  # argparse itself refuses --grid 2.5
+        runs.append(["pirf-check", "--model", "minkowski", "--grid", str(grid)])
+    for argv in runs:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("framekin: invalid configuration: grid must be an integer")
+        assert "Traceback" not in err
+
+
 def test_unwritable_report_exits_2(tmp_path, capsys):
     out = tmp_path / "missing" / "r.json"
     rc = main(["decompose", "--model", "minkowski", "--out", str(out)])

@@ -5,6 +5,8 @@ by finite differences (framekin.oracles.fd_divergence); it shares no code
 path with the exact-derivative decomposition it checks.
 """
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 import framekin as fk
 from framekin.catalog import theta_comoving_closed, theta_drifting_closed
 from framekin.frames import FrameCausalityError, SynchronizabilityClass, curl_and_wedge
+from framekin.geometry import ChartDomainError, SingularMetricError
 from framekin.oracles import fd_divergence
 
-from conftest import random_points
+from conftest import random_points, survey_frames
 
 
 # -- construction -------------------------------------------------------------
@@ -265,3 +268,109 @@ def test_serialization_shape(friedmann_small):
     d = dec.to_json_dict()
     assert set(d) == {"theta", "accel", "vorticity", "shear", "point", "frame_label"}
     assert len(d["accel"]) == 4 and len(d["vorticity"]) == 16 and len(d["shear"]) == 16
+
+
+# -- sample blocks against a per-point reference ---------------------------------
+
+
+def _per_point_reference(metric, frame, samples):
+    """The maxima classify_synchronizability and is_pirf report, one point at a time."""
+    dal = wed = spat = tdev = acc = 0.0
+    for sp in samples:
+        alpha, two_form, wedge = curl_and_wedge(metric, frame, sp)
+        loop_wedge = np.zeros((4, 4, 4))
+        for m in range(4):
+            for n in range(4):
+                for r in range(4):
+                    loop_wedge[m, n, r] = alpha[m] * two_form[n, r] - alpha[n] * two_form[m, r] + alpha[r] * two_form[m, n]
+        assert np.array_equal(wedge, loop_wedge)
+        dal = max(dal, float(np.max(np.abs(two_form))))
+        wed = max(wed, float(np.max(np.abs(wedge))))
+        spat = max(spat, float(np.max(np.abs(alpha[1:]))))
+        tdev = max(tdev, float(abs(alpha[0] - 1.0)))
+        acc = max(acc, float(np.max(np.abs(fk.kinematic_decompose(metric, frame, sp).accel))))
+    return dal, wed, spat, tdev, acc
+
+
+def _assert_block_results_match_reference(metric, frame, samples):
+    dal, wed, spat, tdev, acc = _per_point_reference(metric, frame, samples)
+    res = fk.classify_synchronizability(metric, frame, samples)
+    assert (res.dalpha_max, res.wedge_max, res.alpha_spatial_max, res.alpha_time_dev_max) == (dal, wed, spat, tdev)
+    assert res.n_samples == len(samples)
+    pirf = fk.is_pirf(metric, frame, samples)
+    assert (pirf.max_accel, pirf.max_wedge, pirf.n_samples) == (acc, wed, len(samples))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_block_classify_and_pirf_match_per_point_loop(n):
+    samples = fk.grid_samples((0, -0.5, -0.5, -0.5), (1, 0.5, 0.5, 0.5), n)
+    for metric, frame in survey_frames():
+        _assert_block_results_match_reference(metric, frame, samples)
+
+
+def test_partial_last_block_matches_per_point_loop(monkeypatch):
+    import framekin.frames as frames
+
+    monkeypatch.setattr(frames, "_BLOCK", 7)  # 81 samples: eleven full blocks and one of four
+    samples = fk.grid_samples((0, -0.5, -0.5, -0.5), (1, 0.5, 0.5, 0.5), 3)
+    for metric, frame in survey_frames()[2:]:
+        _assert_block_results_match_reference(metric, frame, samples)
+
+
+def test_block_pushed_and_lab_frames_match_per_point_loop(friedmann_small):
+    m = friedmann_small
+    gz = fk.pushed_metric_field(fk.z_chart(m), m.metric)
+    zf = fk.pushed_frame_field(fk.z_chart(m), m.frame_drifting, gz)
+    _assert_block_results_match_reference(gz, zf, fk.grid_samples((0, -0.5, -0.5, -0.5), (1, 0.5, 0.5, 0.5), 2))
+    model = fk.make_friedmann(0.5)
+    ctrl = fk.StepControl(method="rk4", step=2e-3)
+    path = fk.integrate_geodesic(model.metric, (0, 0, 0, 0), (1, 0, 0, 0), 0.3, ctrl, s_min=-0.3, tetrad=np.eye(4))
+    lab = fk.lab_frame_along_geodesic(model.metric, path, validity_radius=1.0)
+    _assert_block_results_match_reference(model.metric, lab.frame, [(0.0, 0, 0, 0), (0.1, 0.2, 0, 0), (0.0, 0.4, 0.0, 0.0)])
+
+
+def test_block_failure_names_first_failing_sample():
+    rot = fk.rotating_minkowski_frame(0.1, 1.0)
+    grid = fk.grid_samples((0, -1.2, -0.5, 0), (1, 1.2, 0.5, 0), 3)  # x = -1.2 lies outside the cylinder
+    with pytest.raises(ChartDomainError, match=r"sample 0 \[0.0, -1.2, -0.5, 0.0\]"):
+        fk.is_pirf(rot.metric, rot, grid)
+    with pytest.raises(ChartDomainError):
+        fk.classify_synchronizability(rot.metric, rot, grid)
+    with pytest.raises(ChartDomainError):
+        fk.kinematic_decompose(rot.metric, rot, grid[0])
+
+    flat = fk.minkowski_metric()
+    tilted = fk.make_frame(lambda c: [1.0, c[1], 0.0, 0.0], flat, label="tilted")
+    samples = [(0.0, 0.5, 0, 0), (0.0, 0.9, 0, 0), (0.0, 1.5, 0, 0), (0.0, 2.0, 0, 0)]
+    for check in (fk.classify_synchronizability, fk.is_pirf):
+        with pytest.raises(FrameCausalityError, match=r"not timelike at \[0.0, 1.5, 0.0, 0.0\]"):
+            check(flat, tilted, samples)
+    with pytest.raises(FrameCausalityError):
+        fk.kinematic_decompose(flat, tilted, samples[2])
+
+    def degenerate(c):  # g_11 vanishes at x = 0
+        return [[1.0, 0.0, 0.0, 0.0], [0.0, -c[1] * c[1], 0.0, 0.0], [0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, -1.0]]
+
+    metric = fk.MetricField(degenerate, name="degenerate")
+    frame = fk.make_frame((1.0, 0.0, 0.0, 0.0), metric, label="static", sample_points=[(0, 1, 0, 0)])
+    samples = [(0.0, 1.0, 0, 0), (0.0, 0.5, 0, 0), (0.0, 0.0, 0, 0), (0.0, 0.0, 1, 0)]
+    with pytest.raises(SingularMetricError, match="at sample 2"):
+        fk.is_pirf(metric, frame, samples)
+    with pytest.raises(SingularMetricError):
+        fk.kinematic_decompose(metric, frame, samples[2])
+
+
+def test_debug_log_reports_samples_blocks_and_jets(monkeypatch, caplog):
+    import framekin.frames as frames
+
+    monkeypatch.setattr(frames, "_BLOCK", 50)
+    m = fk.make_friedmann(1e-3, 0.1005)
+    grid = fk.grid_samples((0, -0.5, -0.5, -0.5), (1, 0.5, 0.5, 0.5), 3)
+    with caplog.at_level(logging.DEBUG, logger="framekin.frames"):
+        fk.classify_synchronizability(m.metric, m.frame_drifting, grid)
+        fk.is_pirf(m.metric, m.frame_drifting, grid)
+    lines = [r.getMessage() for r in caplog.records if r.name == "framekin.frames"]
+    assert lines == [
+        "synchronizability: 81 samples in 2 blocks, 2 jet evaluations",
+        "pseudo-inertial test: 81 samples in 2 blocks, 6 jet evaluations",
+    ]

@@ -13,7 +13,7 @@ import pytest
 import framekin as fk
 from framekin.geometry import ChartDomainError, MetricSignatureError
 from framekin.oracles import fd_metric_derivatives, fd_riemann_from_connection
-from framekin.hyperdual import jet2_matrix
+from framekin.hyperdual import jet
 
 from conftest import random_points
 
@@ -53,6 +53,36 @@ def test_eval_metric_signature_error():
     bad = fk.MetricField(comps)
     with pytest.raises(MetricSignatureError):
         fk.eval_metric(bad, (0, 0, 0, 0))
+    with pytest.raises(MetricSignatureError, match="sample 0"):
+        fk.eval_metric(bad, [(0, 0, 0, 0), (1, 0, 0, 0)])
+    with pytest.raises(MetricSignatureError):
+        fk.riemann(bad, (0, 0, 0, 0))
+
+
+def test_riemann_evaluates_the_metric_once(friedmann_a03):
+    calls = []
+
+    def counted(c):
+        calls.append(1)
+        return friedmann_a03.metric.component_fn(c)
+
+    metric = fk.MetricField(counted, name="counted")
+    curv = fk.riemann(metric, (0.5, 0.1, 0.2, 0.3))
+    assert len(calls) == 1
+    assert np.array_equal(curv.einstein, fk.riemann(friedmann_a03.metric, (0.5, 0.1, 0.2, 0.3)).einstein)
+
+
+def test_block_metric_and_connection_equal_single_points(friedmann_a03, rng):
+    block = np.array(random_points(rng, 20))
+    g = fk.eval_metric(friedmann_a03.metric, block)
+    con = fk.christoffel(friedmann_a03.metric, block)
+    assert g.shape == (20, 4, 4) and con.gamma.shape == (20, 4, 4, 4)
+    for k, p in enumerate(block):
+        assert np.array_equal(g[k], fk.eval_metric(friedmann_a03.metric, p))
+        assert np.array_equal(con.gamma[k], fk.christoffel(friedmann_a03.metric, p).gamma)
+    block[7, 0] = -10.0  # before the big bang of a = 0.3
+    with pytest.raises(ChartDomainError, match="sample 7"):
+        fk.christoffel(friedmann_a03.metric, block)
 
 
 def test_inverse_metric_examples(minkowski):
@@ -93,7 +123,7 @@ def test_christoffel_symmetry_and_compatibility(friedmann_small, minkowski, rng)
     # metric compatibility reassembled from the exact jets at 100 points each
     for metric in (friedmann_small.metric, minkowski):
         for p in random_points(rng, 100):
-            g, dg, _ = jet2_matrix(metric.component_fn, p)
+            g, dg, _ = jet(metric.component_fn, p, order=2)
             gam = fk.christoffel(metric, p).gamma
             assert np.max(np.abs(gam - np.einsum("mrn->mnr", gam))) == 0.0
             nabla_g = (
@@ -106,7 +136,7 @@ def test_christoffel_symmetry_and_compatibility(friedmann_small, minkowski, rng)
 
 def test_exact_vs_finite_difference_metric_derivatives(friedmann_a03, rng):
     for p in random_points(rng, 10):
-        _, dg, _ = jet2_matrix(friedmann_a03.metric.component_fn, p)
+        _, dg, _ = jet(friedmann_a03.metric.component_fn, p, order=2)
         fd = fd_metric_derivatives(friedmann_a03.metric, p, step=1e-5)
         assert np.max(np.abs(dg - fd)) < 1e-6
 

@@ -6,12 +6,22 @@ import pytest
 from framekin.hyperdual import (
     HyperDual,
     asinh,
+    batch_size,
+    cos,
     dual_matrix_inverse,
     dual_newton_invert,
+    exp,
+    jet,
+    log,
     seed,
+    sin,
     sqrt,
+    stack,
+    take,
     value,
 )
+
+from conftest import survey_frames
 
 
 def f_scalar(x):
@@ -104,3 +114,81 @@ def test_newton_inversion_propagates_derivatives():
     jac_fwd = np.array([[g for g in c.grad] for c in quadratic_map(seed([value(s) for s in sol_d], order=1))])
     grad_sol = np.array([c.grad for c in sol_d])
     assert np.max(np.abs(grad_sol @ jac_fwd - np.eye(4))) < 1e-10
+
+
+# -- blocks ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_block_jet_equals_single_point_jets(order, rng):
+    block = np.column_stack([rng.uniform(0.0, 1.0, 37), rng.uniform(-0.5, 0.5, (37, 3))])
+    for metric, frame in survey_frames():
+        for fn in (metric.component_fn, frame.component_fn):
+            batched = jet(fn, block, order)
+            for k, p in enumerate(block):
+                for arr_block, arr_point in zip(batched, jet(fn, p, order)):
+                    assert arr_block.shape == (len(block),) + arr_point.shape
+                    assert np.array_equal(arr_block[k], arr_point)
+
+
+def test_jet_of_a_point_keeps_float_value_parts():
+    out = seed([0.1, 0.2, 0.3, 0.4], order=1)
+    assert all(type(c.val) is float and c.grad.shape == (4,) for c in out)
+    v, dv = jet(lambda c: [c[0] * c[1], c[2], 1.0, c[3] * c[3]], [0.1, 0.2, 0.3, 0.4])
+    assert v.shape == (4,) and dv.shape == (4, 4)
+    assert dv[:, 0].tolist() == [0.2, 0.1, 0.0, 0.0] and dv[:, 2].tolist() == [0.0] * 4
+
+
+@pytest.mark.parametrize("fn", [exp, log, asinh, sin, cos])
+def test_block_elementary_functions_within_one_ulp(fn, rng):
+    vals = rng.uniform(0.05, 3.0, 200)
+    block = fn(seed(np.column_stack([vals, np.zeros((200, 3))]), order=2)[0])
+    for k, v in enumerate(vals):
+        point = fn(seed([v, 0.0, 0.0, 0.0], order=2)[0])
+        for b, p in ((block.val[k], point.val), (block.grad[0, k], point.grad[0]), (block.hess[0, 0, k], point.hess[0, 0])):
+            assert abs(b - p) <= np.spacing(abs(p))
+
+
+def test_block_domain_errors_raise_like_math():
+    xs = seed(np.array([[1.0, 0, 0, 0], [-1.0, 0, 0, 0]]), order=1)
+    with pytest.raises(ValueError):
+        sqrt(xs[0])
+    with pytest.raises(ValueError):
+        log(xs[0] - 1.0)
+
+
+def test_dual_matrix_inverse_on_a_block_pivots_per_sample(rng):
+    # each sample needs its own pivot order
+    mats = [rng.normal(size=(4, 4)) + 4.0 * np.eye(4) for _ in range(5)]
+    mats[2] = mats[2][[1, 0, 3, 2]]
+    x = seed(rng.normal(size=(5, 4)), order=1)
+    rows = [[x[(i + j) % 4] * 0.1 for j in range(4)] for i in range(4)]
+    rows = [[rows[i][j] + np.array([m[i, j] for m in mats]) for j in range(4)] for i in range(4)]
+    inv = dual_matrix_inverse(rows)
+    for k in range(5):
+        single = dual_matrix_inverse(take(rows, k))
+        for i in range(4):
+            for j in range(4):
+                assert inv[i][j].val[k] == single[i][j].val
+                assert np.array_equal(inv[i][j].grad[:, k], single[i][j].grad)
+
+
+def test_take_and_stack_round_trip():
+    x = seed(np.arange(12.0).reshape(3, 4), order=2)
+    nested = [[x[0] * x[1], 2.0], [x[3], np.array([1.0, 2.0, 3.0])]]
+    assert batch_size(nested) == 3 and batch_size([[1.0, x[0].val[0]]]) is None
+    back = stack([take(nested, k) for k in range(3)])
+    assert np.array_equal(back[0][0].hess, nested[0][0].hess)
+    assert np.array_equal(back[0][1], [2.0, 2.0, 2.0])
+    assert np.array_equal(back[1][1], [1.0, 2.0, 3.0])
+
+
+def test_newton_inversion_of_a_block_solves_sample_by_sample():
+    def quadratic_map(x):
+        return [x[0] + 0.1 * x[1] * x[1], x[1] - 0.05 * x[0] * x[2], x[2] + 0.02 * x[3] * x[3], x[3] + 0.01 * x[0] * x[1]]
+
+    targets = np.array([[0.4, -0.3, 0.2, 0.1], [0.1, 0.2, -0.3, 0.5], [0.0, 0.0, 0.0, 0.0]])
+    sol = dual_newton_invert(quadratic_map, seed(targets, order=1), targets)
+    for k, t in enumerate(targets):
+        single = dual_newton_invert(quadratic_map, seed(t, order=1), t)
+        assert all(sol[i].val[k] == single[i].val and np.array_equal(sol[i].grad[:, k], single[i].grad) for i in range(4))
