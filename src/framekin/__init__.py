@@ -49,6 +49,7 @@ from .geodesics import (
     TransportedTetrad,
     free_particle_experiment,
     integrate_geodesic,
+    integrate_geodesics,
 )
 from .maps import (
     ChartMap,

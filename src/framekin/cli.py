@@ -110,6 +110,8 @@ def _resolve_frame(cfg):
 
 # Largest sample grid per axis: 16^4 = 65,536 samples bounds the work of a run.
 _MAX_GRID = 16
+# Most RK4 steps a geodesic run may request (smax / step): 100,000 steps take about a minute.
+_MAX_STEPS = 100_000
 
 
 def _sample_box(cfg):
@@ -142,9 +144,14 @@ def _run_geodesic(cfg):
     model = make_friedmann(float(cfg.get("a", 1e-3)), float(cfg.get("u", 0.0)))
     u = model.u
     w = np.sqrt(1.0 + u * u)
-    control = StepControl(method="rk4", step=float(cfg.get("step", 1e-3)))
+    step, smax = float(cfg.get("step", 1e-3)), float(cfg.get("smax", 10.0))
+    for key, x in (("step", step), ("smax", smax)):
+        if not (np.isfinite(x) and x > 0):
+            raise ValueError(f"{key} must be finite and greater than 0, got {x}")
+    if smax / step > _MAX_STEPS:
+        raise ValueError(f"smax / step must be at most {_MAX_STEPS} steps, got {smax / step:.6g}")
     path = integrate_geodesic(
-        model.metric, (0.0, 0.0, 0.0, 0.0), (w, u, 0.0, 0.0), float(cfg.get("smax", 10.0)), control
+        model.metric, (0.0, 0.0, 0.0, 0.0), (w, u, 0.0, 0.0), smax, StepControl(method="rk4", step=step)
     )
     csv_path = cfg.get("out") or "trajectory.csv"
     path.to_csv(csv_path)

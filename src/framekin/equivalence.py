@@ -41,7 +41,7 @@ from .catalog import (
     z_chart,
 )
 from .frames import FrameField, kinematic_decompose, make_frame
-from .geodesics import StepControl, integrate_geodesic
+from .geodesics import StepControl, integrate_geodesics
 from .geometry import DIM, MetricField, as_point, covariant_derivative_field
 from .maps import ChartMap, pushed_metric_field, pushforward_tensor
 from .normal import lab_frame_along_geodesic, lab_frame_expansion
@@ -260,16 +260,17 @@ def moving_lab_expansion_pair(
     control = StepControl(method="rk4", step=step)
     epoch = (0.0, 0.0, 0.0, 0.0)
 
-    path_rest = integrate_geodesic(
-        model.metric, epoch, (1.0, 0.0, 0.0, 0.0), span, control, s_min=-span, tetrad=_comoving_tetrad(model)
+    w = np.sqrt(1.0 + u * u)
+    # both geodesics, forward and backward: four sweeps in lockstep
+    path_rest, path_move = integrate_geodesics(
+        model.metric,
+        [(epoch, (1.0, 0.0, 0.0, 0.0), _comoving_tetrad(model)), (epoch, (w, u, 0.0, 0.0), _drifting_tetrad(model))],
+        span,
+        control,
+        s_min=-span,
     )
     lab_rest = lab_frame_along_geodesic(model.metric, path_rest, validity_radius=validity_radius, label="lab")
     theta_lab = lab_frame_expansion(model.metric, lab_rest, epoch).theta
-
-    w = np.sqrt(1.0 + u * u)
-    path_move = integrate_geodesic(
-        model.metric, epoch, (w, u, 0.0, 0.0), span, control, s_min=-span, tetrad=_drifting_tetrad(model)
-    )
     lab_move = lab_frame_along_geodesic(
         model.metric, path_move, validity_radius=validity_radius, label="lab-moving"
     )

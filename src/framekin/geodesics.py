@@ -7,11 +7,15 @@ one with adaptive steps, both selected through ``StepControl``.  Given an initia
 tetrad, the same pass parallel-transports it: the state is (x, v, e_a), and
 each stage's one connection evaluation feeds both the geodesic equation
 a = -Gamma(v, v) and the transport equation de_a/ds = -Gamma(v, e_a).
-Every step starts from the derivative stored at the knot it leaves.  Paths
-and their tetrads carry piecewise-quintic dense representations built from
-exact knot jets, so downstream consumers can evaluate positions,
-velocities and tetrads, including derivative propagation, anywhere along
-the path.
+Every step starts from the derivative stored at the knot it leaves.
+``integrate_geodesics`` runs the forward and backward sweeps of several
+starts in lockstep: each keeps its own proper time, step size and knots,
+and each stage evaluates the connection once for all of them, as a block
+(or at a point when one sweep is left).  ``integrate_geodesic`` is its
+one-start case.  Paths and their tetrads carry piecewise-quintic dense
+representations built from exact knot jets, so downstream consumers can
+evaluate positions, velocities and tetrads, including derivative
+propagation, anywhere along the path.
 """
 
 from __future__ import annotations
@@ -87,28 +91,30 @@ _TABLEAUX = {
 def _rhs(metric, y, knot=False):
     """Derivative of the state y = (x, v[, e_a]) from one connection evaluation.
 
-    Returns (dy/ds, d2e) with d2e None unless a tetrad is carried and
-    ``knot`` is set: then the connection comes with its gradient and d2e is
-    the second s-derivative of the tetrad, the last knot jet of its dense
-    output.
+    y is one state (W,) or a block of states (N, W); a block makes one
+    block connection call.  Returns (dy/ds, d2e) with d2e None unless a
+    tetrad is carried and ``knot`` is set: then the connection comes with
+    its gradient and d2e is the second s-derivative of the tetrad, the last
+    knot jet of its dense output.
     """
-    x, v = y[:DIM], y[DIM : 2 * DIM]
-    carried = len(y) > 2 * DIM
+    lead = y.shape[:-1]
+    x, v = y[..., :DIM], y[..., DIM : 2 * DIM]
+    carried = y.shape[-1] > 2 * DIM
     if knot and carried:
         gamma, dgamma = christoffel_jet(metric, x)
     else:
         gamma = christoffel(metric, x).gamma
-    acc = -np.einsum("mnr,n,r->m", gamma, v, v)
+    acc = -np.einsum("...mnr,...n,...r->...m", gamma, v, v)
     if not carried:
-        return np.concatenate([v, acc]), None
-    e = y[2 * DIM :].reshape(DIM, DIM)
-    de = -np.einsum("mnr,n,ar->am", gamma, v, e)
-    dy = np.concatenate([v, acc, de.ravel()])
+        return np.concatenate([v, acc], axis=-1), None
+    e = y[..., 2 * DIM :].reshape(lead + (DIM, DIM))
+    de = -np.einsum("...mnr,...n,...ar->...am", gamma, v, e)
+    dy = np.concatenate([v, acc, de.reshape(lead + (-1,))], axis=-1)
     if not knot:
         return dy, None
-    dgamma_ds = np.einsum("smnr,s,n->mr", dgamma, v, v) + np.einsum("mnr,n->mr", gamma, acc)
-    d2e = -np.einsum("mr,ar->am", dgamma_ds, e) - np.einsum("mnr,n,ar->am", gamma, v, de)
-    return dy, d2e.ravel()
+    dgamma_ds = np.einsum("...smnr,...s,...n->...mr", dgamma, v, v) + np.einsum("...mnr,...n->...mr", gamma, acc)
+    d2e = -np.einsum("...mr,...ar->...am", dgamma_ds, e) - np.einsum("...mnr,...n,...ar->...am", gamma, v, de)
+    return dy, d2e.reshape(lead + (-1,))
 
 
 def _weighted(weights, ks):
@@ -116,11 +122,6 @@ def _weighted(weights, ks):
     so the RK4 update rounds exactly like dt/6 (k1 + 2 k2 + 2 k3 + k4)."""
     terms = [w * k for w, k in zip(weights, ks) if w]
     return sum(terms[1:], terms[0])
-
-
-def _norm2(metric, x, v):
-    g = eval_metric(metric, x)
-    return float(v @ g @ v)
 
 
 def _horner_eval(coeffs, tau, derivative):
@@ -218,77 +219,214 @@ class GeodesicPath:
                 f.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
-def _validate_initial(metric, x0, v0):
-    n2 = _norm2(metric, x0, v0)
+def _initial_state(metric, p0, v0, tetrad):
+    """The state (x, v[, e_a]) at s = 0, checked: v unit timelike and future pointing, the tetrad
+    orthonormal with e_0 = v (``ValueError`` otherwise)."""
+    x0 = as_point(p0, metric.chart_id).array.copy()
+    v0 = np.asarray(v0, dtype=float).copy()
+    g = eval_metric(metric, x0)
+    n2 = float(v0 @ g @ v0)
     if abs(n2 - 1.0) > 1e-8:
         raise ValueError(f"initial velocity not unit timelike: g(v,v)={n2}")
     if v0[0] <= 0:
         raise ValueError("initial velocity must be future pointing")
-
-
-def _validate_tetrad(metric, x0, v0, tetrad):
+    if tetrad is None:
+        return np.concatenate([x0, v0])
     e0 = np.asarray(tetrad, dtype=float)
-    g = eval_metric(metric, x0)
     if np.max(np.abs(e0 @ g @ e0.T - SIGNATURE)) > 1e-8:
         raise ValueError("initial tetrad is not orthonormal for this metric")
     if np.max(np.abs(e0[0] - v0)) > 1e-8:
         raise ValueError("initial tetrad must have e_0 equal to the path velocity")
-    return e0
+    return np.concatenate([x0, v0, e0.ravel()])
 
 
-def _sweep(metric, start, s_target, control, tableau, counts):
-    """Integrate from the knot ``start`` = (s, y, dy/ds, d2e) toward s_target.
+class _Sweep:
+    """One direction of one path: its own proper time, sign, step size, knots and counts."""
 
-    The first stage of every step is the derivative stored at the knot the
-    step leaves, so a step costs one connection evaluation per further
-    stage plus one at the knot it reaches.  The error norm of an embedded
-    tableau covers (x, v) only: a carried tetrad never changes the steps.
-    Returns (knots, steps, truncation reason or None, largest accepted
-    error estimate or None).
+    def __init__(self, origin, target, control, tableau, counts):
+        self.knots = [origin]  # (s, y, dy/ds, d2e)
+        self.s = origin[0]
+        self.target = target
+        self.sgn = 1.0 if target >= 0 else -1.0
+        self.h = self.sgn * abs(control.step)
+        self.steps = 0
+        self.max_err = None if tableau.b_low is None else 0.0  # largest accepted error estimate
+        self.reason = None  # why the sweep was truncated
+        self.counts = counts  # connection evaluations, shared by the sweeps of a path
+
+    def running(self, control):
+        return self.reason is None and self.steps < control.max_steps and self.sgn * (self.target - self.s) > 1e-15
+
+    def adapt(self, err, dt, control):
+        """Step-size control of an embedded tableau; True when the step of width dt is accepted."""
+        accept = err <= control.tol or abs(dt) <= control.min_step
+        if accept and err > control.tol:
+            raise StepSizeUnderflowError(f"step underflow at s={self.s}: error {err} above tolerance {control.tol}")
+        scale = 0.9 * (control.tol / err) ** 0.2 if err > 0 else 2.0
+        self.h = dt * min(4.0, max(0.1, scale))
+        if abs(self.h) < control.min_step:
+            self.h = self.sgn * control.min_step
+        if accept:
+            self.max_err = max(self.max_err, err)
+        return accept
+
+
+def _evaluate(metric, y, rows, sweeps, calls, knot=False):
+    """(rows, dy/ds, d2e) at the given rows of the state block y, from one connection call.
+
+    Each row counts one stage or knot evaluation of its sweep.  One row goes
+    to the connection as a point, several as a block.  A row whose point
+    leaves the chart domain or meets a singular metric ends its sweep, with
+    the reason a run of that point alone gives, and the rest are evaluated
+    again without it.  The results have a row for every row of y, zero
+    where nothing was evaluated; ``rows`` lists the evaluated ones.
     """
-    sgn = 1.0 if s_target >= 0 else -1.0
-    h = sgn * abs(control.step)
-    knots = [start]
-    s, y, k = start[0], start[1], start[2]
-    truncated = None
-    steps = 0
-    max_err = None if tableau.b_low is None else 0.0
-    while sgn * (s_target - s) > 1e-15 and steps < control.max_steps:
-        dt = sgn * min(abs(h), abs(s_target - s))
+    kind = "knot" if knot else "stage"
+    for r in rows:
+        sweeps[r].counts[kind] += 1
+    name = "christoffel_jet" if knot and y.shape[1] > 2 * DIM else "christoffel"
+    while rows:
+        calls[name] += 1
         try:
-            ks = [k]
-            for row in tableau.a[1:]:
-                yi = y
-                for aij, kj in zip(row, ks):
-                    if aij:
-                        yi = yi + dt * aij * kj
-                counts["stage"] += 1
-                ks.append(_rhs(metric, yi)[0])
-            y_new = y + dt / tableau.b_den * _weighted(tableau.b, ks)
-            if tableau.b_low is not None:
-                y_low = y + dt * _weighted(tableau.b_low, ks)
-                err = float(np.max(np.abs(y_new[: 2 * DIM] - y_low[: 2 * DIM])))
-                accept = err <= control.tol or abs(dt) <= control.min_step
-                if accept and err > control.tol:
-                    raise StepSizeUnderflowError(
-                        f"step underflow at s={s}: error {err} above tolerance {control.tol}"
-                    )
-                scale = 0.9 * (control.tol / err) ** 0.2 if err > 0 else 2.0
-                h = dt * min(4.0, max(0.1, scale))
-                if abs(h) < control.min_step:
-                    h = sgn * control.min_step
-                if not accept:
-                    continue
-                max_err = max(max_err, err)
-            counts["knot"] += 1
-            k, d2e = _rhs(metric, y_new, knot=True)
+            dy, d2e = _rhs(metric, y[rows[0]] if len(rows) == 1 else y[rows], knot)
         except (ChartDomainError, SingularMetricError) as exc:
-            truncated = str(exc)
-            break
-        s, y = s + dt, y_new
-        knots.append((s, y, k, d2e))
-        steps += 1
-    return knots, steps, truncated, max_err
+            bad = rows[0] if exc.sample is None else rows[exc.sample]
+            if exc.sample is not None:
+                try:  # name the point as a run of its own names it
+                    _rhs(metric, y[bad], knot)
+                except (ChartDomainError, SingularMetricError) as own:
+                    exc = own
+            sweeps[bad].reason = str(exc)
+            rows = [r for r in rows if r != bad]
+            continue
+        if len(rows) < len(y):
+            dy, d2e = _spread(dy, rows, len(y)), _spread(d2e, rows, len(y))
+        return rows, dy.reshape(y.shape), None if d2e is None else d2e.reshape(len(y), -1)
+    return rows, np.zeros(y.shape), None
+
+
+def _spread(a, rows, n):
+    """The per-row results a, one row per evaluated row, as n rows with zeros elsewhere."""
+    if a is None:
+        return None
+    out = np.zeros((n, a.shape[-1]))
+    out[rows] = a
+    return out
+
+
+def _sweep(metric, sweeps, control, tableau, calls):
+    """Integrate a block of sweeps in lockstep, each from its last knot toward its target.
+
+    Every step advances each running sweep by its own dt, and each stage
+    evaluates the connection once for all of them (a point call when one
+    sweep is left).  The first stage of every step is the derivative stored
+    at the knot the step leaves, so a step costs one connection evaluation
+    per further stage plus one at the knot it reaches.  The error norm of
+    an embedded tableau covers (x, v) only: a carried tetrad never changes
+    the steps.  A sweep that leaves the domain stops there with its reason;
+    the others run on.  Per-sweep arithmetic is elementwise, so each sweep
+    reproduces a run of its own bit for bit wherever the connection of a
+    block equals that of its points (see ``hyperdual``).
+    """
+    while True:
+        act = [sw for sw in sweeps if sw.running(control)]
+        if not act:
+            return
+        dts = [sw.sgn * min(abs(sw.h), abs(sw.target - sw.s)) for sw in act]
+        if len(act) == 1:
+            _, y, k, _ = act[0].knots[-1]
+            dt, base, ks = dts[0], y[None], [k[None]]
+        else:
+            dt = np.array(dts)[:, None]
+            base, ks = np.array([sw.knots[-1][1] for sw in act]), [np.array([sw.knots[-1][2] for sw in act])]
+        rows = list(range(len(act)))
+        for row in tableau.a[1:]:
+            yi = base
+            for aij, kj in zip(row, ks):
+                if aij:
+                    yi = yi + dt * aij * kj
+            rows, ki, _ = _evaluate(metric, yi, rows, act, calls)
+            ks.append(ki)
+        y_new = base + dt / tableau.b_den * _weighted(tableau.b, ks)
+        if tableau.b_low is not None:
+            y_low = base + dt * _weighted(tableau.b_low, ks)
+            err = np.max(np.abs(y_new[:, : 2 * DIM] - y_low[:, : 2 * DIM]), axis=1)
+            rows = [r for r in rows if act[r].adapt(float(err[r]), dts[r], control)]
+        rows, k_new, d2e = _evaluate(metric, y_new, rows, act, calls, knot=True)
+        for r in rows:
+            sw = act[r]
+            sw.s = sw.s + dts[r]
+            sw.steps += 1
+            sw.knots.append((sw.s, y_new[r], k_new[r], None if d2e is None else d2e[r]))
+
+
+def integrate_geodesics(
+    metric: MetricField, starts, s_max, control: Optional[StepControl] = None, s_min=0.0
+) -> list:
+    """Integrate one geodesic per start, all their sweeps in lockstep.
+
+    Each start is ``(p0, v0, tetrad)`` with ``tetrad`` None or a 4x4 array
+    (rows e_a^mu at p0, orthonormal with e_0 equal to v0); either every start
+    carries a tetrad or none does.  Every path covers proper times
+    [s_min, s_max] (s_min may be negative; the path then extends backward
+    through p0), so a start makes up to two sweeps, forward and backward.
+    All sweeps share one connection evaluation per stage; each path equals
+    the one ``integrate_geodesic`` returns for its start alone wherever a
+    block connection equals its points bit for bit (components built from
+    arithmetic and ``sqrt``).  Leaving the chart domain truncates a path
+    and records the reason in ``stats['truncated']``.
+
+    Returns one ``GeodesicPath`` per start, in order.
+    """
+    control = control or StepControl()
+    tableau = _TABLEAUX.get(control.method)
+    if tableau is None:
+        raise ValueError(f"unknown integrator method {control.method!r}")
+    if s_max <= s_min:
+        raise ValueError("need s_max > s_min")
+    y0 = [_initial_state(metric, *start) for start in starts]
+    if not y0:
+        raise ValueError("need at least one start")
+    if len({len(y) for y in y0}) > 1:
+        raise ValueError("either every start carries a tetrad or none does")
+    carried = len(y0[0]) > 2 * DIM
+
+    calls = {"christoffel": 0, "christoffel_jet": 0}
+    pairs = []
+    for y in y0:
+        calls["christoffel_jet" if carried else "christoffel"] += 1
+        origin = (0.0, y, *_rhs(metric, y, knot=True))
+        counts = {"stage": 0, "knot": 1}
+        pairs.append(
+            (
+                counts,
+                _Sweep(origin, s_max, control, tableau, counts) if s_max > 0 else None,
+                _Sweep(origin, s_min, control, tableau, counts) if s_min < 0 else None,
+            )
+        )
+    sweeps = [sw for _, *pair in pairs for sw in pair if sw is not None]
+    _sweep(metric, sweeps, control, tableau, calls)
+    paths = [_path(metric, control, carried, *pair) for pair in pairs]
+    if log.isEnabledFor(logging.DEBUG):
+        for path in paths:
+            tetrad_health = ""
+            if path.tetrad is not None:
+                tetrad_health = f", tetrad orthonormality drift {path.tetrad.orthonormality_drift(metric):.3g}"
+            log.debug(
+                "geodesic on %s: %s, %d steps, %d christoffel and %d christoffel_jet evaluations, "
+                "norm drift %.3g%s; %d sweeps in lockstep made %d christoffel and %d christoffel_jet calls",
+                metric.name,
+                control.method,
+                path.stats["steps"],
+                path.stats["christoffel_evals"],
+                path.stats["christoffel_jet_evals"],
+                path.stats["max_norm_drift"],
+                tetrad_health,
+                len(sweeps),
+                calls["christoffel"],
+                calls["christoffel_jet"],
+            )
+    return paths
 
 
 def integrate_geodesic(
@@ -297,73 +435,50 @@ def integrate_geodesic(
     """Integrate the geodesic equation from p0 with unit velocity v0.
 
     Covers proper times [s_min, s_max] (s_min may be negative; the path then
-    extends backward through p0).  Leaving the chart domain truncates the
-    path and records the reason in ``stats['truncated']``.
+    extends backward through p0, and both sweeps run in lockstep).  Leaving
+    the chart domain truncates the path and records the reason in
+    ``stats['truncated']``.
 
     Args:
         tetrad: optional 4x4 array, rows e_a^mu at p0, orthonormal with e_0
             equal to v0 (``ValueError`` otherwise).  It is parallel-transported
             in the same pass and returned as the path's ``tetrad``.
     """
-    control = control or StepControl()
-    tableau = _TABLEAUX.get(control.method)
-    if tableau is None:
-        raise ValueError(f"unknown integrator method {control.method!r}")
-    p0 = as_point(p0, metric.chart_id)
-    x0 = p0.array.copy()
-    v0 = np.asarray(v0, dtype=float).copy()
-    _validate_initial(metric, x0, v0)
-    if s_max <= s_min:
-        raise ValueError("need s_max > s_min")
-    y0 = np.concatenate([x0, v0])
-    if tetrad is not None:
-        y0 = np.concatenate([y0, _validate_tetrad(metric, x0, v0, tetrad).ravel()])
+    return integrate_geodesics(metric, [(p0, v0, tetrad)], s_max, control, s_min)[0]
 
-    counts = {"stage": 0, "knot": 1}
-    origin = (0.0, y0, *_rhs(metric, y0, knot=True))
-    idle = ([origin], 0, None, None)
-    forward = _sweep(metric, origin, s_max, control, tableau, counts) if s_max > 0 else idle
-    backward = _sweep(metric, origin, s_min, control, tableau, counts) if s_min < 0 else idle
-    knots = backward[0][:0:-1] + forward[0]
-    truncated = forward[2] or backward[2]
-    errors = [e for e in (forward[3], backward[3]) if e is not None]
+
+def _path(metric, control, carried, counts, forward, backward):
+    """The GeodesicPath of a start from its forward and backward sweeps (None when not run)."""
+    done = [sw for sw in (forward, backward) if sw is not None]
+    origin = done[0].knots[:1]
+    knots = (backward.knots[:0:-1] if backward else []) + (forward.knots if forward else origin)
+    truncated = next((sw.reason for sw in done if sw.reason is not None), None)
+    errors = [sw.max_err for sw in done if sw.max_err is not None]
 
     n = len(knots)
     s_arr = np.array([kn[0] for kn in knots])
     ys = np.array([kn[1] for kn in knots])
     dys = np.array([kn[2] for kn in knots])
     x_arr, v_arr, a_arr = ys[:, :DIM], ys[:, DIM : 2 * DIM], dys[:, DIM : 2 * DIM]
-    drift = max(abs(_norm2(metric, x_arr[k], v_arr[k]) - 1.0) for k in range(0, n, max(1, n // 64)))
+    sampled = slice(0, n, max(1, n // 64))
+    g = eval_metric(metric, x_arr[sampled])
+    v = v_arr[sampled]
+    drift = float(np.max(np.abs((v[:, None, :] @ g @ v[:, :, None])[:, 0, 0] - 1.0)))
     stats = {
-        "steps": forward[1] + backward[1],
+        "steps": sum(sw.steps for sw in done),
         "max_step_error_estimate": max(errors) if errors else drift,
         "max_norm_drift": drift,
         "truncated": truncated is not None,
         "reason": truncated,
         "method": control.method,
-        "christoffel_evals": counts["stage"] + (0 if tetrad is not None else counts["knot"]),
-        "christoffel_jet_evals": counts["knot"] if tetrad is not None else 0,
+        "christoffel_evals": counts["stage"] + (0 if carried else counts["knot"]),
+        "christoffel_jet_evals": counts["knot"] if carried else 0,
     }
     transported = None
-    if tetrad is not None:
+    if carried:
         d2e = np.array([kn[3] for kn in knots])
         dense = QuinticDense(s_arr, ys[:, 2 * DIM :], dys[:, 2 * DIM :], d2e)
         transported = TransportedTetrad(x_arr, ys[:, 2 * DIM :].reshape(n, DIM, DIM), dense)
-    if log.isEnabledFor(logging.DEBUG):
-        tetrad_health = ""
-        if transported is not None:
-            tetrad_health = f", tetrad orthonormality drift {transported.orthonormality_drift(metric):.3g}"
-        log.debug(
-            "geodesic on %s: %s, %d steps, %d christoffel and %d christoffel_jet evaluations, "
-            "norm drift %.3g%s",
-            metric.name,
-            control.method,
-            stats["steps"],
-            stats["christoffel_evals"],
-            stats["christoffel_jet_evals"],
-            drift,
-            tetrad_health,
-        )
     return GeodesicPath(s_arr, x_arr, v_arr, a_arr, metric.name, stats, metric, transported)
 
 
@@ -391,12 +506,11 @@ class TransportedTetrad:
         return [[flat[4 * a + mu] for mu in range(4)] for a in range(4)]
 
     def orthonormality_drift(self, metric: MetricField) -> float:
-        worst = 0.0
-        for k in range(0, len(self.points), max(1, len(self.points) // 64)):
-            g = eval_metric(metric, self.points[k])
-            e = self.samples[k]
-            worst = max(worst, float(np.max(np.abs(e @ g @ e.T - SIGNATURE))))
-        return worst
+        """max |g(e_a, e_b) - eta_ab| over about 64 knots, from one block metric evaluation."""
+        sampled = slice(0, len(self.points), max(1, len(self.points) // 64))
+        e = self.samples[sampled]
+        g = eval_metric(metric, self.points[sampled])
+        return float(np.max(np.abs(e @ g @ np.swapaxes(e, 1, 2) - SIGNATURE)))
 
 
 @dataclass

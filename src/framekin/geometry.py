@@ -23,6 +23,7 @@ the x^0 direction timelike (g_00 > 0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -33,15 +34,23 @@ from .hyperdual import DIM, first, jet
 SIGNATURE = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
-class ChartDomainError(ValueError):
+class _PointError(ValueError):
+    """A failure at one point; ``sample`` is the point's index when it was raised from a block, else None."""
+
+    def __init__(self, message, sample=None):
+        super().__init__(message)
+        self.sample = sample
+
+
+class ChartDomainError(_PointError):
     """Point lies outside the chart domain of a field."""
 
 
-class MetricSignatureError(ValueError):
+class MetricSignatureError(_PointError):
     """Evaluated metric is not Lorentzian with a timelike x^0."""
 
 
-class SingularMetricError(ValueError):
+class SingularMetricError(_PointError):
     """Metric matrix is singular or numerically unusable."""
 
 
@@ -56,7 +65,7 @@ class ChartPoint:
         c = tuple(float(x) for x in self.coords)
         if len(c) != DIM:
             raise ValueError("a chart point has exactly four coordinates")
-        if not all(np.isfinite(c)):
+        if not all(map(math.isfinite, c)):
             raise ValueError("chart point coordinates must be finite")
         object.__setattr__(self, "coords", c)
 
@@ -83,9 +92,9 @@ def as_points(p, chart_id="default"):
 
 
 def _sample(coords, k):
-    """The k-th point of a point or block, as error messages name it."""
+    """(text, index): the k-th point of a point or block as error messages name it, and its ``sample``."""
     coords = np.asarray(coords, dtype=float)
-    return f"{coords.tolist()}" if coords.ndim == 1 else f"sample {k} {coords[k].tolist()}"
+    return (f"{coords.tolist()}", None) if coords.ndim == 1 else (f"sample {k} {coords[k].tolist()}", k)
 
 
 @dataclass
@@ -120,12 +129,13 @@ class MetricField:
         coords = np.asarray(coords, dtype=float)
         block = coords.reshape(-1, DIM)
         if not np.isfinite(coords).all():
-            bad = first(~np.isfinite(block).all(axis=1))
-            raise ChartDomainError(f"{self.name}: non-finite coordinates {_sample(coords, bad)}")
+            where, k = _sample(coords, first(~np.isfinite(block).all(axis=1)))
+            raise ChartDomainError(f"{self.name}: non-finite coordinates {where}", k)
         if self.domain_fn is not None:
             bad = next((k for k, c in enumerate(block) if not self.domain_fn(c)), None)
             if bad is not None:
-                raise ChartDomainError(f"{self.name}: point {_sample(coords, bad)} outside chart domain")
+                where, k = _sample(coords, bad)
+                raise ChartDomainError(f"{self.name}: point {where} outside chart domain", k)
 
 
 def eval_metric(metric: MetricField, p, symmetry_tol=1e-12) -> np.ndarray:
@@ -143,12 +153,14 @@ def _check_lorentzian(metric: MetricField, g, coords, symmetry_tol=1e-12):
     scale = np.maximum(1.0, np.abs(g).max(axis=(-2, -1)))
     bad = first(np.abs(g - gt).max(axis=(-2, -1)) > symmetry_tol * scale)
     if bad is not None:
-        raise MetricSignatureError(f"{metric.name}: components not symmetric at {_sample(coords, bad)}")
+        where, k = _sample(coords, bad)
+        raise MetricSignatureError(f"{metric.name}: components not symmetric at {where}", k)
     eig = np.linalg.eigvalsh(0.5 * (g + gt))  # ascending: three negative, then one positive
     bad = first(~((eig[..., 2] < 0) & (eig[..., 3] > 0) & (g[..., 0, 0] > 0)))
     if bad is not None:
-        where = f"{_sample(coords, bad)}: eigenvalues {eig.reshape(-1, DIM)[bad]}"
-        raise MetricSignatureError(f"{metric.name}: not Lorentzian (+,-,-,-) at {where}")
+        where, k = _sample(coords, bad)
+        where = f"{where}: eigenvalues {eig.reshape(-1, DIM)[bad]}"
+        raise MetricSignatureError(f"{metric.name}: not Lorentzian (+,-,-,-) at {where}", k)
 
 
 def inverse_metric(metric: MetricField, p) -> np.ndarray:
@@ -158,18 +170,20 @@ def inverse_metric(metric: MetricField, p) -> np.ndarray:
 
 def _invert(g: np.ndarray, name="metric") -> np.ndarray:
     """Inverse of a metric (4, 4) or of each metric of a stack (N, 4, 4), refusing singular ones."""
-    where = "" if g.ndim == 2 else " at sample {}"
+    point = g.ndim == 2
+    where = "" if point else " at sample {}"
     det = np.linalg.det(g)
     bad = first((det == 0.0) | ~np.isfinite(det))
     if bad is not None:
-        raise SingularMetricError(f"{name}: singular metric, det={np.ravel(det)[bad]}" + where.format(bad))
+        message = f"{name}: singular metric, det={np.ravel(det)[bad]}" + where.format(bad)
+        raise SingularMetricError(message, None if point else bad)
     sv = np.linalg.svd(g, compute_uv=False)
     # det != 0 rules out g = 0, so a zero smallest singular value gives cond = inf
     cond = sv[..., 0] / sv[..., -1]
     bad = first(cond > 1e13)
     if bad is not None:
-        cond = np.ravel(cond)[bad]
-        raise SingularMetricError(f"{name}: metric numerically singular, cond={cond:.2e}" + where.format(bad))
+        message = f"{name}: metric numerically singular, cond={np.ravel(cond)[bad]:.2e}" + where.format(bad)
+        raise SingularMetricError(message, None if point else bad)
     return np.linalg.inv(g)
 
 
@@ -229,24 +243,26 @@ def christoffel(metric: MetricField, p) -> ConnectionCoefficients:
 
 
 def _connection_jet(metric: MetricField, p):
-    """(g, g^-1, gamma, dgamma) from one order-2 metric jet and one inversion."""
+    """(g, g^-1, gamma, dgamma) from one order-2 metric jet and one inversion, at a point or a block."""
     g, dg, d2g = metric_jet(metric, p, order=2)
     ginv = _invert(g)
     braces = _braces(dg)
-    gamma = 0.5 * np.einsum("mk,kij->mij", ginv, braces)
-    dginv = -np.einsum("ma,sab,bk->smk", ginv, dg, ginv)
+    gamma = 0.5 * np.einsum("...mk,...kij->...mij", ginv, braces)
+    dginv = -np.einsum("...ma,...sab,...bk->...smk", ginv, dg, ginv)
     dbraces = _braces(d2g)
-    dgamma = 0.5 * (np.einsum("smk,kij->smij", dginv, braces) + np.einsum("mk,skij->smij", ginv, dbraces))
+    dgamma = 0.5 * (
+        np.einsum("...smk,...kij->...smij", dginv, braces) + np.einsum("...mk,...skij->...smij", ginv, dbraces)
+    )
     return g, ginv, gamma, dgamma
 
 
 def christoffel_jet(metric: MetricField, p):
-    """Connection and its exact first derivatives at a point.
+    """Connection and its exact first derivatives at a point or a block of points.
 
     Returns (gamma, dgamma) with dgamma[sigma, mu, nu, rho] =
-    d_sigma Gamma^mu_{nu rho}.
+    d_sigma Gamma^mu_{nu rho}; a block prepends its batch axis to both.
     """
-    return _connection_jet(metric, as_point(p, metric.chart_id))[2:]
+    return _connection_jet(metric, as_points(p, metric.chart_id)[0])[2:]
 
 
 def riemann(metric: MetricField, p) -> CurvatureTensor:

@@ -235,14 +235,29 @@ class _TubeChart:
     on the curve.
     """
 
+    # connection jets kept per chart: a plli lab chart visits about five foot points
+    _JET_CACHE_SIZE = 64
+
     def __init__(self, metric: MetricField, path: GeodesicPath):
         self.metric = metric
         self.path = path
         self.tetrad = path.tetrad
+        self._jets = {}  # exact foot point -> (gamma, dgamma), oldest first
+
+    def _connection_jet(self, x):
+        """``christoffel_jet`` at the foot point x, evaluated once per distinct point."""
+        key = np.asarray(x, dtype=float).tobytes()  # tells -0.0 from 0.0
+        jet = self._jets.get(key)
+        if jet is None:
+            if len(self._jets) >= self._JET_CACHE_SIZE:
+                del self._jets[next(iter(self._jets))]
+            jet = self._jets[key] = christoffel_jet(self.metric, x)
+            for a in jet:  # shared by every later caller
+                a.flags.writeable = False
+        return jet
 
     def _gamma_dual(self, coords_dual):
-        x_float = [value(c) for c in coords_dual]
-        gamma, dgamma = christoffel_jet(self.metric, x_float)
+        gamma, dgamma = self._connection_jet([value(c) for c in coords_dual])
         out = [[[None] * DIM for _ in range(DIM)] for _ in range(DIM)]
         for m in range(DIM):
             for n in range(DIM):

@@ -234,6 +234,44 @@ def test_grid_out_of_range_exits_2(grid, tmp_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "flags, key",
+    [
+        (["--step", "0"], "step"),
+        (["--step=-1e-3"], "step"),
+        (["--step", "nan"], "step"),
+        (["--smax", "inf"], "smax"),
+        (["--smax", "0"], "smax"),
+        (["--step", "1e-9", "--smax", "10"], "smax / step"),
+        (["--step", "1e-4", "--smax", "10.01"], "smax / step"),
+    ],
+)
+def test_unbounded_geodesic_work_exits_2(flags, key, monkeypatch, tmp_path, capsys):
+    import framekin.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the configuration should be refused before integrating")
+
+    monkeypatch.setattr(cli, "integrate_geodesic", never)
+    rc = main(["geodesic", *flags, "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"framekin: invalid configuration: {key} must be") and "Traceback" not in err
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_geodesic_step_cap_is_inclusive(tmp_path, monkeypatch, capsys):
+    import framekin.cli as cli
+
+    def reached(metric, p0, v0, smax, control):
+        assert smax / control.step == cli._MAX_STEPS
+        raise ArithmeticError("integration reached")
+
+    monkeypatch.setattr(cli, "integrate_geodesic", reached)
+    assert main(["geodesic", "--step", "1e-4", "--smax", "10", "--out", str(tmp_path / "t.csv")]) == 3
+    assert "integration reached" in capsys.readouterr().err
+
+
 def test_unwritable_report_exits_2(tmp_path, capsys):
     out = tmp_path / "missing" / "r.json"
     rc = main(["decompose", "--model", "minkowski", "--out", str(out)])

@@ -223,12 +223,12 @@ def test_transported_e0_follows_velocity():
 def test_connection_evaluations_per_rk4_step(monkeypatch):
     import framekin.geodesics as geo
 
-    calls = {"christoffel": 0, "christoffel_jet": 0}
+    calls = {"christoffel": 0, "christoffel_jet": 0}  # evaluated points: a block call counts its rows
 
     def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+        def wrapper(metric, p):
+            calls[name] += len(p) if np.ndim(p) == 2 else 1
+            return fn(metric, p)
 
         return wrapper
 
@@ -249,6 +249,129 @@ def test_connection_evaluations_per_rk4_step(monkeypatch):
     path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (w, u, 0, 0), 0.3, ctrl, s_min=-0.2, tetrad=e)
     assert calls == {"christoffel": 3 * n, "christoffel_jet": n + 1}
     assert (path.stats["christoffel_evals"], path.stats["christoffel_jet_evals"]) == (3 * n, n + 1)
+
+
+def boost_tetrad(u, axis=1):
+    w = np.sqrt(1 + u * u)
+    e = np.eye(4)
+    e[0, 0], e[0, axis], e[axis, 0], e[axis, axis] = w, u, u, w
+    return e
+
+
+def lockstep_starts(carried):
+    """Comoving and drifting starts at three points; boosts along x1 and x2."""
+    out = []
+    for p0, u, axis in (((0, 0, 0, 0), 0.0, 1), ((0, 0.1, 0, 0), 0.3, 1), ((0, 0, 0.2, -0.1), 0.15, 2)):
+        e = boost_tetrad(u, axis)
+        out.append((p0, e[0], e if carried else None))
+    return out
+
+
+def assert_same_path(got, want):
+    for name in ("s", "points", "velocities", "accelerations"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert got.stats == want.stats
+    assert np.array_equal(got._dense.coeffs, want._dense.coeffs)
+    assert (got.tetrad is None) == (want.tetrad is None)
+    if want.tetrad is not None:
+        assert np.array_equal(got.tetrad.samples, want.tetrad.samples)
+        assert np.array_equal(got.tetrad._dense.coeffs, want.tetrad._dense.coeffs)
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+@pytest.mark.parametrize("carried", [False, True])
+@pytest.mark.parametrize("span", [(0.0, 0.6), (-0.5, 0.0), (-0.45, 0.2)])  # forward, backward, ragged
+def test_lockstep_equals_separate_runs(method, carried, span):
+    m = fk.make_friedmann(0.05, 0.3)
+    s_min, s_max = span
+    ctrl = fk.StepControl(method=method, step=0.03 if method == "rk4" else 0.2, tol=1e-11)
+    starts = lockstep_starts(carried)
+    paths = fk.integrate_geodesics(m.metric, starts, s_max, ctrl, s_min=s_min)
+    assert len(paths) == len(starts)
+    for (p0, v0, tetrad), path in zip(starts, paths):
+        assert_same_path(path, fk.integrate_geodesic(m.metric, p0, v0, s_max, ctrl, s_min=s_min, tetrad=tetrad))
+    assert len({p.stats["steps"] for p in paths}) > 1 or method == "rk4"
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_lockstep_truncated_sweep_leaves_the_others_unchanged(method):
+    # the expanding model cut off at t = -0.9: every backward sweep to s = -3
+    # leaves the domain while the forward sweeps run on to s = 3
+    model = fk.make_friedmann(0.5)
+    m = fk.MetricField(model.metric.component_fn, name="cut", domain_fn=lambda c: c[0] > -0.9)
+    ctrl = fk.StepControl(method=method, step=0.05, tol=1e-9)
+    starts = lockstep_starts(carried=True)
+    paths = fk.integrate_geodesics(m, starts, 3.0, ctrl, s_min=-3.0)
+    for (p0, v0, tetrad), path in zip(starts, paths):
+        assert path.stats["truncated"] and "outside chart domain" in path.stats["reason"]
+        assert "sample" not in path.stats["reason"]  # named as a run of its own names it
+        assert path.s[-1] == pytest.approx(3.0, abs=1e-12) and -3.0 < path.s[0] < -0.5
+        assert_same_path(path, fk.integrate_geodesic(m, p0, v0, 3.0, ctrl, s_min=-3.0, tetrad=tetrad))
+
+
+def test_lockstep_truncation_mid_block():
+    # one start runs into the boundary while the others do not
+    m = fk.make_friedmann(0.5)
+    ctrl = fk.StepControl(step=0.05)
+    starts = []
+    for t in (0.0, -1.7, 1.0):
+        e = np.diag([1.0] + [1.0 / m.scale.value(t)] * 3)  # comoving, orthonormal at time t
+        starts.append(((t, 0, 0, 0), e[0], e))
+    paths = fk.integrate_geodesics(m.metric, starts, 0.5, ctrl, s_min=-0.6)
+    assert [p.stats["truncated"] for p in paths] == [False, True, False]
+    for (p0, v0, tetrad), path in zip(starts, paths):
+        assert_same_path(path, fk.integrate_geodesic(m.metric, p0, v0, 0.5, ctrl, s_min=-0.6, tetrad=tetrad))
+
+
+def test_lockstep_connection_calls(monkeypatch):
+    import framekin.geodesics as geo
+
+    rows = []
+
+    def counted(fn):
+        def wrapper(metric, p):
+            rows.append(len(p) if np.ndim(p) == 2 else 0)  # 0 marks a point call
+            return fn(metric, p)
+
+        return wrapper
+
+    monkeypatch.setattr(geo, "christoffel", counted(geo.christoffel))
+    monkeypatch.setattr(geo, "christoffel_jet", counted(geo.christoffel_jet))
+    m = fk.make_friedmann(0.01, 0.3)
+    starts = lockstep_starts(carried=True)[:2]
+    paths = fk.integrate_geodesics(m.metric, starts, 0.3, fk.StepControl(step=0.01), s_min=-0.2)
+    # one point call per origin; 20 steps of all four sweeps; 10 more of the two forward ones
+    assert rows == [0, 0] + [4] * 4 * 20 + [2] * 4 * 10
+    for path in paths:
+        assert path.stats["christoffel_evals"] == 3 * 50 and path.stats["christoffel_jet_evals"] == 51
+
+    rows.clear()
+    fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), 0.05, fk.StepControl(step=0.01))
+    assert rows == [0] * (4 * 5 + 1)  # a lone sweep calls with points, never a (1, 4) block
+
+
+def test_lockstep_rejects_mixed_starts():
+    m = fk.make_friedmann(0.01)
+    e = np.eye(4)
+    with pytest.raises(ValueError, match="every start"):
+        fk.integrate_geodesics(m.metric, [((0, 0, 0, 0), e[0], e), ((0, 0, 0, 0), e[0], None)], 0.1)
+    with pytest.raises(ValueError, match="at least one"):
+        fk.integrate_geodesics(m.metric, [], 0.1)
+
+
+def test_norm_and_orthonormality_drift_match_per_knot_reference():
+    m = fk.make_friedmann(0.05, 0.3)
+    e = boost_tetrad(0.3)
+    path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), e[0], 1.0, fk.StepControl(step=0.007), s_min=-0.3, tetrad=e)
+    n = len(path.s)
+    knots = range(0, n, max(1, n // 64))
+    drift = worst = 0.0
+    for k in knots:
+        v, ek, g = path.velocities[k], path.tetrad.samples[k], fk.eval_metric(m.metric, path.points[k])
+        drift = max(drift, abs(float(v @ g @ v) - 1.0))
+        worst = max(worst, float(np.max(np.abs(ek @ g @ ek.T - np.diag([1.0, -1.0, -1.0, -1.0])))))
+    assert path.stats["max_norm_drift"] == drift
+    assert path.tetrad.orthonormality_drift(m.metric) == worst
 
 
 def test_adaptive_steps_independent_of_tetrad():
@@ -274,6 +397,18 @@ def test_debug_log_reports_work_and_drift(caplog):
     text = record.getMessage()
     assert "rk4, 10 steps, 30 christoffel and 11 christoffel_jet evaluations" in text
     assert "norm drift" in text and "tetrad orthonormality drift" in text
+    assert "1 sweeps in lockstep made 30 christoffel and 11 christoffel_jet calls" in text
+
+    caplog.clear()
+    e = np.eye(4)
+    with caplog.at_level(logging.DEBUG, logger="framekin.geodesics"):
+        starts = [((0, 0, 0, 0), e[0], e), ((0, 0.5, 0, 0), e[0], e)]
+        fk.integrate_geodesics(m.metric, starts, 0.1, fk.StepControl(step=0.01), s_min=-0.05)
+    texts = [r.getMessage() for r in caplog.records if r.name == "framekin.geodesics"]
+    assert len(texts) == 2
+    for text in texts:  # per path 10 + 5 steps; the four sweeps share 10 steps of calls, plus two origins
+        assert "rk4, 15 steps, 45 christoffel and 16 christoffel_jet evaluations" in text
+        assert "4 sweeps in lockstep made 30 christoffel and 12 christoffel_jet calls" in text
 
 
 # -- free-particle experiment ---------------------------------------------------

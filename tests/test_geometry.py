@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import framekin as fk
-from framekin.geometry import ChartDomainError, MetricSignatureError
+from framekin.geometry import ChartDomainError, MetricSignatureError, SingularMetricError, christoffel_jet
 from framekin.oracles import fd_metric_derivatives, fd_riemann_from_connection
 from framekin.hyperdual import jet
 
@@ -53,8 +53,9 @@ def test_eval_metric_signature_error():
     bad = fk.MetricField(comps)
     with pytest.raises(MetricSignatureError):
         fk.eval_metric(bad, (0, 0, 0, 0))
-    with pytest.raises(MetricSignatureError, match="sample 0"):
+    with pytest.raises(MetricSignatureError, match="sample 0") as err:
         fk.eval_metric(bad, [(0, 0, 0, 0), (1, 0, 0, 0)])
+    assert err.value.sample == 0
     with pytest.raises(MetricSignatureError):
         fk.riemann(bad, (0, 0, 0, 0))
 
@@ -81,8 +82,43 @@ def test_block_metric_and_connection_equal_single_points(friedmann_a03, rng):
         assert np.array_equal(g[k], fk.eval_metric(friedmann_a03.metric, p))
         assert np.array_equal(con.gamma[k], fk.christoffel(friedmann_a03.metric, p).gamma)
     block[7, 0] = -10.0  # before the big bang of a = 0.3
-    with pytest.raises(ChartDomainError, match="sample 7"):
+    with pytest.raises(ChartDomainError, match="sample 7") as err:
         fk.christoffel(friedmann_a03.metric, block)
+    assert err.value.sample == 7
+    with pytest.raises(ChartDomainError) as err:
+        fk.christoffel(friedmann_a03.metric, block[7])
+    assert err.value.sample is None
+
+
+@pytest.mark.parametrize("model", [(0.3, 0.0), (1e-3, 0.1005), (0.05, 0.3)])
+def test_block_connection_jet_equals_single_points(model, rng):
+    metric = fk.make_friedmann(*model).metric
+    block = np.array(random_points(rng, 9))
+    gamma, dgamma = christoffel_jet(metric, block)
+    assert gamma.shape == (9, 4, 4, 4) and dgamma.shape == (9, 4, 4, 4, 4)
+    for k, p in enumerate(block):
+        g1, dg1 = christoffel_jet(metric, p)
+        assert np.array_equal(gamma[k], g1) and np.array_equal(dgamma[k], dg1)
+    block[4, 0] = np.nan
+    with pytest.raises(ChartDomainError, match="sample 4") as err:
+        christoffel_jet(metric, block)
+    assert err.value.sample == 4
+
+
+def test_singular_metric_error_names_its_sample():
+    def comps(c):
+        lapse = c[0]  # the metric degenerates at t = 0
+        return [[lapse, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, -1.0]]
+
+    metric = fk.MetricField(comps, name="degenerate")
+    block = np.array([[1.0, 0, 0, 0], [0.5, 0, 0, 0], [0.0, 0, 0, 0]])
+    for evaluate in (fk.christoffel, christoffel_jet):
+        with pytest.raises(SingularMetricError, match="at sample 2") as err:
+            evaluate(metric, block)
+        assert err.value.sample == 2
+        with pytest.raises(SingularMetricError) as err:
+            evaluate(metric, block[2])
+        assert err.value.sample is None
 
 
 def test_inverse_metric_examples(minkowski):

@@ -176,3 +176,39 @@ def test_lab_frame_needs_transported_tetrad():
     path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), 0.1, fk.StepControl(step=0.01), s_min=-0.1)
     with pytest.raises(ValueError, match="no tetrad"):
         fk.lab_frame_along_geodesic(m.metric, path)
+
+
+def test_tube_chart_evaluates_each_foot_point_once(monkeypatch):
+    import framekin.normal as nm
+
+    feet = []
+    real = nm.christoffel_jet
+
+    def counted(metric, x):
+        feet.append(tuple(x))
+        return real(metric, x)
+
+    monkeypatch.setattr(nm, "christoffel_jet", counted)
+    fk.moving_lab_expansion_pair(1e-3, 0.2)
+    # two lab charts share only the epoch as a foot point: 9 calls (77 without reuse)
+    assert len(feet) == 9 and len(set(feet)) == 8
+
+
+def test_tube_chart_jet_cache_is_bounded(monkeypatch):
+    import framekin.normal as nm
+
+    m, lab = build_comoving_lab(1e-2)
+    tube = nm._TubeChart(m.metric, lab.path)
+    tube._JET_CACHE_SIZE = 2
+    feet = [(0.0, 0, 0, 0), (0.01, 0, 0, 0), (0.0, 0, 0, 0), (-0.0, 0, 0, 0), (0.0, 0, 0, 0)]
+    calls = []
+    real = nm.christoffel_jet
+    monkeypatch.setattr(nm, "christoffel_jet", lambda metric, x: calls.append(tuple(x)) or real(metric, x))
+    jets = [tube._connection_jet(list(x)) for x in feet]
+    # a repeat is reused; -0.0 is a point of its own and evicts the oldest, 0.0, which is evaluated again
+    assert [c[0] for c in calls] == [0.0, 0.01, 0.0, 0.0]
+    assert [bool(np.signbit(c[0])) for c in calls] == [False, False, True, False]
+    assert len(tube._jets) == 2
+    for x, (gamma, dgamma) in zip(feet, jets):
+        want = real(m.metric, x)
+        assert np.array_equal(gamma, want[0]) and np.array_equal(dgamma, want[1])
