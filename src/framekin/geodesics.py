@@ -277,9 +277,10 @@ def _evaluate(metric, y, rows, sweeps, calls, knot=False):
     Each row counts one stage or knot evaluation of its sweep.  One row goes
     to the connection as a point, several as a block.  A row whose point
     leaves the chart domain or meets a singular metric ends its sweep, with
-    the reason a run of that point alone gives, and the rest are evaluated
-    again without it.  The results have a row for every row of y, zero
-    where nothing was evaluated; ``rows`` lists the evaluated ones.
+    the reason a run of that point alone gives (see ``_failing_row``), and
+    the rest are evaluated again without it.  The results have a row for
+    every row of y, zero where nothing was evaluated; ``rows`` lists the
+    evaluated ones.
     """
     kind = "knot" if knot else "stage"
     for r in rows:
@@ -290,12 +291,7 @@ def _evaluate(metric, y, rows, sweeps, calls, knot=False):
         try:
             dy, d2e = _rhs(metric, y[rows[0]] if len(rows) == 1 else y[rows], knot)
         except (ChartDomainError, SingularMetricError) as exc:
-            bad = rows[0] if exc.sample is None else rows[exc.sample]
-            if exc.sample is not None:
-                try:  # name the point as a run of its own names it
-                    _rhs(metric, y[bad], knot)
-                except (ChartDomainError, SingularMetricError) as own:
-                    exc = own
+            bad, exc = _failing_row(metric, y, rows, knot, exc, calls, name)
             sweeps[bad].reason = str(exc)
             rows = [r for r in rows if r != bad]
             continue
@@ -303,6 +299,28 @@ def _evaluate(metric, y, rows, sweeps, calls, knot=False):
             dy, d2e = _spread(dy, rows, len(y)), _spread(d2e, rows, len(y))
         return rows, dy.reshape(y.shape), None if d2e is None else d2e.reshape(len(y), -1)
     return rows, np.zeros(y.shape), None
+
+
+def _failing_row(metric, y, rows, knot, exc, calls, name):
+    """(row, error) for the error exc of the evaluation at rows: the row whose
+    point fails when evaluated alone, and the error that point call raises.
+
+    The rows are tried one at a time, starting with the one a block error
+    names through ``sample``.  An error has no ``sample`` when a domain test
+    or component function raised it for the block as a whole (the chart
+    inverse of a pushed metric, say).  A block error that no point
+    reproduces is raised.
+    """
+    if len(rows) == 1:
+        return rows[0], exc
+    named = [] if exc.sample is None else [rows[exc.sample]]
+    for r in named + [r for r in rows if r not in named]:
+        calls[name] += 1
+        try:
+            _rhs(metric, y[r], knot)
+        except (ChartDomainError, SingularMetricError) as own:
+            return r, own
+    raise exc
 
 
 def _spread(a, rows, n):

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import framekin as fk
-from framekin.catalog import experiment_accelerations_closed
+from framekin.catalog import experiment_accelerations_closed, z_chart
 from framekin.geodesics import StepSizeUnderflowError
+from framekin.maps import pushed_metric_field
 from framekin.oracles import adaptive_simpson
 
 
@@ -323,6 +324,45 @@ def test_lockstep_truncation_mid_block():
         assert_same_path(path, fk.integrate_geodesic(m.metric, p0, v0, 0.5, ctrl, s_min=-0.6, tetrad=tetrad))
 
 
+def orthonormal_tetrad(g, e0):
+    """Gram-Schmidt from the timelike e0 and the spatial axes, orthonormal for g."""
+    e = []
+    for b in (e0, *np.eye(4)[1:]):
+        for f, eta in zip(e, (1.0, -1.0, -1.0)):
+            b = b - eta * (f @ g @ b) * f
+        e.append(b / np.sqrt(abs(b @ g @ b)))
+    return np.array(e)
+
+
+@pytest.mark.parametrize("carried", [False, True])
+def test_lockstep_truncation_without_a_sample_index(carried):
+    # in the drift-adapted chart the domain test inverts the chart, which
+    # raises for a block as a whole past the big bang, naming no sample:
+    # the backward sweep must end there and the forward one run on
+    model = fk.make_friedmann(0.5, 0.1)
+    gz = pushed_metric_field(z_chart(model), model.metric, name="friedmann-drift-chart")
+    ctrl = fk.StepControl(step=0.05)
+    starts = []
+    for p0 in ((0, 0, 0, 0), (0.2, 0.1, 0, 0)):
+        e = orthonormal_tetrad(fk.eval_metric(gz, p0), np.array([1.0, 0.2, 0.0, 0.0]))
+        starts.append((p0, e[0], e if carried else None))
+    paths = fk.integrate_geodesics(gz, starts, 3.0, ctrl, s_min=-3.0)
+    for (p0, v0, tetrad), path in zip(starts, paths):
+        assert path.stats["reason"] == "time outside the scale-factor domain"
+        assert path.s[-1] == 3.0 and -3.0 < path.s[0] < -1.0
+        assert_same_path(path, fk.integrate_geodesic(gz, p0, v0, 3.0, ctrl, s_min=-3.0, tetrad=tetrad))
+        forward = fk.integrate_geodesic(gz, p0, v0, 3.0, ctrl, tetrad=tetrad)
+        backward = fk.integrate_geodesic(gz, p0, v0, 0.0, ctrl, s_min=-3.0, tetrad=tetrad)
+        assert not forward.stats["truncated"] and backward.stats["reason"] == path.stats["reason"]
+        k = len(backward.s) - 1  # the knot at s = 0
+        for name in ("s", "points", "velocities", "accelerations"):
+            assert np.array_equal(getattr(path, name)[k:], getattr(forward, name))
+            assert np.array_equal(getattr(path, name)[: k + 1], getattr(backward, name))
+        if carried:
+            assert np.array_equal(path.tetrad.samples[k:], forward.tetrad.samples)
+            assert np.array_equal(path.tetrad.samples[: k + 1], backward.tetrad.samples)
+
+
 def test_lockstep_connection_calls(monkeypatch):
     import framekin.geodesics as geo
 
@@ -409,6 +449,41 @@ def test_debug_log_reports_work_and_drift(caplog):
     for text in texts:  # per path 10 + 5 steps; the four sweeps share 10 steps of calls, plus two origins
         assert "rk4, 15 steps, 45 christoffel and 16 christoffel_jet evaluations" in text
         assert "4 sweeps in lockstep made 30 christoffel and 12 christoffel_jet calls" in text
+
+
+@pytest.mark.parametrize("domain", ["cut", "drift-chart"])
+def test_debug_log_counts_the_calls_of_a_truncated_run(caplog, monkeypatch, domain):
+    # the calls that find the failing sweep of a block are counted too
+    import re
+
+    import framekin.geodesics as geo
+
+    calls = {"christoffel": 0, "christoffel_jet": 0}
+
+    def counted(fn):
+        def wrapper(metric, p):
+            calls[fn.__name__] += 1
+            return fn(metric, p)
+
+        return wrapper
+
+    model = fk.make_friedmann(0.5, 0.1)
+    if domain == "cut":  # the block error names its sample
+        m = fk.MetricField(model.metric.component_fn, name="cut", domain_fn=lambda c: c[0] > -0.9)
+    else:  # it does not
+        m = pushed_metric_field(z_chart(model), model.metric, name="friedmann-drift-chart")
+    starts = []
+    for p0 in ((0, 0, 0, 0), (0.1, 0, 0, 0)):
+        e = orthonormal_tetrad(fk.eval_metric(m, p0), np.array([1.0, 0.2, 0.0, 0.0]))
+        starts.append((p0, e[0], e))
+    monkeypatch.setattr(geo, "christoffel", counted(geo.christoffel))
+    monkeypatch.setattr(geo, "christoffel_jet", counted(geo.christoffel_jet))
+    with caplog.at_level(logging.DEBUG, logger="framekin.geodesics"):
+        paths = fk.integrate_geodesics(m, starts, 2.0, fk.StepControl(step=0.05), s_min=-3.0)
+    assert all(p.stats["truncated"] for p in paths)
+    texts = [r.getMessage() for r in caplog.records if r.name == "framekin.geodesics"]
+    made = re.search(r"(\d+) sweeps in lockstep made (\d+) christoffel and (\d+) christoffel_jet calls", texts[0])
+    assert made.groups() == ("4", str(calls["christoffel"]), str(calls["christoffel_jet"]))
 
 
 # -- free-particle experiment ---------------------------------------------------
