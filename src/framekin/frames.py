@@ -33,7 +33,7 @@ from .geometry import (
     metric_jet,
     _gamma_from_jets,
 )
-from .hyperdual import first, jet, seed, sqrt, take, value
+from .hyperdual import block_values, first, jet, seed, sqrt, value
 
 log = logging.getLogger(__name__)
 
@@ -94,7 +94,7 @@ def make_frame(components, metric: MetricField, label="Q", sample_points=None) -
         checks = ((first(value(norm2) <= 0.0), "timelike"), (first(value(q[0]) <= 0.0), "future pointing"))
         for bad, what in checks:
             if bad is not None:
-                where = [float(value(c)) for c in take(coords, bad)]
+                where = block_values(coords)[0][bad].tolist()
                 raise FrameCausalityError(f"{label}: components not {what} at {where}")
         return q, norm2
 

@@ -14,13 +14,14 @@ and each stage evaluates the connection once for all of them, as a block
 (or at a point when one sweep is left).  ``integrate_geodesic`` is its
 one-start case.  Paths and their tetrads carry piecewise-quintic dense
 representations built from exact knot jets, so downstream consumers can
-evaluate positions, velocities and tetrads, including derivative
-propagation, anywhere along the path.
+evaluate positions, velocities, accelerations and tetrads with their first
+two s-derivatives anywhere along the path, at one proper time or a block.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,7 +38,6 @@ from .geometry import (
     christoffel_jet,
     eval_metric,
 )
-from .hyperdual import value
 
 log = logging.getLogger(__name__)
 
@@ -124,19 +124,8 @@ def _weighted(weights, ks):
     return sum(terms[1:], terms[0])
 
 
-def _horner_eval(coeffs, tau, derivative):
-    """Horner evaluation of sum_j c_j tau^j (or its derivative)."""
-    out = 0.0
-    for j in range(5, derivative - 1, -1):
-        fac = 1.0
-        for d in range(derivative):
-            fac *= j - d
-        out = out * tau + fac * coeffs[j]
-    return out
-
-
 class QuinticDense:
-    """Piecewise quintic Hermite dense output, dual-capable in s."""
+    """Piecewise quintic Hermite dense output, evaluated at a proper time or a block of them."""
 
     def __init__(self, s, y, dy, d2y):
         self.s = np.asarray(s, dtype=float)
@@ -162,12 +151,15 @@ class QuinticDense:
         self.coeffs = np.concatenate([np.stack([c0, c1, c2], axis=1), c345], axis=1)
 
     def eval(self, s, derivative=0):
-        sval = value(s)
-        k = int(np.searchsorted(self.s, sval, side="right") - 1)
-        k = min(max(k, 0), len(self.s) - 2)
-        tau = s - float(self.s[k])
+        """Derivative of the given order at proper time s: (width,) at a float, (N, width) at a block (N,)."""
+        s = np.asarray(s, dtype=float)
+        k = np.clip(np.searchsorted(self.s, s, side="right") - 1, 0, len(self.s) - 2)
+        tau = (s - self.s[k])[..., None]
         c = self.coeffs[k]
-        return [_horner_eval(c[:, mu], tau, derivative) for mu in range(self.width)]
+        out = 0.0
+        for j in range(5, derivative - 1, -1):  # Horner
+            out = out * tau + math.perm(j, derivative) * c[..., j, :]
+        return out
 
 
 @dataclass
@@ -201,7 +193,7 @@ class GeodesicPath:
         return float(self.s[-1])
 
     def position(self, s):
-        """Coordinates at proper time s (dual-capable)."""
+        """Coordinates at proper time s, a float or a block (N,)."""
         return self._dense.eval(s, derivative=0)
 
     def velocity(self, s):
@@ -255,7 +247,10 @@ class _Sweep:
         self.counts = counts  # connection evaluations, shared by the sweeps of a path
 
     def running(self, control):
-        return self.reason is None and self.steps < control.max_steps and self.sgn * (self.target - self.s) > 1e-15
+        """Whether the sweep goes on; reaching ``control.max_steps`` short of the target truncates it."""
+        if self.reason is None and self.steps >= control.max_steps and self.sgn * (self.target - self.s) > 1e-15:
+            self.reason = f"step limit: max_steps={control.max_steps} reached at s={self.s!r}"
+        return self.reason is None and self.sgn * (self.target - self.s) > 1e-15
 
     def adapt(self, err, dt, control):
         """Step-size control of an embedded tableau; True when the step of width dt is accepted."""
@@ -513,15 +508,10 @@ class TransportedTetrad:
     samples: np.ndarray  # (n, 4, 4), [k, a, mu]
     _dense: QuinticDense
 
-    def tetrad(self, s):
-        """4x4 of scalars e[a][mu] at proper time s (dual-capable)."""
-        flat = self._dense.eval(s, derivative=0)
-        return [[flat[4 * a + mu] for mu in range(4)] for a in range(4)]
-
-    def tetrad_rate(self, s):
-        """First s-derivative of the tetrad components at s."""
-        flat = self._dense.eval(s, derivative=1)
-        return [[flat[4 * a + mu] for mu in range(4)] for a in range(4)]
+    def tetrad(self, s, derivative=0):
+        """e[a, mu] (4, 4) at proper time s, or (N, 4, 4) at a block (N,); ``derivative`` in s."""
+        flat = self._dense.eval(s, derivative)
+        return flat.reshape(flat.shape[:-1] + (DIM, DIM))
 
     def orthonormality_drift(self, metric: MetricField) -> float:
         """max |g(e_a, e_b) - eta_ab| over about 64 knots, from one block metric evaluation."""

@@ -14,7 +14,10 @@ A ``HyperDual`` holds one point (``val`` a float, ``grad`` (4,), ``hess``
 ``jet(fn, points, order)`` is the one entry point; it takes a point (4,)
 or a block (N, 4) and returns dense arrays, batch axis first.  On a block,
 value comparisons give one bool per sample (``first`` finds the first
-true one), and per-point algorithms run sample by sample (``take``, ``stack``).
+true one).  A map already known as arrays of values and first derivatives
+joins the algebra through ``chain``; the Newton inverse of a map and the
+4x4 matrix inverse work on whole blocks, each sample with its own pivots
+and its own iteration count.
 Arithmetic and ``sqrt`` are elementwise IEEE operations, so a block equals
 its points bit for bit; ``exp``, ``log``, ``asinh``, ``sin``, ``cos`` and
 powers use numpy's vectorised kernels on a block and ``math`` on a point,
@@ -25,7 +28,6 @@ The dimension is fixed at 4 (one timelike plus three spacelike coordinates).
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -142,11 +144,6 @@ def value(x):
     return x.val if isinstance(x, HyperDual) else x if isinstance(x, np.ndarray) else float(x)
 
 
-def grad(x):
-    """Gradient part, zero for plain floats."""
-    return x.grad if isinstance(x, HyperDual) else np.zeros(DIM)
-
-
 def _lift(math_fn, np_fn, derivatives):
     """Elementary function of floats, blocks and HyperDuals; ``derivatives(v, f(v))`` gives f', f''."""
 
@@ -234,90 +231,72 @@ def first(cond):
     return 0 if cond else None
 
 
-def batch_size(x):
-    """N for a scalar or nested sequence holding block scalars, None for one point."""
-    if isinstance(x, (list, tuple)):
-        return next((n for n in map(batch_size, x) if n is not None), None)
-    v = x.val if isinstance(x, HyperDual) else x
-    return len(v) if isinstance(v, np.ndarray) and v.ndim == 1 else None
+def block_values(coords):
+    """(values, point): the value parts of four scalars as an (N, 4) block (N = 1 for a point), and
+    whether they were a point."""
+    vals = np.stack(np.broadcast_arrays(*[value(c) for c in coords]), axis=-1).astype(float)
+    return vals.reshape(-1, DIM), vals.ndim == 1
 
 
-def take(x, k):
-    """Sample k of a scalar or nested sequence of block scalars; point scalars pass through."""
-    if isinstance(x, (list, tuple)):
-        return [take(c, k) for c in x]
-    if isinstance(x, HyperDual) and isinstance(x.val, np.ndarray):
-        return HyperDual(x.val[k], x.grad[..., k], None if x.hess is None else x.hess[..., k])
-    return x[k] if isinstance(x, np.ndarray) else x
+def chain(coords, f, df):
+    """Scalars of a function of ``coords`` from its values and first derivatives at their value parts.
 
-
-def stack(items):
-    """The block made of equally nested per-sample results (inverse of ``take``)."""
-    if isinstance(items[0], (list, tuple)):
-        return [stack([it[i] for it in items]) for i in range(len(items[0]))]
-    vals = np.array([value(it) for it in items])
-    if not any(isinstance(it, HyperDual) for it in items):
-        return vals
-    hs = [it.hess if isinstance(it, HyperDual) else np.zeros((DIM, DIM)) for it in items]
-    h = None if any(x is None for x in hs) else np.stack(hs, axis=-1)
-    return HyperDual(vals, np.stack([grad(it) for it in items], axis=-1), h)
-
-
-def per_point(fn):
-    """``fn`` of one point's scalars, lifted to blocks by running it sample by sample."""
-
-    @functools.wraps(fn)
-    def lifted(x):
-        n = batch_size(x)
-        if n is None:
-            return fn(x)
-        return stack([fn(take(x, k)) for k in range(n)])
-
-    return lifted
-
-
-def taylor_apply(val, jac, coords_dual):
-    """Compose a function with dual coordinates, given its value and gradient at their value parts.
-
-    The result is seeded like ``coords_dual`` and carries no Hessian, which
-    poisons any downstream second-derivative use.
+    ``coords`` are four scalars of a point or a block, ``f`` (N, *shape) holds the values on
+    their (N, 4) value block and ``df`` (N, *shape, 4) the derivatives in the four coordinates.
+    The gradient follows by the chain rule through the gradients of ``coords`` and no Hessian
+    is carried, which poisons any downstream second-derivative use.  Returns nested lists of
+    ``shape``: HyperDuals when a coordinate carries a gradient, else plain values.
     """
-    g = np.zeros(DIM)
-    for i, c in enumerate(coords_dual):
-        g = g + jac[i] * grad(c)
-    return HyperDual(val, g, None)
+    point = not any(np.ndim(value(c)) for c in coords)
+    n = len(f)
+    vals = np.moveaxis(f.reshape(n, -1), 0, -1)  # (M, N)
+    items = [float(v[0]) if point else v for v in vals]
+    if any(isinstance(c, HyperDual) for c in coords):
+        d = np.moveaxis(df.reshape(n, -1, DIM), 0, -1)  # (M, 4, N)
+        g = 0.0
+        for b, c in enumerate(coords):  # a fixed summation order: a block equals its points
+            if isinstance(c, HyperDual):
+                g = g + d[:, b, None] * c.grad.reshape(DIM, -1)
+        items = [HyperDual(v, gi[:, 0] if point else gi) for v, gi in zip(items, g)]
+    for m in reversed(f.shape[2:]):
+        items = [items[i : i + m] for i in range(0, len(items), m)]
+    return items
 
 
 def dual_newton_invert(map_fn, target, seed_guess, tol=1e-13, max_iter=60):
-    """Invert a dual-capable map R^4 -> R^4 at a (possibly dual) target.
+    """Invert a dual-capable map R^4 -> R^4 at a (possibly dual) target point or block.
 
     Solves map_fn(x) = target.  The float solution comes from Newton
-    iteration with the exact Jacobian; when ``target`` carries dual parts,
-    fixed-point corrections with the converged Jacobian propagate gradients
-    (and Hessians when present) to machine precision.  A block target is
-    solved sample by sample, with ``seed_guess`` of shape (N, 4).
+    iteration with the exact Jacobian, all rows of a block at once: a row
+    stops once its step falls below ``tol`` and never moves again, so each
+    row iterates as its point would.  ``seed_guess`` holds one row per target.
+    When ``target`` carries dual parts, fixed-point corrections with each
+    row's last Jacobian propagate gradients (and Hessians when present) to
+    machine precision.
     """
-    n = batch_size(target)
-    if n is not None:
-        return stack([dual_newton_invert(map_fn, take(target, k), seed_guess[k], tol, max_iter) for k in range(n)])
-    tv = np.array([value(c) for c in target], dtype=float)
-    x = np.asarray(seed_guess, dtype=float).copy()
+    tv, point = block_values(target)
+    x = np.array(seed_guess, dtype=float).reshape(tv.shape)
+    jac = np.empty((len(x), DIM, DIM))
+    rows = np.arange(len(x))  # the rows still iterating
     for _ in range(max_iter):
-        fx, dfx = jet(map_fn, x)
-        jac = dfx.T
-        delta = np.linalg.solve(jac, fx - tv)
-        x = x - delta
-        if np.max(np.abs(delta)) < tol:
+        fx, dfx = jet(map_fn, x[0] if point else x[rows])
+        jac[rows] = np.swapaxes(dfx, -1, -2)
+        delta = np.linalg.solve(jac[rows], (fx - tv[rows])[..., None])[..., 0]
+        x[rows] -= delta
+        rows = rows[~(np.max(np.abs(delta), axis=-1) < tol)]
+        if not rows.size:
             break
     else:
         raise ArithmeticError("map inversion did not converge")
     if not any(isinstance(c, HyperDual) for c in target):
-        return [float(c) for c in x]
+        return x[0].tolist() if point else list(x.T)
     # Dual correction: contraction on the derivative parts, quadratic once
     # the value part has converged.
-    jinv = np.linalg.inv(jac)
-    h0 = np.zeros((DIM, DIM)) if any(isinstance(c, HyperDual) and c.hess is not None for c in target) else None
-    xs = [HyperDual(x[i], np.zeros(DIM), h0) for i in range(DIM)]
+    jinv = np.moveaxis(np.linalg.inv(jac), 0, -1)
+    x, jinv = (x[0], jinv[..., 0]) if point else (x.T, jinv)
+    batch = np.shape(x[0])
+    h0 = np.zeros((DIM, DIM) + batch) if any(isinstance(c, HyperDual) and c.hess is not None for c in target) else None
+    xs = [HyperDual(x[i], np.zeros((DIM,) + batch), h0) for i in range(DIM)]
     for _ in range(3):
         fx = map_fn(xs)
         resid = [fx[m] - target[m] for m in range(DIM)]
@@ -325,29 +304,27 @@ def dual_newton_invert(map_fn, target, seed_guess, tol=1e-13, max_iter=60):
     return xs
 
 
-@per_point
-def dual_matrix_inverse(rows):
-    """Invert a 4x4 matrix of scalars (floats or HyperDuals), Gauss-Jordan.
+def _matmul(a, b):
+    """Product of two 4x4 matrices of scalars, summed in index order."""
+    return [[sum((a[i][k] * b[k][j] for k in range(1, DIM)), a[i][0] * b[0][j]) for j in range(DIM)]
+            for i in range(DIM)]
 
-    Pivoting is decided on value parts, sample by sample on a block;
-    entries stay exact in the dual algebra.
+
+def dual_matrix_inverse(rows):
+    """Invert a 4x4 matrix of scalars (floats, blocks or HyperDuals).
+
+    numpy inverts the value parts, each sample of a block on its own; two
+    Newton-Schulz steps X <- X (2I - A X) in the dual algebra then make the
+    gradient and Hessian exact.  A singular value part raises
+    ``ZeroDivisionError``.
     """
-    n = DIM
-    a = [[rows[i][j] for j in range(n)] for i in range(n)]
-    inv = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(value(a[r][col])))
-        if abs(value(a[pivot][col])) == 0.0:
-            raise ZeroDivisionError("singular matrix in dual inversion")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        piv = a[col][col]
-        a[col] = [x / piv for x in a[col]]
-        inv[col] = [x / piv for x in inv[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = a[r][col]
-            a[r] = [a[r][j] - f * a[col][j] for j in range(n)]
-            inv[r] = [inv[r][j] - f * inv[col][j] for j in range(n)]
-    return inv
+    a0 = np.array(np.broadcast_arrays(*[value(c) for row in rows for c in row]), dtype=float)
+    try:
+        x0 = np.linalg.inv(np.moveaxis(a0.reshape((DIM, DIM) + a0.shape[1:]), (0, 1), (-2, -1)))
+    except np.linalg.LinAlgError:
+        raise ZeroDivisionError("singular matrix in dual inversion") from None
+    x = np.moveaxis(x0, (-2, -1), (0, 1))
+    for _ in range(2):
+        ax = _matmul(rows, x)
+        x = _matmul(x, [[(2.0 if i == j else 0.0) - ax[i][j] for j in range(DIM)] for i in range(DIM)])
+    return x

@@ -17,7 +17,8 @@ origin moved to that point and the parallel-transported tetrad as axes.
 The resulting time-axis field is the inertial lab frame of the curve: it
 equals the curve's velocity on the curve, is torsion-aligned there
 (transformed connection vanishes on the curve), and is in free fall only on
-the curve itself.
+the curve itself.  The sliding chart is array code over blocks of points:
+one Newton solve and one connection-jet lookup serve a whole block.
 
 Off the curve the chart is second-order accurate; derivative propagation
 through the chart drops remainder terms of the same order as the truncation
@@ -26,7 +27,9 @@ itself (see ``_TubeChart``).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -39,11 +42,12 @@ from .geometry import (
     as_point,
     christoffel,
     christoffel_jet,
+    covariant_derivative_field,
     eval_metric,
     riemann,
 )
 from .frames import FrameField, kinematic_decompose, make_frame
-from .hyperdual import dual_newton_invert, per_point, taylor_apply, value
+from .hyperdual import block_values, chain, dual_newton_invert
 from .maps import ChartMap, pushed_metric_field
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -69,9 +73,7 @@ def _cubic_coefficient(gamma, dgamma):
     coordinates; only the part symmetric in (l, n, r) matters.
     """
     a = -np.einsum("lmnr->mlnr", dgamma) + 2.0 * np.einsum("msr,sln->mlnr", gamma, gamma)
-    sym = np.zeros_like(a)
-    for perm in ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)):
-        sym += np.transpose(a, (0, *perm))
+    sym = sum(np.transpose(a, (0, *perm)) for perm in itertools.permutations((1, 2, 3)))
     return sym / 36.0  # 1/6 for the Taylor factor, 1/6 for the average
 
 
@@ -161,9 +163,8 @@ def build_normal_chart(metric: MetricField, p0, initial_tetrad, validity_radius=
         return [[cols[a][mu] for a in range(DIM)] for mu in range(DIM)]
 
     def forward_fn(coords):
-        # (4,) for a point, (N, 4) for a block
-        seed_guess = np.linalg.solve(e.T, (np.array([value(c) for c in coords]).T - x0).T).T
-        return dual_newton_invert(inverse_fn, coords, seed_guess)
+        target, _ = block_values(coords)
+        return dual_newton_invert(inverse_fn, coords, np.linalg.solve(e.T, (target - x0).T).T)
 
     cmap = ChartMap(
         forward_fn,
@@ -198,17 +199,16 @@ def normal_chart_curvature_check(metric: MetricField, chart: NormalChart, step=1
     minv = np.linalg.inv(m)
     r_chart = np.einsum("am,mnrs,nb,rc,sd->abcd", minv, curv, m, m, m)
     # expected[d, a, b, c] = -(R^a_{bcd} + R^a_{cbd}) / 3
-    expected = np.zeros((DIM, DIM, DIM, DIM))
-    for d in range(DIM):
-        for a in range(DIM):
-            for b in range(DIM):
-                for c in range(DIM):
-                    expected[d, a, b, c] = -(r_chart[a, b, c, d] + r_chart[a, c, b, d]) / 3.0
+    expected = -(np.einsum("abcd->dabc", r_chart) + np.einsum("acbd->dabc", r_chart)) / 3.0
     return float(np.max(np.abs(measured - expected))), measured, expected
 
 
 def metric_deviation_exponent(metric: MetricField, chart: NormalChart, radii=None, direction=None):
-    """Fitted growth exponent of |g(xi) - eta| on a radial ladder."""
+    """Fitted growth exponent of |g(xi) - eta| on a radial ladder, and the ladder.
+
+    The exponent is None when every deviation is exactly zero (flat space):
+    a growth rate of nothing is undefined.
+    """
     pushed = chart.metric_in_chart(metric)
     if radii is None:
         radii = chart.validity_radius * np.array([0.08, 0.16, 0.32, 0.64])
@@ -217,22 +217,27 @@ def metric_deviation_exponent(metric: MetricField, chart: NormalChart, radii=Non
     direction = np.asarray(direction) / np.linalg.norm(direction)
     g = eval_metric(pushed, np.outer(radii, direction))
     devs = np.max(np.abs(g - ETA), axis=(1, 2))
-    logs_r = np.log(np.asarray(radii))
-    logs_d = np.log(np.asarray(devs))
-    slope = np.polyfit(logs_r, logs_d, 1)[0]
-    return float(slope), list(zip([float(r) for r in radii], [float(d) for d in devs]))
+    ladder = list(zip([float(r) for r in radii], [float(d) for d in devs]))
+    if not devs.any():
+        return None, ladder
+    slope = np.polyfit(np.log(np.asarray(radii)), np.log(devs), 1)[0]
+    return float(slope), ladder
 
 
 class _TubeChart:
-    """Normal map with origin and axes sliding along a geodesic.
+    """Normal map with origin and axes sliding along a geodesic, on points or blocks.
 
     Coordinates (xi0, xi1, xi2, xi3): xi0 is proper time of the foot point
     on the curve, the spatial coordinates are quadratic normal coordinates
-    in the slice through that point.  The out-of-chart map is exact in the
-    dual algebra except that the curve derivative of the connection
-    gradient is treated as locally constant; that term enters only at the
-    same order as the quadratic truncation error and vanishes identically
-    on the curve.
+    in the slice through that point.  With y = xi^i e_i(xi0) the map out of
+    the chart is x = c(xi0) + y - Gamma(c)(y, y) / 2 (Manasse & Misner,
+    J. Math. Phys. 4, 735 (1963)).  It is evaluated as arrays over an
+    (N, 4) block of chart points, together with its Jacobian and the
+    Jacobian's derivatives, and carried to dual inputs by the chain rule
+    (``hyperdual.chain``), so no Hessian flows through the connection.
+    The Jacobian's derivatives treat the curve derivative of the connection
+    gradient as locally constant; that term enters only at the same order
+    as the quadratic truncation error and vanishes identically on the curve.
     """
 
     # connection jets kept per chart: a plli lab chart visits about five foot points
@@ -245,83 +250,71 @@ class _TubeChart:
         self._jets = {}  # exact foot point -> (gamma, dgamma), oldest first
 
     def _connection_jet(self, x):
-        """``christoffel_jet`` at the foot point x, evaluated once per distinct point."""
-        key = np.asarray(x, dtype=float).tobytes()  # tells -0.0 from 0.0
-        jet = self._jets.get(key)
-        if jet is None:
-            if len(self._jets) >= self._JET_CACHE_SIZE:
-                del self._jets[next(iter(self._jets))]
-            jet = self._jets[key] = christoffel_jet(self.metric, x)
-            for a in jet:  # shared by every later caller
-                a.flags.writeable = False
-        return jet
+        """``christoffel_jet`` at a foot point (4,) or block (N, 4), each distinct point evaluated once."""
+        feet = np.asarray(x, dtype=float)
+        keys = [row.tobytes() for row in feet.reshape(-1, DIM)]  # tells -0.0 from 0.0
+        jets = {k: self._jets[k] for k in keys if k in self._jets}
+        new = [k for k in dict.fromkeys(keys) if k not in jets]
+        if new:
+            pts = np.frombuffer(b"".join(new)).reshape(-1, DIM)
+            got = christoffel_jet(self.metric, pts[0] if len(new) == 1 else pts)
+            for k, jet in zip(new, [got] if len(new) == 1 else zip(*got)):
+                if len(self._jets) >= self._JET_CACHE_SIZE:
+                    del self._jets[next(iter(self._jets))]
+                for a in jet:  # shared by every later caller
+                    a.flags.writeable = False
+                jets[k] = self._jets[k] = jet
+        if feet.ndim == 1:
+            return jets[keys[0]]
+        return tuple(np.array(a) for a in zip(*(jets[k] for k in keys)))
 
-    def _gamma_dual(self, coords_dual):
-        gamma, dgamma = self._connection_jet([value(c) for c in coords_dual])
-        out = [[[None] * DIM for _ in range(DIM)] for _ in range(DIM)]
-        for m in range(DIM):
-            for n in range(DIM):
-                for r in range(DIM):
-                    out[m][n][r] = taylor_apply(gamma[m, n, r], dgamma[:, m, n, r], coords_dual)
-        return out, gamma, dgamma
+    def _map(self, xi, rates):
+        """(x, J[, H]) on an (N, 4) block of chart points: the map, its Jacobian J[n, mu, a] =
+        d x^mu / d xi^a (column 0 is the raw lab field) and, with ``rates``, H[n, mu, a, b] =
+        d J[n, mu, a] / d xi^b."""
+        s, q = xi[:, 0], xi[:, 1:]
+        c, v = self.path.position(s), self.path.velocity(s)
+        e, e1 = self.tetrad.tetrad(s), self.tetrad.tetrad(s, 1)
+        gamma, dgamma = self._connection_jet(c)
+
+        def spatial(t):  # xi^i t_i for a tetrad or its s-derivative t
+            return np.einsum("ni,nim->nm", q, t[:, 1:])
+
+        y = spatial(e)
+        b = np.concatenate([spatial(e1)[:, None], e[:, 1:]], axis=1)  # B[n, a] = d y / d xi^a
+        gy = np.einsum("nmab,nb->nma", gamma, y)  # Gamma(., y)
+        x = c + y - 0.5 * np.einsum("nma,na->nm", gy, y)
+        w = np.einsum("nsmab,ns->nmab", dgamma, v)  # d Gamma / ds along the curve
+        wy = np.einsum("nmab,nb->nma", w, y)
+        jac = np.swapaxes(b, 1, 2) - np.einsum("nmc,nac->nma", gy, b)
+        jac[:, :, 0] += v - 0.5 * np.einsum("nma,na->nm", wy, y)
+        if not rates:
+            return x, jac
+        cc = np.zeros((len(xi), DIM, DIM, DIM))  # C[n, a, b] = d B[n, a] / d xi^b
+        cc[:, 0, 0] = spatial(self.tetrad.tetrad(s, 2))
+        cc[:, 0, 1:] = cc[:, 1:, 0] = e1[:, 1:]
+        hess = np.moveaxis(cc, 3, 1) - np.einsum("nmc,nabc->nmab", gy, cc)
+        hess -= np.einsum("nmcd,nac,nbd->nmab", gamma, b, b)
+        wb = np.einsum("nmc,nbc->nmb", wy, b)  # w(B_b, y), w held constant along the curve
+        hess[:, :, 0] -= wb
+        hess[:, :, :, 0] -= wb
+        hess[:, :, 0, 0] += self.path.acceleration(s)
+        return x, jac, hess
 
     def inverse_fn(self, xi):
-        s = xi[0]
-        center = self.path.position(s)
-        e = self.tetrad.tetrad(s)
-        y = [sum(e[i][mu] * xi[i] for i in (1, 2, 3)) for mu in range(DIM)]
-        gamma_dual, _, _ = self._gamma_dual(center)
-        out = []
-        for mu in range(DIM):
-            acc = center[mu]
-            acc = acc + y[mu]
-            for n in range(DIM):
-                for r in range(DIM):
-                    acc = acc - 0.5 * gamma_dual[mu][n][r] * y[n] * y[r]
-            out.append(acc)
-        return out
+        return chain(xi, *self._map(block_values(xi)[0], rates=False))
 
     def inverse_jacobian_fn(self, xi):
-        """Columns d x^mu / d xi^a; column 0 is the raw lab-frame field."""
-        s = xi[0]
-        center = self.path.position(s)
-        vel = self.path.velocity(s)
-        e = self.tetrad.tetrad(s)
-        ep = self.tetrad.tetrad_rate(s)
-        y = [sum(e[i][mu] * xi[i] for i in (1, 2, 3)) for mu in range(DIM)]
-        yp = [sum(ep[i][mu] * xi[i] for i in (1, 2, 3)) for mu in range(DIM)]
-        gamma_dual, _, dgamma = self._gamma_dual(center)
-        vel_f = np.array([value(c) for c in vel])
-        w = np.einsum("smnr,s->mnr", dgamma, vel_f)  # d Gamma / ds, frozen
-
-        cols = [[None] * DIM for _ in range(DIM)]  # [a][mu]
-        for mu in range(DIM):
-            acc = vel[mu] + yp[mu]
-            for n in range(DIM):
-                for r in range(DIM):
-                    if w[mu, n, r] != 0.0:
-                        acc = acc - 0.5 * w[mu, n, r] * y[n] * y[r]
-                    gv = gamma_dual[mu][n][r]
-                    acc = acc - gv * yp[n] * y[r]
-            cols[0][mu] = acc
-        for a in (1, 2, 3):
-            for mu in range(DIM):
-                acc = e[a][mu] + 0.0
-                for n in range(DIM):
-                    for r in range(DIM):
-                        gv = gamma_dual[mu][n][r]
-                        acc = acc - gv * e[a][n] * y[r]
-                cols[a][mu] = acc
-        return [[cols[a][mu] for a in range(DIM)] for mu in range(DIM)]
+        """Rows [mu][a] of d x^mu / d xi^a; column 0 is the raw lab-frame field."""
+        return chain(xi, *self._map(block_values(xi)[0], rates=True)[1:])
 
     def forward_fn(self, coords):
-        target = np.array([value(c) for c in coords])
-        dists = np.linalg.norm(self.path.points - target[None, :], axis=1)
-        k = int(np.argmin(dists))
-        e = self.tetrad.samples[k]
+        """Chart coordinates of a point or block, by Newton from the nearest knot's slice."""
+        target, _ = block_values(coords)
+        k = np.argmin(np.linalg.norm(self.path.points[None] - target[:, None], axis=-1), axis=1)
         delta = target - self.path.points[k]
-        comp = np.linalg.solve(e.T, delta)
-        guess = np.array([self.path.s[k] + comp[0], comp[1], comp[2], comp[3]])
+        comp = np.linalg.solve(np.swapaxes(self.tetrad.samples[k], 1, 2), delta[..., None])[..., 0]
+        guess = np.concatenate([(self.path.s[k] + comp[:, 0])[:, None], comp[:, 1:]], axis=1)
         return dual_newton_invert(self.inverse_fn, coords, guess)
 
 
@@ -339,9 +332,6 @@ class GeodesicLabFrame:
     path: GeodesicPath
     validity_radius: float
     label: str
-
-    def chart_coords(self, p):
-        return self.chart.forward(p)
 
     def check_inside(self, p):
         xi = self.chart.forward(p)
@@ -375,26 +365,27 @@ def lab_frame_along_geodesic(
         raise ValueError("validity radius must be positive")
     if path.tetrad is None:
         raise ValueError("the path carries no tetrad; integrate it with integrate_geodesic(..., tetrad=...)")
+    if len(path.s) < 2:
+        raise ValueError(
+            f"the path has {len(path.s)} knot and no dense output to slide a lab chart along "
+            f"(truncated: {path.stats.get('reason')})"
+        )
     tube = _TubeChart(metric, path)
     k0 = int(np.argmin(np.abs(path.s)))
     base = as_point(tuple(path.points[k0]), metric.chart_id)
-
-    # the sliding chart looks up path knots per point, so blocks run sample by sample
     cmap = ChartMap(
-        per_point(tube.forward_fn),
-        per_point(tube.inverse_fn),
+        tube.forward_fn,
+        tube.inverse_fn,
         source_chart_id=metric.chart_id,
         target_chart_id=f"lab@{label}",
         name=f"lab-chart-{label}",
-        inverse_jacobian_fn=per_point(tube.inverse_jacobian_fn),
+        inverse_jacobian_fn=tube.inverse_jacobian_fn,
     )
     gamma0 = christoffel(metric, base)
     chart = NormalChart(base, path.tetrad.samples[k0], gamma0, cmap, validity_radius)
 
-    @per_point
     def raw_field(coords):
-        xi = tube.forward_fn(coords)
-        jac = tube.inverse_jacobian_fn(xi)
+        jac = tube.inverse_jacobian_fn(tube.forward_fn(coords))
         return [jac[mu][0] for mu in range(DIM)]
 
     frame = make_frame(raw_field, metric, label=label, sample_points=[base.coords])
@@ -420,10 +411,6 @@ def lab_frame_expansion(metric: MetricField, lab: GeodesicLabFrame, p) -> LabExp
     decomposition; ``theta_raw`` is the covariant divergence of the
     unnormalized coordinate field.  The two coincide on the curve.
     """
-    from types import SimpleNamespace
-
-    from .geometry import covariant_derivative_field
-
     p = as_point(p, metric.chart_id)
     lab.check_inside(p)
     dec = kinematic_decompose(metric, lab.frame, p)

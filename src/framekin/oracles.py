@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import DIM, MetricField, as_point, eval_metric
-from .hyperdual import value
+from .hyperdual import block_values
 
 
 def fd_metric_derivatives(metric: MetricField, p, step=1e-5) -> np.ndarray:
@@ -75,31 +75,21 @@ def fd_divergence(metric: MetricField, frame, p, step=1e-4) -> float:
 
     Independent route to the expansion rate: no connection coefficients and
     no exact-derivative engine, only metric determinants and central
-    differences of the frame components, Richardson refined.
+    differences of the frame components, Richardson refined.  The 16
+    stencil points and p go to the metric as one block, and the stencil
+    points to the frame as one block.
     """
     p = as_point(p, metric.chart_id)
-    x = p.array
+    hs = (step, -step, step / 2.0, -step / 2.0)
+    pts = p.array + np.concatenate([np.diag(np.full(DIM, h)) for h in hs] + [np.zeros((1, DIM))])
+    root_det = np.sqrt(np.abs(np.linalg.det(eval_metric(metric, pts))))
+    q, _ = block_values(frame.component_fn(list(pts[:-1].T)))
+    # dens[h, mu] = sqrt|g| Q^mu at the point moved by h along axis mu
+    dens = root_det[:-1].reshape(4, DIM) * np.diagonal(q.reshape(4, DIM, DIM), axis1=1, axis2=2)
 
-    def dens(coords, mu):
-        g = eval_metric(metric, coords)
-        q = frame.component_fn([float(c) for c in coords])
-        return np.sqrt(abs(np.linalg.det(g))) * value(q[mu])
-
-    def diff(h):
-        total = 0.0
-        for mu in range(DIM):
-            hi = x.copy()
-            lo = x.copy()
-            hi[mu] += h
-            lo[mu] -= h
-            total += (dens(hi, mu) - dens(lo, mu)) / (2 * h)
-        return total
-
-    d1 = diff(step)
-    d2 = diff(step / 2.0)
+    d1, d2 = (sum(((dens[i] - dens[i + 1]) / (2 * hs[i])).tolist()) for i in (0, 2))  # summed over mu in order
     refined = (4.0 * d2 - d1) / 3.0
-    g0 = eval_metric(metric, p)
-    return float(refined / np.sqrt(abs(np.linalg.det(g0))))
+    return float(refined / root_det[-1])
 
 
 def adaptive_simpson(f, a, b, tol=1e-12, max_depth=48):

@@ -205,12 +205,32 @@ def test_numeric_failure_exits_3(monkeypatch, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
-def test_non_finite_result_exits_3(capsys):
-    # flat space has zero metric deviation, so its growth exponent is log(0)
+def test_non_finite_result_exits_3(monkeypatch, capsys):
+    import framekin.cli as cli
+
+    monkeypatch.setitem(cli._RUNNERS, "normal-chart", lambda cfg: {"deviation_growth_exponent": float("nan")})
     rc = main(["normal-chart", "--model", "minkowski"])
     assert rc == 3
     err = capsys.readouterr().err
     assert "numeric failure" in err and "Traceback" not in err
+
+
+def test_normal_chart_minkowski_has_no_growth_exponent(tmp_path):
+    # flat space has zero metric deviation at every radius: no growth rate to fit
+    out = tmp_path / "flat.json"
+    assert main(["normal-chart", "--model", "minkowski", "--out", str(out)]) == 0
+    res = _load(out)["result"]
+    assert res["deviation_growth_exponent"] is None
+    assert [d for _, d in res["deviation_ladder"]] == [0.0] * 4
+
+
+@pytest.mark.parametrize("a", ["1e4", "1e6", "1e8", "1e10"])
+def test_plli_on_a_path_without_dense_output_exits_2(a, capsys):
+    # the drifting geodesic leaves the domain within its first step: one knot, no lab chart
+    rc = main(["plli", "--a", a, "--v", "0.1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and "no dense output" in err and "Traceback" not in err
 
 
 def test_non_finite_tolerance_exits_2(capsys):

@@ -106,6 +106,17 @@ def test_leaving_domain_truncates_with_reason():
     assert path.points[0][0] > -10.0
 
 
+def test_step_limit_truncates_with_reason():
+    m = fk.make_friedmann(1e-3)
+    path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), 1.0, fk.StepControl(step=0.01, max_steps=5))
+    assert path.s[-1] == pytest.approx(0.05) and path.stats["steps"] == 5
+    assert path.stats["truncated"]
+    assert "max_steps=5" in path.stats["reason"]
+    # a sweep that reaches its target on its last allowed step is not truncated
+    full = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), 0.05, fk.StepControl(step=0.01, max_steps=5))
+    assert not full.stats["truncated"] and full.stats["reason"] is None
+
+
 def test_rejects_non_unit_velocity():
     m = fk.make_friedmann(0.001)
     with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ import pytest
 from framekin.hyperdual import (
     HyperDual,
     asinh,
-    batch_size,
     cos,
     dual_matrix_inverse,
     dual_newton_invert,
@@ -16,8 +15,6 @@ from framekin.hyperdual import (
     seed,
     sin,
     sqrt,
-    stack,
-    take,
     value,
 )
 
@@ -166,29 +163,88 @@ def test_dual_matrix_inverse_on_a_block_pivots_per_sample(rng):
     rows = [[rows[i][j] + np.array([m[i, j] for m in mats]) for j in range(4)] for i in range(4)]
     inv = dual_matrix_inverse(rows)
     for k in range(5):
-        single = dual_matrix_inverse(take(rows, k))
+        single = dual_matrix_inverse([[HyperDual(c.val[k], c.grad[:, k]) for c in row] for row in rows])
         for i in range(4):
             for j in range(4):
                 assert inv[i][j].val[k] == single[i][j].val
                 assert np.array_equal(inv[i][j].grad[:, k], single[i][j].grad)
 
 
-def test_take_and_stack_round_trip():
-    x = seed(np.arange(12.0).reshape(3, 4), order=2)
-    nested = [[x[0] * x[1], 2.0], [x[3], np.array([1.0, 2.0, 3.0])]]
-    assert batch_size(nested) == 3 and batch_size([[1.0, x[0].val[0]]]) is None
-    back = stack([take(nested, k) for k in range(3)])
-    assert np.array_equal(back[0][0].hess, nested[0][0].hess)
-    assert np.array_equal(back[0][1], [2.0, 2.0, 2.0])
-    assert np.array_equal(back[1][1], [1.0, 2.0, 3.0])
+def test_dual_matrix_inverse_derivatives_are_exact(rng):
+    # A(x) quadratic in x: the gradient is -A^-1 dA A^-1 and the Hessian
+    # A^-1 (dA_r A^-1 dA_s + dA_s A^-1 dA_r - d2A_rs) A^-1
+    x0 = rng.normal(size=4)
+    lin = 0.1 * rng.normal(size=(4, 4, 4))  # [i, j, r]
+    quad = 0.05 * rng.normal(size=(4, 4, 4, 4))  # [i, j, r, s]
+    quad = quad + np.swapaxes(quad, 2, 3)
+    base = rng.normal(size=(4, 4)) + 4.0 * np.eye(4)
+    x = seed(x0, order=2)
+    rows = [[base[i, j] + 0.0 * x[0] for j in range(4)] for i in range(4)]
+    for i in range(4):
+        for j in range(4):
+            for r in range(4):
+                rows[i][j] = rows[i][j] + lin[i, j, r] * x[r]
+                for s in range(4):
+                    rows[i][j] = rows[i][j] + 0.5 * quad[i, j, r, s] * x[r] * x[s]
+    inv = dual_matrix_inverse(rows)
+    a = np.array([[c.val for c in row] for row in rows])
+    da = np.array([[c.grad for c in row] for row in rows])  # [i, j, r]
+    d2a = np.array([[c.hess for c in row] for row in rows])  # [i, j, r, s]
+    ainv = np.linalg.inv(a)
+    grad = -np.einsum("ik,klr,lj->ijr", ainv, da, ainv)
+    first = np.einsum("ik,klr,lm,mns,nj->ijrs", ainv, da, ainv, da, ainv)
+    hess = first + np.swapaxes(first, 2, 3) - np.einsum("ik,klrs,lj->ijrs", ainv, d2a, ainv)
+    assert np.max(np.abs(np.array([[c.val for c in row] for row in inv]) - ainv)) < 1e-14
+    assert np.max(np.abs(np.array([[c.grad for c in row] for row in inv]) - grad)) < 1e-14
+    assert np.max(np.abs(np.array([[c.hess for c in row] for row in inv]) - hess)) < 1e-14
+
+
+def test_dual_matrix_inverse_refuses_a_singular_value_part():
+    x = seed([0.1, 0.2, 0.3, 0.4], order=1)
+    rows = [[x[0] * 0.0 + (1.0 if i == j and i < 3 else 0.0) for j in range(4)] for i in range(4)]
+    with pytest.raises(ZeroDivisionError):
+        dual_matrix_inverse(rows)
 
 
 def test_newton_inversion_of_a_block_solves_sample_by_sample():
     def quadratic_map(x):
         return [x[0] + 0.1 * x[1] * x[1], x[1] - 0.05 * x[0] * x[2], x[2] + 0.02 * x[3] * x[3], x[3] + 0.01 * x[0] * x[1]]
 
-    targets = np.array([[0.4, -0.3, 0.2, 0.1], [0.1, 0.2, -0.3, 0.5], [0.0, 0.0, 0.0, 0.0]])
+    targets = np.array([[0.4, -0.3, 0.2, 0.1], [0.1, 0.2, -0.3, 0.5], [0.0, 0.0, 0.0, 0.0], [0.7, 0.0, 0.0, 0.0]])
     sol = dual_newton_invert(quadratic_map, seed(targets, order=1), targets)
     for k, t in enumerate(targets):
         single = dual_newton_invert(quadratic_map, seed(t, order=1), t)
         assert all(sol[i].val[k] == single[i].val and np.array_equal(sol[i].grad[:, k], single[i].grad) for i in range(4))
+
+
+def test_newton_inversion_of_a_block_stops_each_row_at_its_own_iteration():
+    # the fixed point (0.7, 0, 0, 0) starts converged beside rows that need several steps
+    def quadratic_map(x):
+        return [x[0] + 0.1 * x[1] * x[1], x[1] - 0.05 * x[0] * x[2], x[2] + 0.02 * x[3] * x[3], x[3] + 0.01 * x[0] * x[1]]
+
+    iterations = []
+
+    def counted(x):
+        iterations.append(np.size(value(x[0])))
+        return quadratic_map(x)
+
+    targets = np.array([[0.4, -0.3, 0.2, 0.1], [0.7, 0.0, 0.0, 0.0], [0.1, 0.2, -0.3, 0.5]])
+    for t in targets:
+        del iterations[:]
+        dual_newton_invert(counted, list(t), t)
+        assert (len(iterations) == 1) == (t[1] == 0.0)
+    del iterations[:]
+    sol = dual_newton_invert(counted, list(targets.T), targets)
+    assert iterations[0] == 3 and iterations[1] == 2 and len(iterations) > 2  # the converged row left after one step
+    for k, t in enumerate(targets):
+        assert [s[k] for s in sol] == dual_newton_invert(quadratic_map, list(t), t)
+
+
+def test_newton_inversion_raises_when_a_row_does_not_converge():
+    def shifted_square(x):  # x0^2 + 1 = 0 has no real root, x0^2 + 1 = 2 has one
+        return [x[0] * x[0] + 1.0, x[1], x[2], x[3]]
+
+    target = [np.array([2.0, 0.0]), np.zeros(2), np.zeros(2), np.zeros(2)]
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        dual_newton_invert(shifted_square, target, np.array([[0.5, 0, 0, 0], [0.5, 0, 0, 0]]))
+    assert dual_newton_invert(shifted_square, [2.0, 0.0, 0.0, 0.0], [0.5, 0, 0, 0])[0] == 1.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import framekin as fk
-from framekin.hyperdual import value
+from framekin.hyperdual import jet, value
 from framekin.normal import TubeDomainError
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -185,12 +185,12 @@ def test_tube_chart_evaluates_each_foot_point_once(monkeypatch):
     real = nm.christoffel_jet
 
     def counted(metric, x):
-        feet.append(tuple(x))
+        feet.extend(map(tuple, np.reshape(x, (-1, 4))))  # the rows of a block call
         return real(metric, x)
 
     monkeypatch.setattr(nm, "christoffel_jet", counted)
     fk.moving_lab_expansion_pair(1e-3, 0.2)
-    # two lab charts share only the epoch as a foot point: 9 calls (77 without reuse)
+    # two lab charts share only the epoch as a foot point: 9 evaluated points (77 without reuse)
     assert len(feet) == 9 and len(set(feet)) == 8
 
 
@@ -212,3 +212,59 @@ def test_tube_chart_jet_cache_is_bounded(monkeypatch):
     for x, (gamma, dgamma) in zip(feet, jets):
         want = real(m.metric, x)
         assert np.array_equal(gamma, want[0]) and np.array_equal(dgamma, want[1])
+
+
+# -- the sliding chart as array code -----------------------------------------------
+
+# off-curve chart points inside the tube of the drifting lab below
+OFF_CURVE = np.array(
+    [[0.05, 0.02, -0.01, 0.03], [-0.11, 0.0, 0.04, -0.02], [0.12, -0.03, 0.0, 0.01], [0.0, 0.01, 0.02, 0.0]]
+)
+
+
+def drifting_tube(a=1e-2, u=0.3):
+    import framekin.normal as nm
+
+    m = fk.make_friedmann(a, u)
+    w = np.sqrt(1.0 + u * u)
+    tetrad = np.eye(4)
+    tetrad[0], tetrad[1] = [w, u, 0, 0], [u, w, 0, 0]
+    path = fk.integrate_geodesic(
+        m.metric, (0, 0, 0, 0), (w, u, 0, 0), 0.25, fk.StepControl(step=2e-3), s_min=-0.25, tetrad=tetrad
+    )
+    return nm._TubeChart(m.metric, path)
+
+
+def richardson(fn, xi, h=1e-4):
+    """[b, ...] = d fn / d xi^b by central differences, Richardson refined."""
+    out = []
+    for b in range(4):
+        axis = np.eye(4)[b]
+        d1, d2 = ((fn(xi + k * axis) - fn(xi - k * axis)) / (2 * k) for k in (h, h / 2))
+        out.append((4.0 * d2 - d1) / 3.0)
+    return np.array(out)
+
+
+def test_tube_chart_jacobian_is_the_jet_of_its_map():
+    tube = drifting_tube()
+    _, dx = jet(tube.inverse_fn, OFF_CURVE)  # [n, a, mu]
+    jac = np.array(tube.inverse_jacobian_fn(list(OFF_CURVE.T)))  # [mu, a, n]
+    assert np.max(np.abs(np.moveaxis(jac, -1, 0) - np.swapaxes(dx, 1, 2))) < 1e-12
+    for k, xi in enumerate(OFF_CURVE):
+        point = np.array(tube.inverse_jacobian_fn(list(xi)))
+        assert np.array_equal(point, jac[..., k])  # a block equals its points
+        # the map's own Jacobian is exact: no term of it is held constant
+        measured = richardson(lambda p: np.array(tube.inverse_fn(list(p))), xi)
+        assert np.max(np.abs(dx[k] - measured)) < 1e-10
+
+
+def test_raw_lab_field_rate_matches_central_differences():
+    tube = drifting_tube()
+
+    def raw(xi):  # column 0 of the Jacobian: the raw lab field
+        return [row[0] for row in tube.inverse_jacobian_fn(xi)]
+
+    _, exact = jet(raw, OFF_CURVE)  # [n, b, mu]
+    for k, xi in enumerate(OFF_CURVE):
+        measured = richardson(lambda p: np.array(raw(list(p))), xi)
+        assert np.max(np.abs(exact[k] - measured)) < 1e-8
