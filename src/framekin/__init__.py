@@ -35,7 +35,6 @@ from .frames import (
     SynchronizabilityResult,
     classify_synchronizability,
     coframe,
-    expansion_rate,
     grid_samples,
     is_pirf,
     kinematic_decompose,
@@ -45,7 +44,6 @@ from .geodesics import (
     ExperimentReport,
     GeodesicPath,
     StepControl,
-    StepSizeUnderflowError,
     TransportedTetrad,
     free_particle_experiment,
     integrate_geodesic,

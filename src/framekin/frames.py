@@ -28,7 +28,6 @@ from .geometry import (
     MetricField,
     as_point,
     as_points,
-    covariant_derivative_field,
     eval_metric,
     metric_jet,
     _gamma_from_jets,
@@ -151,7 +150,7 @@ def kinematic_decompose(metric: MetricField, frame: FrameField, p) -> KinematicD
     """Split the covariant derivative of a frame into its kinematic parts, at a point or a block."""
     p, coords = as_points(p, metric.chart_id)
     g, dg = metric_jet(metric, p, order=1)
-    gamma = _gamma_from_jets(g, dg)
+    gamma = _gamma_from_jets(g, dg, metric.name)
     q, dq = jet(frame.component_fn, coords)
 
     nabla = np.swapaxes(dq, -1, -2) + np.einsum("...mnr,...r->...mn", gamma, q)  # Q^mu_{;nu}
@@ -166,11 +165,6 @@ def kinematic_decompose(metric: MetricField, frame: FrameField, p) -> KinematicD
     shear = 0.5 * (proj + np.swapaxes(proj, -1, -2)) - (theta / 3.0)[..., None, None] * h_lo
     theta = float(theta) if theta.ndim == 0 else theta
     return KinematicDecomposition(theta, accel, vort, shear, h_lo, p, frame.label)
-
-
-def expansion_rate(metric: MetricField, frame: FrameField, p) -> float:
-    """Covariant divergence Q^mu_{;mu} alone (cheaper than the full split)."""
-    return float(np.trace(covariant_derivative_field(metric, frame, p)))
 
 
 def curl_and_wedge(metric: MetricField, frame: FrameField, p):

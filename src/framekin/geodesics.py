@@ -42,10 +42,6 @@ from .geometry import (
 log = logging.getLogger(__name__)
 
 
-class StepSizeUnderflowError(ArithmeticError):
-    """Adaptive integration could not meet the tolerance."""
-
-
 @dataclass
 class StepControl:
     """Integrator selection: 'rk4' fixed step or 'rk45' adaptive."""
@@ -253,10 +249,15 @@ class _Sweep:
         return self.reason is None and self.sgn * (self.target - self.s) > 1e-15
 
     def adapt(self, err, dt, control):
-        """Step-size control of an embedded tableau; True when the step of width dt is accepted."""
+        """Step-size control of an embedded tableau; True when the step of width dt is accepted.
+
+        A step at ``control.min_step`` whose error is still above the
+        tolerance is rejected and truncates the sweep with its reason.
+        """
         accept = err <= control.tol or abs(dt) <= control.min_step
         if accept and err > control.tol:
-            raise StepSizeUnderflowError(f"step underflow at s={self.s}: error {err} above tolerance {control.tol}")
+            self.reason = f"step underflow at s={self.s}: error {err} above tolerance {control.tol}"
+            return False
         scale = 0.9 * (control.tol / err) ** 0.2 if err > 0 else 2.0
         self.h = dt * min(4.0, max(0.1, scale))
         if abs(self.h) < control.min_step:
@@ -336,10 +337,11 @@ def _sweep(metric, sweeps, control, tableau, calls):
     at the knot the step leaves, so a step costs one connection evaluation
     per further stage plus one at the knot it reaches.  The error norm of
     an embedded tableau covers (x, v) only: a carried tetrad never changes
-    the steps.  A sweep that leaves the domain stops there with its reason;
-    the others run on.  Per-sweep arithmetic is elementwise, so each sweep
-    reproduces a run of its own bit for bit wherever the connection of a
-    block equals that of its points (see ``hyperdual``).
+    the steps.  A sweep that leaves the domain or underflows its adaptive
+    step stops there with its reason; the others run on.  Per-sweep
+    arithmetic is elementwise, so each sweep reproduces a run of its own
+    bit for bit wherever the connection of a block equals that of its
+    points (see ``hyperdual``).
     """
     while True:
         act = [sw for sw in sweeps if sw.running(control)]
@@ -386,8 +388,8 @@ def integrate_geodesics(
     All sweeps share one connection evaluation per stage; each path equals
     the one ``integrate_geodesic`` returns for its start alone wherever a
     block connection equals its points bit for bit (components built from
-    arithmetic and ``sqrt``).  Leaving the chart domain truncates a path
-    and records the reason in ``stats['truncated']``.
+    arithmetic and ``sqrt``).  Leaving the chart domain or an adaptive step
+    underflow truncates a path and records why in ``stats['reason']``.
 
     Returns one ``GeodesicPath`` per start, in order.
     """
@@ -449,8 +451,8 @@ def integrate_geodesic(
 
     Covers proper times [s_min, s_max] (s_min may be negative; the path then
     extends backward through p0, and both sweeps run in lockstep).  Leaving
-    the chart domain truncates the path and records the reason in
-    ``stats['truncated']``.
+    the chart domain or an adaptive step underflow truncates the path and
+    records why in ``stats['reason']``.
 
     Args:
         tetrad: optional 4x4 array, rows e_a^mu at p0, orthonormal with e_0

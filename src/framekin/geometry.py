@@ -168,7 +168,7 @@ def inverse_metric(metric: MetricField, p) -> np.ndarray:
     return _invert(eval_metric(metric, p), metric.name)
 
 
-def _invert(g: np.ndarray, name="metric") -> np.ndarray:
+def _invert(g: np.ndarray, name) -> np.ndarray:
     """Inverse of a metric (4, 4) or of each metric of a stack (N, 4, 4), refusing singular ones."""
     point = g.ndim == 2
     where = "" if point else " at sample {}"
@@ -229,23 +229,23 @@ def _braces(dg):
     return np.einsum("...ikj->...kij", dg) + np.einsum("...jki->...kij", dg) - dg
 
 
-def _gamma_from_jets(g, dg):
-    # Gamma^m_{ij} = 1/2 g^{mk} (d_i g_{kj} + d_j g_{ki} - d_k g_{ij})
-    return 0.5 * np.einsum("...mk,...kij->...mij", _invert(g), _braces(dg))
+def _gamma_from_jets(g, dg, name):
+    # Gamma^m_{ij} = 1/2 g^{mk} (d_i g_{kj} + d_j g_{ki} - d_k g_{ij}); name is the metric's, for errors
+    return 0.5 * np.einsum("...mk,...kij->...mij", _invert(g, name), _braces(dg))
 
 
 def christoffel(metric: MetricField, p) -> ConnectionCoefficients:
     """Connection coefficients from the exact first metric derivatives, at a point or a block."""
     p, _ = as_points(p, metric.chart_id)
     g, dg = metric_jet(metric, p, order=1)
-    gamma = _gamma_from_jets(g, dg)
+    gamma = _gamma_from_jets(g, dg, metric.name)
     return ConnectionCoefficients(gamma, p)
 
 
 def _connection_jet(metric: MetricField, p):
     """(g, g^-1, gamma, dgamma) from one order-2 metric jet and one inversion, at a point or a block."""
     g, dg, d2g = metric_jet(metric, p, order=2)
-    ginv = _invert(g)
+    ginv = _invert(g, metric.name)
     braces = _braces(dg)
     gamma = 0.5 * np.einsum("...mk,...kij->...mij", ginv, braces)
     dginv = -np.einsum("...ma,...sab,...bk->...smk", ginv, dg, ginv)

@@ -1,14 +1,22 @@
 """Scenario runner: exit codes, determinism, schema conformance."""
 
+import contextlib
+import io
 import json
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import framekin
+import framekin.cli as cli
 from framekin.cli import main, run_scenario
+from framekin.frames import FrameCausalityError
+from framekin.geometry import ChartDomainError, MetricSignatureError, SingularMetricError
+from framekin.normal import TubeDomainError
 
 SCHEMA_PATH = Path(framekin.__file__).parent / "data" / "report.schema.json"
 
@@ -313,3 +321,164 @@ def test_log_level_env(monkeypatch, tmp_path, caplog):
     out = tmp_path / "r.json"
     rc = main(["decompose", "--model", "minkowski", "--frame", "inertial", "--out", str(out)])
     assert rc == 0
+
+
+@pytest.mark.parametrize(
+    "scenario, cfg, key",
+    [
+        ("plli", {"a": None}, "a"),
+        ("plli", {"a": [1]}, "a"),
+        ("plli", {"tol": None}, "tol"),
+        ("equivalence", {"frames": 5}, "frames"),
+        ("decompose", {"frame": ["x"]}, "frame"),
+        ("plli", {"out": ["x"]}, "out"),
+        ("plli", {"out": 7}, "out"),
+        ("plli", {"out": 1}, "out"),
+        ("plli", {"format": 5}, "format"),
+        ("classify", {"grid": True}, "grid"),
+        ("normal-chart", {"point": "0,0,nan,0"}, "point"),
+        ("geodesic", {"step": "-1"}, "step"),
+        ("plli", {"v": 10**400}, "v"),
+    ],
+)
+def test_invalid_config_value_names_its_key(scenario, cfg, key, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([scenario, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"framekin: invalid configuration: {key} must be ") and "Traceback" not in err
+    assert err.rstrip().endswith(f"got {cfg[key]!r}")
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["plli", "--a", "nan"], "a"),
+        (["classify", "--omega", "nan"], "omega"),
+        (["decompose", "--u", "nan", "--frame", "drifting"], "u"),
+        (["experiment", "--v-probe", "inf"], "v_probe"),
+        (["pirf-check", "--box-hi", "1,1,1"], "box_hi"),
+    ],
+)
+def test_invalid_flag_value_names_its_key(argv, key, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"framekin: invalid configuration: {key} must be ") and "Traceback" not in err
+
+
+def test_numeric_strings_in_a_config_are_accepted_and_echoed(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"model": "friedmann", "a": "1e-3", "u": "0.1005", "frame": "drifting"}')
+    out, ref = tmp_path / "r.json", tmp_path / "ref.json"
+    assert main(["decompose", "--config", str(cfg), "--out", str(out)]) == 0
+    argv = ["decompose", "--a", "1e-3", "--u", "0.1005", "--frame", "drifting", "--out", str(ref)]
+    assert main(argv) == 0
+    report = _load(out)
+    assert report["inputs"]["u"] == "0.1005"
+    assert report["result"] == _load(ref)["result"]
+
+
+def test_singular_metric_stop_names_its_metric(capsys):
+    assert main(["plli", "--a", "1e10", "--v", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert "friedmann(a=" in err and "metric: metric" not in err
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (ChartDomainError("outside the chart"), 2),
+        (MetricSignatureError("not Lorentzian"), 2),
+        (TubeDomainError("outside the tube"), 2),
+        (FrameCausalityError("not timelike"), 2),
+        (SingularMetricError("singular"), 3),
+        (ZeroDivisionError("division by zero"), 3),
+        (ArithmeticError("blowup"), 3),
+    ],
+)
+def test_exit_code_of_each_error(error, code, monkeypatch, capsys):
+    def fail(cfg):
+        raise error
+
+    monkeypatch.setitem(cli._RUNNERS, "plli", fail)
+    assert main(["plli"]) == code
+    err = capsys.readouterr().err
+    kind = "invalid configuration" if code == 2 else "numeric failure"
+    assert err == f"framekin: {kind}: {error}\n"
+
+
+# Values valid for each key; the fuzz test mixes them with the values below.
+# Work stays bounded: a valid grid is at most 4, and a geodesic always gets
+# an smax, so it takes at most 500 steps of the default step.
+_VALID = {
+    "a": [1e-3, 0.05],
+    "u": [0.0, 0.1005],
+    "omega": [0.1],
+    "speed": [0.5],
+    "v": [0.1, 0.3],
+    "v_probe": [0.01],
+    "tol": [1e-7, 1e-8],
+    "model": ["friedmann", "minkowski"],
+    "frame": ["comoving", "drifting", "inertial", "boosted", "rotating"],
+    "frames": ["comoving,drifting", "inertial,boosted", ["inertial", "boosted"]],
+    "point": ["0,0,0,0", "0.5,0.1,-0.2,0.3"],
+    "box_lo": ["0,-0.5,-0.5,-0.5", "0,0.5,0.2,-0.2"],
+    "box_hi": ["1,0.5,0.5,0.5", "0.5,1.5,1,0.2"],
+    "grid": [1, 2, 4],
+    "smax": [0.01, 0.5],
+    "step": [0.01, 0.1],
+    "out": ["r.out"],
+    "format": ["json", "csv"],
+}
+_EDGE = [
+    0, 0.0, -1.0, 1e300, -1e300, 1e-300, -1e-300, float("nan"), float("inf"), float("-inf"),
+    10**400, None, True, False, [1.0], {}, "", "x", "nan", "1e300", "0,0,0", "nan,0,0,0", "1e300,-1e300,1e-300,0",
+]
+
+
+@st.composite
+def _fuzz_case(draw):
+    """(scenario, [(key, value, through a flag?)]) over the scenario's keys and one unknown key."""
+    scenario = draw(st.sampled_from(cli.SCENARIOS))
+    keys = [*cli._GLOBAL, *cli._DEFAULTS[scenario], "bogus"]
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=6))
+    if scenario == "geodesic" and "smax" not in chosen:
+        chosen.append("smax")
+    items = []
+    for key in chosen:
+        edge = draw(st.sampled_from([False, False, True]))  # a third of the values are edge values
+        value = draw(st.sampled_from(_EDGE if edge or key not in _VALID else _VALID[key]))
+        items.append((key, value, draw(st.booleans())))
+    return scenario, items
+
+
+def _run_case(scenario, items):
+    """(exit code, stderr) of main on a case; argparse refusals count by their exit code."""
+    config = {k: v for k, v, flag in items if not flag}
+    argv = [scenario, *(f"--{k.replace('_', '-')}={v}" for k, v, flag in items if flag)]
+    if config:
+        Path("cfg.json").write_text(json.dumps(config))
+        argv += ["--config", "cfg.json"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 2 and "error:" in err.getvalue()
+    return code, err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_fuzz_case())
+@example(case=("plli", [("a", None, False)]))
+@example(case=("equivalence", [("frames", 5, False)]))
+@example(case=("classify", [("omega", float("nan"), True)]))
+def test_main_exits_0_2_or_3_without_traceback_on_any_input(case, tmp_path_factory):
+    cwd = os.getcwd()
+    os.chdir(tmp_path_factory.mktemp("fuzz"))  # the outputs and trajectory.csv land here
+    try:
+        code, err = _run_case(*case)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 2, 3) and "Traceback" not in err

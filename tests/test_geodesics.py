@@ -14,7 +14,6 @@ import pytest
 
 import framekin as fk
 from framekin.catalog import experiment_accelerations_closed, z_chart
-from framekin.geodesics import StepSizeUnderflowError
 from framekin.maps import pushed_metric_field
 from framekin.oracles import adaptive_simpson
 
@@ -93,9 +92,24 @@ def test_adaptive_integrator_and_underflow():
         got = path.velocities[k][1] / path.velocities[k][0]
         assert abs(got - drift_velocity_closed(0.01, 0.3, t)) < 1e-7
 
-    with pytest.raises(StepSizeUnderflowError):
-        bad = fk.StepControl(method="rk45", step=0.05, tol=1e-22, min_step=0.04)
-        fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (w, u, 0, 0), 3.0, bad)
+    # a tolerance no step at min_step can meet truncates the path with its reason
+    bad = fk.StepControl(method="rk45", step=0.05, tol=1e-22, min_step=0.04)
+    path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (w, u, 0, 0), 3.0, bad)
+    assert path.stats["truncated"] and path.stats["reason"].startswith("step underflow")
+    assert path.s[-1] < 3.0
+
+
+def test_step_underflow_truncates_only_its_own_sweep():
+    # toward the big bang at t = -2 the drifting start's adaptive steps
+    # underflow, while the comoving start leaves the chart domain first
+    m = fk.make_friedmann(0.5, 0.5)
+    ctrl = fk.StepControl("rk45", 0.05, tol=1e-10)
+    starts = [((0, 0, 0, 0), (1, 0, 0, 0), None), ((0, 0, 0, 0), (np.sqrt(1.25), 0.5, 0, 0), None)]
+    comoving, drifting = fk.integrate_geodesics(m.metric, starts, 1.0, ctrl, s_min=-3.0)
+    assert_same_path(comoving, fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), 1.0, ctrl, s_min=-3.0))
+    assert "outside chart domain" in comoving.stats["reason"]
+    assert drifting.stats["truncated"] and drifting.stats["reason"].startswith("step underflow")
+    assert drifting.s[-1] == 1.0 and -3.0 < drifting.s[0] < -1.0
 
 
 def test_leaving_domain_truncates_with_reason():
