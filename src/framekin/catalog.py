@@ -35,11 +35,8 @@ class ScaleFactor:
     """Linear scale history R(t) = 1 + a t with a >= 0; R(0) = 1."""
 
     a: float
-    kind: str = "linear"
 
     def __post_init__(self):
-        if self.kind != "linear":
-            raise ValueError(f"unsupported scale-factor kind {self.kind!r}")
         if self.a < 0:
             raise ValueError("expansion parameter must be nonnegative")
 
@@ -52,9 +49,6 @@ class ScaleFactor:
 
     def rate(self, t):
         return self.a
-
-    def accel(self, t):
-        return 0.0
 
 
 @dataclass
@@ -106,7 +100,7 @@ def make_friedmann(a, u=0.0) -> FriedmannModel:
         return [root / r, uu / (r * r), 0.0, 0.0]
 
     frame_z = make_frame(drifting_comps, metric, label="drifting")
-    v = uu / np.sqrt(1.0 + uu * uu)
+    v = uu / math.hypot(1.0, uu)  # u/(1+u^2)^(1/2) without overflow of u^2
     return FriedmannModel(scale, metric, frame_v, uu, frame_z, v)
 
 

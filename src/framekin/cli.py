@@ -175,18 +175,19 @@ def _run_geodesic(cfg):
     step, smax = cfg["step"], cfg["smax"]
     if smax / step > _MAX_STEPS:
         raise ValueError(f"smax / step must be at most {_MAX_STEPS} steps, got {smax / step:.6g}")
-    path = integrate_geodesic(
-        model.metric, (0.0, 0.0, 0.0, 0.0), (w, u, 0.0, 0.0), smax, StepControl(method="rk4", step=step)
-    )
+    path = integrate_geodesic(model.metric, (0.0, 0.0, 0.0, 0.0), (w, u, 0.0, 0.0), smax, StepControl(step=step))
     csv_path = cfg["out"] or "trajectory.csv"
     path.to_csv(csv_path)
-    return {
+    result = {
         "samples": len(path.s),
         "steps": path.stats["steps"],
         "max_norm_drift": path.stats["max_norm_drift"],
         "truncated": path.stats["truncated"],
         "csv_path": str(csv_path),
     }
+    if path.stats["truncated"]:
+        result["reason"] = path.stats["reason"]
+    return result
 
 
 def _run_experiment(cfg):

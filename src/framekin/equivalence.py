@@ -257,7 +257,7 @@ def moving_lab_expansion_pair(
         raise ValueError("need a >= 0")
     u = drift_speed_to_momentum(v_param)
     model = make_friedmann(a_param, u)
-    control = StepControl(method="rk4", step=step)
+    control = StepControl(step=step)
     epoch = (0.0, 0.0, 0.0, 0.0)
 
     w = np.sqrt(1.0 + u * u)

@@ -1,9 +1,7 @@
 """Geodesic integration with in-pass tetrad transport, and the free-particle probe.
 
-Worldlines are parameterized by proper time and integrated by one explicit
-Runge-Kutta loop over a Butcher tableau: the classical 4th-order one with a
-fixed step by default (reproducible runs), or the embedded Fehlberg 4(5)
-one with adaptive steps, both selected through ``StepControl``.  Given an initial
+Worldlines are parameterized by proper time and integrated by the classical
+4th-order Runge-Kutta method with a fixed step (``StepControl``).  Given an initial
 tetrad, the same pass parallel-transports it: the state is (x, v, e_a), and
 each stage's one connection evaluation feeds both the geodesic equation
 a = -Gamma(v, v) and the transport equation de_a/ds = -Gamma(v, e_a).
@@ -44,44 +42,10 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class StepControl:
-    """Integrator selection: 'rk4' fixed step or 'rk45' adaptive."""
+    """Fixed RK4 step size, and the step count at which a sweep is cut short."""
 
-    method: str = "rk4"
     step: float = 1e-3
-    tol: float = 1e-10
-    min_step: float = 1e-12
     max_steps: int = 2_000_000
-
-
-@dataclass(frozen=True)
-class _Tableau:
-    """Explicit Runge-Kutta tableau (Hairer, Norsett & Wanner, Solving ODEs I, II.1).
-
-    The update weights are ``b / b_den``; ``b_low`` are the weights of the
-    embedded lower-order solution, whose difference drives step control.
-    """
-
-    a: tuple
-    b: tuple
-    b_den: float = 1.0
-    b_low: Optional[tuple] = None
-
-
-_TABLEAUX = {
-    "rk4": _Tableau(a=((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)), b=(1.0, 2.0, 2.0, 1.0), b_den=6.0),
-    "rk45": _Tableau(  # Fehlberg 4(5), advancing with the 5th-order solution
-        a=(
-            (),
-            (1 / 4,),
-            (3 / 32, 9 / 32),
-            (1932 / 2197, -7200 / 2197, 7296 / 2197),
-            (439 / 216, -8, 3680 / 513, -845 / 4104),
-            (-8 / 27, 2, -3544 / 2565, 1859 / 4104, -11 / 40),
-        ),
-        b=(16 / 135, 0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55),
-        b_low=(25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0),
-    ),
-}
 
 
 def _rhs(metric, y, knot=False):
@@ -111,13 +75,6 @@ def _rhs(metric, y, knot=False):
     dgamma_ds = np.einsum("...smnr,...s,...n->...mr", dgamma, v, v) + np.einsum("...mnr,...n->...mr", gamma, acc)
     d2e = -np.einsum("...mr,...ar->...am", dgamma_ds, e) - np.einsum("...mnr,...n,...ar->...am", gamma, v, de)
     return dy, d2e.reshape(lead + (-1,))
-
-
-def _weighted(weights, ks):
-    """sum_i w_i k_i over the nonzero weights, starting from the first term,
-    so the RK4 update rounds exactly like dt/6 (k1 + 2 k2 + 2 k3 + k4)."""
-    terms = [w * k for w, k in zip(weights, ks) if w]
-    return sum(terms[1:], terms[0])
 
 
 class QuinticDense:
@@ -231,14 +188,13 @@ def _initial_state(metric, p0, v0, tetrad):
 class _Sweep:
     """One direction of one path: its own proper time, sign, step size, knots and counts."""
 
-    def __init__(self, origin, target, control, tableau, counts):
+    def __init__(self, origin, target, control, counts):
         self.knots = [origin]  # (s, y, dy/ds, d2e)
         self.s = origin[0]
         self.target = target
         self.sgn = 1.0 if target >= 0 else -1.0
-        self.h = self.sgn * abs(control.step)
+        self.step = abs(control.step)
         self.steps = 0
-        self.max_err = None if tableau.b_low is None else 0.0  # largest accepted error estimate
         self.reason = None  # why the sweep was truncated
         self.counts = counts  # connection evaluations, shared by the sweeps of a path
 
@@ -247,24 +203,6 @@ class _Sweep:
         if self.reason is None and self.steps >= control.max_steps and self.sgn * (self.target - self.s) > 1e-15:
             self.reason = f"step limit: max_steps={control.max_steps} reached at s={self.s!r}"
         return self.reason is None and self.sgn * (self.target - self.s) > 1e-15
-
-    def adapt(self, err, dt, control):
-        """Step-size control of an embedded tableau; True when the step of width dt is accepted.
-
-        A step at ``control.min_step`` whose error is still above the
-        tolerance is rejected and truncates the sweep with its reason.
-        """
-        accept = err <= control.tol or abs(dt) <= control.min_step
-        if accept and err > control.tol:
-            self.reason = f"step underflow at s={self.s}: error {err} above tolerance {control.tol}"
-            return False
-        scale = 0.9 * (control.tol / err) ** 0.2 if err > 0 else 2.0
-        self.h = dt * min(4.0, max(0.1, scale))
-        if abs(self.h) < control.min_step:
-            self.h = self.sgn * control.min_step
-        if accept:
-            self.max_err = max(self.max_err, err)
-        return accept
 
 
 def _evaluate(metric, y, rows, sweeps, calls, knot=False):
@@ -328,17 +266,16 @@ def _spread(a, rows, n):
     return out
 
 
-def _sweep(metric, sweeps, control, tableau, calls):
+def _sweep(metric, sweeps, control, calls):
     """Integrate a block of sweeps in lockstep, each from its last knot toward its target.
 
     Every step advances each running sweep by its own dt, and each stage
     evaluates the connection once for all of them (a point call when one
     sweep is left).  The first stage of every step is the derivative stored
     at the knot the step leaves, so a step costs one connection evaluation
-    per further stage plus one at the knot it reaches.  The error norm of
-    an embedded tableau covers (x, v) only: a carried tetrad never changes
-    the steps.  A sweep that leaves the domain or underflows its adaptive
-    step stops there with its reason; the others run on.  Per-sweep
+    per further stage plus one at the knot it reaches.  A sweep that leaves
+    the domain or meets a singular metric stops there with its reason; the
+    others run on.  Per-sweep
     arithmetic is elementwise, so each sweep reproduces a run of its own
     bit for bit wherever the connection of a block equals that of its
     points (see ``hyperdual``).
@@ -347,26 +284,18 @@ def _sweep(metric, sweeps, control, tableau, calls):
         act = [sw for sw in sweeps if sw.running(control)]
         if not act:
             return
-        dts = [sw.sgn * min(abs(sw.h), abs(sw.target - sw.s)) for sw in act]
+        dts = [sw.sgn * min(sw.step, abs(sw.target - sw.s)) for sw in act]
         if len(act) == 1:
-            _, y, k, _ = act[0].knots[-1]
-            dt, base, ks = dts[0], y[None], [k[None]]
+            _, y, k1, _ = act[0].knots[-1]
+            dt, y, k1 = dts[0], y[None], k1[None]
         else:
             dt = np.array(dts)[:, None]
-            base, ks = np.array([sw.knots[-1][1] for sw in act]), [np.array([sw.knots[-1][2] for sw in act])]
+            y, k1 = np.array([sw.knots[-1][1] for sw in act]), np.array([sw.knots[-1][2] for sw in act])
         rows = list(range(len(act)))
-        for row in tableau.a[1:]:
-            yi = base
-            for aij, kj in zip(row, ks):
-                if aij:
-                    yi = yi + dt * aij * kj
-            rows, ki, _ = _evaluate(metric, yi, rows, act, calls)
-            ks.append(ki)
-        y_new = base + dt / tableau.b_den * _weighted(tableau.b, ks)
-        if tableau.b_low is not None:
-            y_low = base + dt * _weighted(tableau.b_low, ks)
-            err = np.max(np.abs(y_new[:, : 2 * DIM] - y_low[:, : 2 * DIM]), axis=1)
-            rows = [r for r in rows if act[r].adapt(float(err[r]), dts[r], control)]
+        rows, k2, _ = _evaluate(metric, y + dt * 0.5 * k1, rows, act, calls)
+        rows, k3, _ = _evaluate(metric, y + dt * 0.5 * k2, rows, act, calls)
+        rows, k4, _ = _evaluate(metric, y + dt * k3, rows, act, calls)
+        y_new = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rows, k_new, d2e = _evaluate(metric, y_new, rows, act, calls, knot=True)
         for r in rows:
             sw = act[r]
@@ -388,15 +317,13 @@ def integrate_geodesics(
     All sweeps share one connection evaluation per stage; each path equals
     the one ``integrate_geodesic`` returns for its start alone wherever a
     block connection equals its points bit for bit (components built from
-    arithmetic and ``sqrt``).  Leaving the chart domain or an adaptive step
-    underflow truncates a path and records why in ``stats['reason']``.
+    arithmetic and ``sqrt``).  Leaving the chart domain, a singular metric
+    or reaching ``max_steps`` truncates a path and records why in
+    ``stats['reason']``.
 
     Returns one ``GeodesicPath`` per start, in order.
     """
     control = control or StepControl()
-    tableau = _TABLEAUX.get(control.method)
-    if tableau is None:
-        raise ValueError(f"unknown integrator method {control.method!r}")
     if s_max <= s_min:
         raise ValueError("need s_max > s_min")
     y0 = [_initial_state(metric, *start) for start in starts]
@@ -415,23 +342,22 @@ def integrate_geodesics(
         pairs.append(
             (
                 counts,
-                _Sweep(origin, s_max, control, tableau, counts) if s_max > 0 else None,
-                _Sweep(origin, s_min, control, tableau, counts) if s_min < 0 else None,
+                _Sweep(origin, s_max, control, counts) if s_max > 0 else None,
+                _Sweep(origin, s_min, control, counts) if s_min < 0 else None,
             )
         )
     sweeps = [sw for _, *pair in pairs for sw in pair if sw is not None]
-    _sweep(metric, sweeps, control, tableau, calls)
-    paths = [_path(metric, control, carried, *pair) for pair in pairs]
+    _sweep(metric, sweeps, control, calls)
+    paths = [_path(metric, carried, *pair) for pair in pairs]
     if log.isEnabledFor(logging.DEBUG):
         for path in paths:
             tetrad_health = ""
             if path.tetrad is not None:
                 tetrad_health = f", tetrad orthonormality drift {path.tetrad.orthonormality_drift(metric):.3g}"
             log.debug(
-                "geodesic on %s: %s, %d steps, %d christoffel and %d christoffel_jet evaluations, "
+                "geodesic on %s: rk4, %d steps, %d christoffel and %d christoffel_jet evaluations, "
                 "norm drift %.3g%s; %d sweeps in lockstep made %d christoffel and %d christoffel_jet calls",
                 metric.name,
-                control.method,
                 path.stats["steps"],
                 path.stats["christoffel_evals"],
                 path.stats["christoffel_jet_evals"],
@@ -451,8 +377,8 @@ def integrate_geodesic(
 
     Covers proper times [s_min, s_max] (s_min may be negative; the path then
     extends backward through p0, and both sweeps run in lockstep).  Leaving
-    the chart domain or an adaptive step underflow truncates the path and
-    records why in ``stats['reason']``.
+    the chart domain, a singular metric or reaching ``max_steps`` truncates
+    the path and records why in ``stats['reason']``.
 
     Args:
         tetrad: optional 4x4 array, rows e_a^mu at p0, orthonormal with e_0
@@ -462,13 +388,12 @@ def integrate_geodesic(
     return integrate_geodesics(metric, [(p0, v0, tetrad)], s_max, control, s_min)[0]
 
 
-def _path(metric, control, carried, counts, forward, backward):
+def _path(metric, carried, counts, forward, backward):
     """The GeodesicPath of a start from its forward and backward sweeps (None when not run)."""
     done = [sw for sw in (forward, backward) if sw is not None]
     origin = done[0].knots[:1]
     knots = (backward.knots[:0:-1] if backward else []) + (forward.knots if forward else origin)
     truncated = next((sw.reason for sw in done if sw.reason is not None), None)
-    errors = [sw.max_err for sw in done if sw.max_err is not None]
 
     n = len(knots)
     s_arr = np.array([kn[0] for kn in knots])
@@ -481,11 +406,9 @@ def _path(metric, control, carried, counts, forward, backward):
     drift = float(np.max(np.abs((v[:, None, :] @ g @ v[:, :, None])[:, 0, 0] - 1.0)))
     stats = {
         "steps": sum(sw.steps for sw in done),
-        "max_step_error_estimate": max(errors) if errors else drift,
         "max_norm_drift": drift,
         "truncated": truncated is not None,
         "reason": truncated,
-        "method": control.method,
         "christoffel_evals": counts["stage"] + (0 if carried else counts["knot"]),
         "christoffel_jet_evals": counts["knot"] if carried else 0,
     }

@@ -109,7 +109,6 @@ class MetricField:
         component_fn: coordinates -> 4x4 components, dual-capable.
         chart_id: name of the chart the components live in.
         name: display name.
-        derivative_order: highest derivative order evaluable exactly (>= 2).
         domain_fn: optional coords -> bool; False means outside the chart
             domain and evaluation raises ChartDomainError.
     """
@@ -117,12 +116,7 @@ class MetricField:
     component_fn: Callable
     chart_id: str = "default"
     name: str = "metric"
-    derivative_order: int = 2
     domain_fn: Optional[Callable[[np.ndarray], bool]] = None
-
-    def __post_init__(self):
-        if self.derivative_order < 2:
-            raise ValueError("metric fields must support second derivatives")
 
     def check_domain(self, coords):
         """Raise ChartDomainError at the first non-finite or out-of-domain point of a point or block."""
@@ -148,9 +142,13 @@ def eval_metric(metric: MetricField, p, symmetry_tol=1e-12) -> np.ndarray:
 
 
 def _check_lorentzian(metric: MetricField, g, coords, symmetry_tol=1e-12):
-    """Raise MetricSignatureError at the first point where g is not symmetric (+,-,-,-) with g_00 > 0."""
+    """Raise MetricSignatureError at the first point where g is not finite, symmetric and (+,-,-,-) with g_00 > 0."""
+    scale = np.maximum(1.0, np.abs(g).max(axis=(-2, -1)))  # not finite where a component is not
+    bad = first(~np.isfinite(scale))
+    if bad is not None:
+        where, k = _sample(coords, bad)
+        raise MetricSignatureError(f"{metric.name}: components not finite at {where}", k)
     gt = np.swapaxes(g, -1, -2)
-    scale = np.maximum(1.0, np.abs(g).max(axis=(-2, -1)))
     bad = first(np.abs(g - gt).max(axis=(-2, -1)) > symmetry_tol * scale)
     if bad is not None:
         where, k = _sample(coords, bad)

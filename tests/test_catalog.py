@@ -29,6 +29,13 @@ def test_make_friedmann_drift_speed():
     assert fk.drift_speed_to_momentum(m.v) == pytest.approx(0.1005, rel=1e-12)
 
 
+def test_drift_speed_stable_for_huge_momentum():
+    # u/(1+u^2)^(1/2) with u^2 overflowing gave 0.0
+    assert fk.make_friedmann(1e-3, 1e300).v == 1.0
+    for u in (0.0, 1e-8, 0.1005, 0.3, 0.5, 3.0):
+        assert fk.make_friedmann(1e-3, u).v == u / np.sqrt(1.0 + u * u)
+
+
 def test_make_friedmann_scale_values():
     m = fk.make_friedmann(0.5)
     assert fk.eval_metric(m.metric, (1.0, 0, 0, 0))[1, 1] == pytest.approx(-2.25, abs=1e-15)

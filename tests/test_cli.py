@@ -87,6 +87,28 @@ def test_geodesic_csv_matches_closed_form(tmp_path, capsys, monkeypatch):
         assert abs(u1 / u0 - expect) < 1e-8
 
 
+def test_truncated_geodesic_report_says_why(tmp_path, capsys):
+    rc = main(["geodesic", "--a", "1e300", "--smax", "0.01", "--out", str(tmp_path / "t.csv")])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    _validate(report)
+    res = report["result"]
+    assert res["truncated"] and res["steps"] == 0
+    assert res["reason"] == "friedmann(a=1e+300): singular metric, det=-inf"
+    # an untruncated report carries no reason
+    rc = main(["geodesic", "--smax", "0.01", "--out", str(tmp_path / "t.csv")])
+    assert rc == 0
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert not res["truncated"] and "reason" not in res
+
+
+def test_non_finite_metric_exits_2_naming_the_metric(tmp_path, capsys):
+    rc = main(["normal-chart", "--point", "1e300,0,0,0", "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "friedmann(a=0.001): components not finite at [1e+300, 0.0, 0.0, 0.0]" in err
+
+
 def test_experiment_scenario(tmp_path):
     out = tmp_path / "exp.json"
     rc = main(["experiment", "--a", "1e-3", "--u", "0.1005", "--v-probe", "0.01", "--out", str(out)])

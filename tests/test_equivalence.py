@@ -120,7 +120,7 @@ def test_lab_frames_not_equivalent_at_epoch():
     a_param, v_param = 1e-3, 0.1
     u = fk.drift_speed_to_momentum(v_param)
     m = fk.make_friedmann(a_param, u)
-    ctrl = fk.StepControl(method="rk4", step=2e-3)
+    ctrl = fk.StepControl(step=2e-3)
     path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), 0.25, ctrl, s_min=-0.25, tetrad=np.eye(4))
     lab = fk.lab_frame_along_geodesic(m.metric, path)
     cmap = fk.z_chart(m)

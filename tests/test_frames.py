@@ -253,7 +253,7 @@ def test_is_pirf_lab_frame_off_curve_fails():
     # only the base curve of a lab frame is in free fall; visible at strong
     # expansion (the linear scale factor suppresses the leading tidal term)
     m = fk.make_friedmann(0.5)
-    ctrl = fk.StepControl(method="rk4", step=2e-3)
+    ctrl = fk.StepControl(step=2e-3)
     path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), 0.3, ctrl, s_min=-0.3, tetrad=np.eye(4))
     lab = fk.lab_frame_along_geodesic(m.metric, path, validity_radius=1.0)
     on_curve = fk.is_pirf(m.metric, lab.frame, [(0.0, 0, 0, 0), (0.1, 0, 0, 0)])
@@ -323,7 +323,7 @@ def test_block_pushed_and_lab_frames_match_per_point_loop(friedmann_small):
     zf = fk.pushed_frame_field(fk.z_chart(m), m.frame_drifting, gz)
     _assert_block_results_match_reference(gz, zf, fk.grid_samples((0, -0.5, -0.5, -0.5), (1, 0.5, 0.5, 0.5), 2))
     model = fk.make_friedmann(0.5)
-    ctrl = fk.StepControl(method="rk4", step=2e-3)
+    ctrl = fk.StepControl(step=2e-3)
     path = fk.integrate_geodesic(model.metric, (0, 0, 0, 0), (1, 0, 0, 0), 0.3, ctrl, s_min=-0.3, tetrad=np.eye(4))
     lab = fk.lab_frame_along_geodesic(model.metric, path, validity_radius=1.0)
     _assert_block_results_match_reference(model.metric, lab.frame, [(0.0, 0, 0, 0), (0.1, 0.2, 0, 0), (0.0, 0.4, 0.0, 0.0)])

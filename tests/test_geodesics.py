@@ -81,37 +81,6 @@ def test_fourth_order_convergence():
     assert e1 / e2 >= 14.0
 
 
-def test_adaptive_integrator_and_underflow():
-    m = fk.make_friedmann(0.01, 0.3)
-    u, w = 0.3, np.sqrt(1.09)
-    ctrl = fk.StepControl(method="rk45", step=0.05, tol=1e-10)
-    path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (w, u, 0, 0), 3.0, ctrl)
-    assert path.stats["max_step_error_estimate"] <= 1e-10
-    for k in range(0, len(path.s), 5):
-        t = path.points[k][0]
-        got = path.velocities[k][1] / path.velocities[k][0]
-        assert abs(got - drift_velocity_closed(0.01, 0.3, t)) < 1e-7
-
-    # a tolerance no step at min_step can meet truncates the path with its reason
-    bad = fk.StepControl(method="rk45", step=0.05, tol=1e-22, min_step=0.04)
-    path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (w, u, 0, 0), 3.0, bad)
-    assert path.stats["truncated"] and path.stats["reason"].startswith("step underflow")
-    assert path.s[-1] < 3.0
-
-
-def test_step_underflow_truncates_only_its_own_sweep():
-    # toward the big bang at t = -2 the drifting start's adaptive steps
-    # underflow, while the comoving start leaves the chart domain first
-    m = fk.make_friedmann(0.5, 0.5)
-    ctrl = fk.StepControl("rk45", 0.05, tol=1e-10)
-    starts = [((0, 0, 0, 0), (1, 0, 0, 0), None), ((0, 0, 0, 0), (np.sqrt(1.25), 0.5, 0, 0), None)]
-    comoving, drifting = fk.integrate_geodesics(m.metric, starts, 1.0, ctrl, s_min=-3.0)
-    assert_same_path(comoving, fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), 1.0, ctrl, s_min=-3.0))
-    assert "outside chart domain" in comoving.stats["reason"]
-    assert drifting.stats["truncated"] and drifting.stats["reason"].startswith("step underflow")
-    assert drifting.s[-1] == 1.0 and -3.0 < drifting.s[0] < -1.0
-
-
 def test_leaving_domain_truncates_with_reason():
     m = fk.make_friedmann(0.1)
     path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), 0.5, fk.StepControl(step=0.05), s_min=-12.0)
@@ -152,9 +121,8 @@ def test_dense_coefficients_match_per_interval_solve():
     # reference: one 3x3 solve per interval, the textbook quintic Hermite fit
     m = fk.make_friedmann(0.01, 0.3)
     u, w = 0.3, np.sqrt(1.09)
-    ctrl = fk.StepControl(method="rk45", step=0.05, tol=1e-10)
-    for control in (fk.StepControl(step=0.01), ctrl):
-        path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (w, u, 0, 0), 1.0, control, s_min=-0.5)
+    for step, s_max in ((0.01, 1.0), (0.03, 1.005)):  # uniform, and ragged at both ends
+        path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (w, u, 0, 0), s_max, fk.StepControl(step=step), s_min=-0.5)
         y, dy, d2y = path.points, path.velocities, path.accelerations
         for k in range(len(path.s) - 1):
             h = path.s[k + 1] - path.s[k]
@@ -304,28 +272,25 @@ def assert_same_path(got, want):
         assert np.array_equal(got.tetrad._dense.coeffs, want.tetrad._dense.coeffs)
 
 
-@pytest.mark.parametrize("method", ["rk4", "rk45"])
 @pytest.mark.parametrize("carried", [False, True])
 @pytest.mark.parametrize("span", [(0.0, 0.6), (-0.5, 0.0), (-0.45, 0.2)])  # forward, backward, ragged
-def test_lockstep_equals_separate_runs(method, carried, span):
+def test_lockstep_equals_separate_runs(carried, span):
     m = fk.make_friedmann(0.05, 0.3)
     s_min, s_max = span
-    ctrl = fk.StepControl(method=method, step=0.03 if method == "rk4" else 0.2, tol=1e-11)
+    ctrl = fk.StepControl(step=0.03)
     starts = lockstep_starts(carried)
     paths = fk.integrate_geodesics(m.metric, starts, s_max, ctrl, s_min=s_min)
     assert len(paths) == len(starts)
     for (p0, v0, tetrad), path in zip(starts, paths):
         assert_same_path(path, fk.integrate_geodesic(m.metric, p0, v0, s_max, ctrl, s_min=s_min, tetrad=tetrad))
-    assert len({p.stats["steps"] for p in paths}) > 1 or method == "rk4"
 
 
-@pytest.mark.parametrize("method", ["rk4", "rk45"])
-def test_lockstep_truncated_sweep_leaves_the_others_unchanged(method):
+def test_lockstep_truncated_sweep_leaves_the_others_unchanged():
     # the expanding model cut off at t = -0.9: every backward sweep to s = -3
     # leaves the domain while the forward sweeps run on to s = 3
     model = fk.make_friedmann(0.5)
     m = fk.MetricField(model.metric.component_fn, name="cut", domain_fn=lambda c: c[0] > -0.9)
-    ctrl = fk.StepControl(method=method, step=0.05, tol=1e-9)
+    ctrl = fk.StepControl(step=0.05)
     starts = lockstep_starts(carried=True)
     paths = fk.integrate_geodesics(m, starts, 3.0, ctrl, s_min=-3.0)
     for (p0, v0, tetrad), path in zip(starts, paths):
@@ -440,17 +405,18 @@ def test_norm_and_orthonormality_drift_match_per_knot_reference():
 
 
 def test_adaptive_steps_independent_of_tetrad():
+    # carrying a tetrad never changes the steps, the path or its norm drift
     m = fk.make_friedmann(0.01, 0.3)
     u, w = 0.3, np.sqrt(1.09)
     e = np.eye(4)
     e[0] = [w, u, 0, 0]
     e[1] = [u, w, 0, 0]
-    ctrl = fk.StepControl(method="rk45", step=0.05, tol=1e-10)
+    ctrl = fk.StepControl(step=0.03)
     bare = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (w, u, 0, 0), 3.0, ctrl, s_min=-1.0)
     carried = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (w, u, 0, 0), 3.0, ctrl, s_min=-1.0, tetrad=e)
     for name in ("s", "points", "velocities", "accelerations"):
         assert np.array_equal(getattr(bare, name), getattr(carried, name))
-    assert bare.stats["max_step_error_estimate"] == carried.stats["max_step_error_estimate"]
+    assert bare.stats["max_norm_drift"] == carried.stats["max_norm_drift"]
     assert carried.tetrad.orthonormality_drift(m.metric) < 1e-8
 
 

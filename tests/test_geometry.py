@@ -60,6 +60,17 @@ def test_eval_metric_signature_error():
         fk.riemann(bad, (0, 0, 0, 0))
 
 
+def test_non_finite_components_name_the_metric_and_point():
+    # at t = 1e306 the scale factor of friedmann(a=0.001) is 1e303, so R^2 overflows to inf
+    m = fk.make_friedmann(1e-3)
+    with pytest.raises(MetricSignatureError, match=r"friedmann\(a=0.001\): components not finite at \[1e\+306,") as err:
+        fk.eval_metric(m.metric, (1e306, 0, 0, 0))
+    assert err.value.sample is None
+    with pytest.raises(MetricSignatureError, match="components not finite at sample 1 ") as err:
+        fk.eval_metric(m.metric, [(0, 0, 0, 0), (1e306, 0, 0, 0), (1e307, 0, 0, 0)])
+    assert err.value.sample == 1
+
+
 def test_riemann_evaluates_the_metric_once(friedmann_a03):
     calls = []
 

@@ -84,7 +84,7 @@ def test_chart_serialization(friedmann_a03):
 
 def build_comoving_lab(a, span=0.25, step=2e-3, radius=0.05):
     m = fk.make_friedmann(a)
-    ctrl = fk.StepControl(method="rk4", step=step)
+    ctrl = fk.StepControl(step=step)
     path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), span, ctrl, s_min=-span, tetrad=np.eye(4))
     lab = fk.lab_frame_along_geodesic(m.metric, path, validity_radius=radius)
     return m, lab
@@ -154,7 +154,7 @@ def test_lab_expansion_small_time_band():
 
 def test_lab_frame_free_fall_only_on_curve():
     m = fk.make_friedmann(0.5)
-    ctrl = fk.StepControl(method="rk4", step=2e-3)
+    ctrl = fk.StepControl(step=2e-3)
     path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), 0.3, ctrl, s_min=-0.3, tetrad=np.eye(4))
     lab = fk.lab_frame_along_geodesic(m.metric, path, validity_radius=1.0)
     on = fk.kinematic_decompose(m.metric, lab.frame, (0.0, 0, 0, 0))
