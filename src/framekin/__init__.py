@@ -11,8 +11,6 @@ __version__ = "0.1.0"
 
 from .geometry import (
     ChartDomainError,
-    ChartPoint,
-    ConnectionCoefficients,
     CurvatureTensor,
     MetricField,
     MetricSignatureError,
@@ -26,7 +24,6 @@ from .geometry import (
     riemann,
 )
 from .frames import (
-    Coframe,
     FrameCausalityError,
     FrameField,
     KinematicDecomposition,

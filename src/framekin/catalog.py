@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import FrameField, make_frame
-from .geometry import DIM, ChartDomainError, MetricField, as_point, minkowski_metric
+from .geometry import DIM, ChartDomainError, MetricField, as_points, minkowski_metric
 from .hyperdual import asinh, first, sqrt
 from .maps import ChartMap
 
@@ -89,7 +89,7 @@ def make_friedmann(a, u=0.0) -> FriedmannModel:
     def domain(coords):
         return coords[0] > scale.t_min
 
-    metric = MetricField(metric_comps, chart_id="comoving", name=f"friedmann(a={a})", domain_fn=domain)
+    metric = MetricField(metric_comps, name=f"friedmann(a={a})", domain_fn=domain)
     frame_v = make_frame((1.0, 0.0, 0.0, 0.0), metric, label="comoving")
 
     uu = float(u)
@@ -174,14 +174,7 @@ def z_chart(model: FriedmannModel) -> ChartMap:
             [0.0, 0.0, 0.0, one],
         ]
 
-    return ChartMap(
-        forward_fn,
-        inverse_fn,
-        source_chart_id="comoving",
-        target_chart_id="drift-adapted",
-        name=f"z-chart(u={u})",
-        inverse_jacobian_fn=inverse_jacobian_fn,
-    )
+    return ChartMap(forward_fn, inverse_fn, f"z-chart(u={u})", inverse_jacobian_fn)
 
 
 def rotating_minkowski_frame(omega, radius_cap):
@@ -201,9 +194,7 @@ def rotating_minkowski_frame(omega, radius_cap):
     def domain(coords):
         return coords[1] ** 2 + coords[2] ** 2 < radius_cap**2
 
-    bounded = MetricField(
-        metric.component_fn, chart_id="minkowski", name="minkowski(rotating-domain)", domain_fn=domain
-    )
+    bounded = MetricField(metric.component_fn, name="minkowski(rotating-domain)", domain_fn=domain)
 
     def comps(coords):
         x, y = coords[1], coords[2]
@@ -235,7 +226,7 @@ def friedmann_connection_closed(scale: ScaleFactor, point) -> np.ndarray:
 
     Nonzero families: Gamma^0_{kk} = R Rdot and Gamma^k_{0k} = Rdot/R.
     """
-    t = as_point(point).coords[0]
+    t = as_points(point)[0]
     r, rd = scale.value(t), scale.rate(t)
     gam = np.zeros((DIM, DIM, DIM))
     for k in (1, 2, 3):

@@ -208,7 +208,7 @@ def _run_normal_chart(cfg):
     chart = build_normal_chart(metric, point, tetrad)
     pushed = chart.metric_in_chart(metric)
     g0 = eval_metric(pushed, (0.0, 0.0, 0.0, 0.0))
-    gamma0 = christoffel(pushed, (0.0, 0.0, 0.0, 0.0)).gamma
+    gamma0 = christoffel(pushed, (0.0, 0.0, 0.0, 0.0))
     dev, _, _ = normal_chart_curvature_check(metric, chart)
     exponent, ladder = metric_deviation_exponent(metric, chart)
     payload = chart.to_json_dict()

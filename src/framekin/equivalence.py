@@ -42,7 +42,7 @@ from .catalog import (
 )
 from .frames import FrameField, kinematic_decompose, make_frame
 from .geodesics import StepControl, integrate_geodesics
-from .geometry import DIM, MetricField, as_point, covariant_derivative_field
+from .geometry import DIM, MetricField, as_points, covariant_derivative_field
 from .maps import ChartMap, pushed_metric_field, pushforward_tensor
 from .normal import lab_frame_along_geodesic, lab_frame_expansion
 from .oracles import fd_divergence
@@ -114,8 +114,8 @@ def equivalence_verdict(
     chart.
     """
     metric_b = metric_b or metric_a
-    p = as_point(p, metric_a.chart_id)
-    pb = as_point(p_b, metric_b.chart_id) if p_b is not None else p
+    p = as_points(p)
+    pb = as_points(p_b) if p_b is not None else p
     da = kinematic_decompose(metric_a, frame_a, p)
     db = kinematic_decompose(metric_b, frame_b, pb)
     mag_a = _invariant_magnitudes(metric_a, da, p)
@@ -150,7 +150,7 @@ def is_symmetry(cmap: ChartMap, field_fn, tensor_type, sample_points, tol=1e-9) 
     if not samples:
         raise ValueError("symmetry test needs at least one sample point")
     for sp in samples:
-        src = np.asarray(field_fn(list(as_point(sp).coords)), dtype=float)
+        src = np.asarray(field_fn(as_points(sp).tolist()), dtype=float)
         pushed = pushforward_tensor(cmap, src, tensor_type, sp)
         image = cmap.forward(sp)
         there = np.asarray(field_fn([float(c) for c in image]), dtype=float)

@@ -22,16 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import (
-    DIM,
-    ChartPoint,
-    MetricField,
-    as_point,
-    as_points,
-    eval_metric,
-    metric_jet,
-    _gamma_from_jets,
-)
+from .geometry import DIM, MetricField, as_points, eval_metric, metric_jet, _gamma_from_jets
 from .hyperdual import block_values, first, jet, seed, sqrt, value
 
 log = logging.getLogger(__name__)
@@ -55,7 +46,6 @@ class FrameField:
     """
 
     component_fn: Callable
-    chart_id: str
     label: str
     metric: MetricField
     raw_fn: Optional[Callable] = None
@@ -74,8 +64,9 @@ def make_frame(components, metric: MetricField, label="Q", sample_points=None) -
             validate causality eagerly (defaults to the chart origin).
 
     Raises:
-        FrameCausalityError: if the components are spacelike, null or past
-            pointing at any sampled point (also raised lazily at evaluation).
+        FrameCausalityError: if the norm is not finite or the components are
+            spacelike, null or past pointing at any sampled point (also raised
+            lazily at evaluation).
     """
     if callable(components):
         raw_fn = components
@@ -90,7 +81,12 @@ def make_frame(components, metric: MetricField, label="Q", sample_points=None) -
         q = list(raw_fn(coords))
         g = metric.component_fn(coords)
         norm2 = sum(g[i][j] * q[i] * q[j] for i in range(DIM) for j in range(DIM))
-        checks = ((first(value(norm2) <= 0.0), "timelike"), (first(value(q[0]) <= 0.0), "future pointing"))
+        n2 = value(norm2)
+        checks = (
+            (first(~np.isfinite(n2)), "finite"),
+            (first(n2 <= 0.0), "timelike"),
+            (first(value(q[0]) <= 0.0), "future pointing"),
+        )
         for bad, what in checks:
             if bad is not None:
                 where = block_values(coords)[0][bad].tolist()
@@ -102,25 +98,18 @@ def make_frame(components, metric: MetricField, label="Q", sample_points=None) -
         inv = 1.0 / sqrt(norm2)
         return [qi * inv for qi in q]
 
-    _, samples = as_points([np.zeros(DIM)] if sample_points is None else list(sample_points), metric.chart_id)
+    samples = as_points([np.zeros(DIM)] if sample_points is None else list(sample_points))
     _, norm2 = raw_norm2(seed(samples, order=0))
     rescaled = first(np.abs(value(norm2) - 1.0) > 1e-10) is not None
-    return FrameField(normalized_fn, metric.chart_id, label, metric, raw_fn, rescaled)
+    return FrameField(normalized_fn, label, metric, raw_fn, rescaled)
 
 
-@dataclass
-class Coframe:
+def coframe(metric: MetricField, frame: FrameField, p) -> np.ndarray:
     """Metric dual alpha_mu = g_{mu nu} Q^nu of a frame at a point."""
-
-    components: np.ndarray
-    point: ChartPoint
-
-
-def coframe(metric: MetricField, frame: FrameField, p) -> Coframe:
-    p = as_point(p, metric.chart_id)
+    p = as_points(p)
     g = eval_metric(metric, p)
-    q = np.array([value(c) for c in frame.component_fn(list(p.coords))])
-    return Coframe(g @ q, p)
+    (q,) = jet(frame.component_fn, p, order=0)
+    return g @ q
 
 
 @dataclass
@@ -132,7 +121,7 @@ class KinematicDecomposition:
     vorticity: np.ndarray
     shear: np.ndarray
     projection: np.ndarray
-    point: ChartPoint
+    point: np.ndarray
     frame_label: str
 
     def to_json_dict(self):
@@ -141,17 +130,22 @@ class KinematicDecomposition:
             "accel": list(self.accel),
             "vorticity": list(self.vorticity.reshape(-1)),
             "shear": list(self.shear.reshape(-1)),
-            "point": list(self.point.coords),
+            "point": self.point.tolist(),
             "frame_label": self.frame_label,
         }
 
 
 def kinematic_decompose(metric: MetricField, frame: FrameField, p) -> KinematicDecomposition:
     """Split the covariant derivative of a frame into its kinematic parts, at a point or a block."""
-    p, coords = as_points(p, metric.chart_id)
+    return _decompose(metric, frame, p)[0]
+
+
+def _decompose(metric, frame, p):
+    """(decomposition, (g, dg, q, dq)): ``kinematic_decompose`` and the metric and frame jets it used."""
+    p = as_points(p)
     g, dg = metric_jet(metric, p, order=1)
     gamma = _gamma_from_jets(g, dg, metric.name)
-    q, dq = jet(frame.component_fn, coords)
+    q, dq = jet(frame.component_fn, p)
 
     nabla = np.swapaxes(dq, -1, -2) + np.einsum("...mnr,...r->...mn", gamma, q)  # Q^mu_{;nu}
     nabla_lo = g @ nabla  # Q_{mu;nu}
@@ -164,7 +158,7 @@ def kinematic_decompose(metric: MetricField, frame: FrameField, p) -> KinematicD
     vort = 0.5 * (proj - np.swapaxes(proj, -1, -2))
     shear = 0.5 * (proj + np.swapaxes(proj, -1, -2)) - (theta / 3.0)[..., None, None] * h_lo
     theta = float(theta) if theta.ndim == 0 else theta
-    return KinematicDecomposition(theta, accel, vort, shear, h_lo, p, frame.label)
+    return KinematicDecomposition(theta, accel, vort, shear, h_lo, p, frame.label), (g, dg, q, dq)
 
 
 def curl_and_wedge(metric: MetricField, frame: FrameField, p):
@@ -175,15 +169,14 @@ def curl_and_wedge(metric: MetricField, frame: FrameField, p):
     alpha_mu (d alpha)_{nu rho} - alpha_nu (d alpha)_{mu rho}
     + alpha_rho (d alpha)_{mu nu}.
     """
+    p = as_points(p)
+    return _forms(*metric_jet(metric, p, order=1), *jet(frame.component_fn, p))
 
-    def alpha_fn(coords):
-        g = metric.component_fn(coords)
-        q = frame.component_fn(coords)
-        return [sum(g[i][j] * q[j] for j in range(DIM)) for i in range(DIM)]
 
-    _, coords = as_points(p, metric.chart_id)
-    metric.check_domain(coords)
-    a, dalpha = jet(alpha_fn, coords)
+def _forms(g, dg, q, dq):
+    """``curl_and_wedge`` from the metric and frame jets: alpha = g q, d_s alpha = d_s g q + g d_s q."""
+    a = np.einsum("...ij,...j->...i", g, q)
+    dalpha = np.einsum("...sij,...j->...si", dg, q) + np.einsum("...ij,...sj->...si", g, dq)
     tf = dalpha - np.swapaxes(dalpha, -1, -2)  # [mu, nu] = d_mu alpha_nu - d_nu alpha_mu
     wedge = (
         a[..., :, None, None] * tf[..., None, :, :]
@@ -232,7 +225,7 @@ def classify_synchronizability(
     below ``threshold`` in chart units.  The classification never claims
     more than the sampled points support.
     """
-    blocks = _blocks(sample_points, "synchronizability", 1)
+    blocks = _blocks(sample_points, "synchronizability", 2)
     dal = wed = spat = tdev = 0.0
     for block in blocks:
         alpha, two_form, wedge = curl_and_wedge(metric, frame, block)
@@ -273,11 +266,11 @@ def is_pirf(metric: MetricField, frame: FrameField, sample_points, tolerance=1e-
     True iff the acceleration covector and the 3-form alpha ^ d alpha stay
     below ``tolerance`` (max-abs over components and samples).
     """
-    blocks = _blocks(sample_points, "pseudo-inertial test", 3)
+    blocks = _blocks(sample_points, "pseudo-inertial test", 2)
     max_accel = max_wedge = 0.0
     for block in blocks:
-        dec = kinematic_decompose(metric, frame, block)
-        _, _, wedge = curl_and_wedge(metric, frame, block)
+        dec, jets = _decompose(metric, frame, block)
+        _, _, wedge = _forms(*jets)
         max_accel = max(max_accel, float(np.max(np.abs(dec.accel))))
         max_wedge = max(max_wedge, float(np.max(np.abs(wedge))))
     ok = max_accel < tolerance and max_wedge < tolerance

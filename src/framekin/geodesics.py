@@ -31,7 +31,7 @@ from .geometry import (
     ChartDomainError,
     SingularMetricError,
     MetricField,
-    as_point,
+    as_points,
     christoffel,
     christoffel_jet,
     eval_metric,
@@ -63,7 +63,7 @@ def _rhs(metric, y, knot=False):
     if knot and carried:
         gamma, dgamma = christoffel_jet(metric, x)
     else:
-        gamma = christoffel(metric, x).gamma
+        gamma = christoffel(metric, x)
     acc = -np.einsum("...mnr,...n,...r->...m", gamma, v, v)
     if not carried:
         return np.concatenate([v, acc], axis=-1), None
@@ -167,13 +167,13 @@ class GeodesicPath:
 def _initial_state(metric, p0, v0, tetrad):
     """The state (x, v[, e_a]) at s = 0, checked: v unit timelike and future pointing, the tetrad
     orthonormal with e_0 = v (``ValueError`` otherwise)."""
-    x0 = as_point(p0, metric.chart_id).array.copy()
-    v0 = np.asarray(v0, dtype=float).copy()
+    x0 = as_points(p0)
+    v0 = np.array(v0, dtype=float)
     g = eval_metric(metric, x0)
     n2 = float(v0 @ g @ v0)
-    if abs(n2 - 1.0) > 1e-8:
+    if not abs(n2 - 1.0) <= 1e-8:  # refuses NaN too
         raise ValueError(f"initial velocity not unit timelike: g(v,v)={n2}")
-    if v0[0] <= 0:
+    if not v0[0] > 0:
         raise ValueError("initial velocity must be future pointing")
     if tetrad is None:
         return np.concatenate([x0, v0])
@@ -491,7 +491,7 @@ def free_particle_experiment(a_param, u_param, v_probe):
     gz = pushed_metric_field(z_chart(model), model.metric, name="friedmann-drift-chart")
     origin = np.zeros(DIM)
     g = eval_metric(gz, origin)
-    gamma = christoffel(gz, origin).gamma
+    gamma = christoffel(gz, origin)
 
     def one_case(label, v1, v2):
         w = np.array([1.0, v1, v2, 0.0])

@@ -1,5 +1,8 @@
 """Pointwise metric geometry: connection, curvature, covariant derivatives.
 
+A point is its four chart coordinates as a (4,) float array, and a block
+of points an (N, 4) array; ``as_points`` reads either from any sequence.
+Functions that take a block return their results with the batch axis first.
 All arrays are dense with fixed 4^k layouts.  Index conventions:
 
 * metric derivative arrays put derivative indices first:
@@ -23,13 +26,12 @@ the x^0 direction timelike (g_00 > 0).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .hyperdual import DIM, first, jet
+from .hyperdual import DIM, first, jet, seed
 
 SIGNATURE = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -54,41 +56,21 @@ class SingularMetricError(_PointError):
     """Metric matrix is singular or numerically unusable."""
 
 
-@dataclass(frozen=True)
-class ChartPoint:
-    """A point given by four coordinates in a named chart."""
+def as_points(p):
+    """A point as a (4,) float array, or a block of points as an (N, 4) one.
 
-    coords: tuple
-    chart_id: str = "default"
-
-    def __post_init__(self):
-        c = tuple(float(x) for x in self.coords)
-        if len(c) != DIM:
-            raise ValueError("a chart point has exactly four coordinates")
-        if not all(map(math.isfinite, c)):
-            raise ValueError("chart point coordinates must be finite")
-        object.__setattr__(self, "coords", c)
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.coords)
-
-
-def as_point(p, chart_id="default") -> ChartPoint:
-    if isinstance(p, ChartPoint):
-        return p
-    return ChartPoint(tuple(p), chart_id)
-
-
-def as_points(p, chart_id="default"):
-    """(point, coords): a ChartPoint and its (4,) array, or an (N, 4) block twice
-    (whose finiteness ``check_domain`` checks)."""
-    coords = p.array if isinstance(p, ChartPoint) else np.asarray(p, dtype=float)
+    A point must be finite (``ValueError`` otherwise); a block's
+    finiteness is checked by ``check_domain``, which names the sample.
+    """
+    coords = np.array(p, dtype=float)
     if coords.ndim == 1:
-        return as_point(p, chart_id), coords
-    if coords.ndim != 2 or coords.shape[1] != DIM:
+        if len(coords) != DIM:
+            raise ValueError("a chart point has exactly four coordinates")
+        if not np.isfinite(coords).all():
+            raise ValueError("chart point coordinates must be finite")
+    elif coords.ndim != 2 or coords.shape[1] != DIM:
         raise ValueError(f"a block of chart points has shape (N, 4), got {coords.shape}")
-    return coords, coords
+    return coords
 
 
 def _sample(coords, k):
@@ -107,16 +89,17 @@ class MetricField:
 
     Args:
         component_fn: coordinates -> 4x4 components, dual-capable.
-        chart_id: name of the chart the components live in.
         name: display name.
-        domain_fn: optional coords -> bool; False means outside the chart
-            domain and evaluation raises ChartDomainError.
+        domain_fn: optional test of the chart domain, called like
+            ``component_fn`` but with plain values: four floats for a point,
+            four coordinate columns (N,) for a block.  It returns a bool, or
+            one bool per point of a block; False means outside the domain,
+            and evaluation there raises ChartDomainError.
     """
 
     component_fn: Callable
-    chart_id: str = "default"
     name: str = "metric"
-    domain_fn: Optional[Callable[[np.ndarray], bool]] = None
+    domain_fn: Optional[Callable] = None
 
     def check_domain(self, coords):
         """Raise ChartDomainError at the first non-finite or out-of-domain point of a point or block."""
@@ -126,7 +109,7 @@ class MetricField:
             where, k = _sample(coords, first(~np.isfinite(block).all(axis=1)))
             raise ChartDomainError(f"{self.name}: non-finite coordinates {where}", k)
         if self.domain_fn is not None:
-            bad = next((k for k, c in enumerate(block) if not self.domain_fn(c)), None)
+            bad = first(~np.asarray(self.domain_fn(seed(coords, order=0)), dtype=bool))
             if bad is not None:
                 where, k = _sample(coords, bad)
                 raise ChartDomainError(f"{self.name}: point {where} outside chart domain", k)
@@ -134,7 +117,7 @@ class MetricField:
 
 def eval_metric(metric: MetricField, p, symmetry_tol=1e-12) -> np.ndarray:
     """Metric components at a point (4, 4) or a block (N, 4, 4), with symmetry and signature checks."""
-    _, coords = as_points(p, metric.chart_id)
+    coords = as_points(p)
     metric.check_domain(coords)
     (g,) = jet(metric.component_fn, coords, order=0)
     _check_lorentzian(metric, g, coords, symmetry_tol)
@@ -191,21 +174,9 @@ def metric_jet(metric: MetricField, p, order=2):
     Returns (g, dg) for order 1 and (g, dg, d2g) for order 2; derivative
     indices first, after the batch axis of a block.
     """
-    _, coords = as_points(p, metric.chart_id)
+    coords = as_points(p)
     metric.check_domain(coords)
     return jet(metric.component_fn, coords, order)
-
-
-@dataclass
-class ConnectionCoefficients:
-    """Levi-Civita connection coefficients Gamma^mu_{nu rho} at a point (or block: (N, 4, 4, 4))."""
-
-    gamma: np.ndarray
-    point: ChartPoint
-
-    def __post_init__(self):
-        if self.gamma.shape[-3:] != (DIM, DIM, DIM):
-            raise ValueError("connection array must be 4x4x4")
 
 
 @dataclass
@@ -219,7 +190,7 @@ class CurvatureTensor:
     ricci: np.ndarray
     scalar: float
     einstein: np.ndarray
-    point: ChartPoint
+    point: np.ndarray
 
 
 def _braces(dg):
@@ -232,12 +203,11 @@ def _gamma_from_jets(g, dg, name):
     return 0.5 * np.einsum("...mk,...kij->...mij", _invert(g, name), _braces(dg))
 
 
-def christoffel(metric: MetricField, p) -> ConnectionCoefficients:
-    """Connection coefficients from the exact first metric derivatives, at a point or a block."""
-    p, _ = as_points(p, metric.chart_id)
+def christoffel(metric: MetricField, p) -> np.ndarray:
+    """Connection coefficients gamma (4, 4, 4) at a point, or (N, 4, 4, 4) at a block, from the
+    exact first metric derivatives."""
     g, dg = metric_jet(metric, p, order=1)
-    gamma = _gamma_from_jets(g, dg, metric.name)
-    return ConnectionCoefficients(gamma, p)
+    return _gamma_from_jets(g, dg, metric.name)
 
 
 def _connection_jet(metric: MetricField, p):
@@ -260,14 +230,14 @@ def christoffel_jet(metric: MetricField, p):
     Returns (gamma, dgamma) with dgamma[sigma, mu, nu, rho] =
     d_sigma Gamma^mu_{nu rho}; a block prepends its batch axis to both.
     """
-    return _connection_jet(metric, as_points(p, metric.chart_id)[0])[2:]
+    return _connection_jet(metric, p)[2:]
 
 
 def riemann(metric: MetricField, p) -> CurvatureTensor:
     """Curvature tensor under the module's documented sign convention."""
-    p = as_point(p, metric.chart_id)
+    p = as_points(p)
     g, ginv, gamma, dgamma = _connection_jet(metric, p)
-    _check_lorentzian(metric, g, p.coords)
+    _check_lorentzian(metric, g, p)
     rm = (
         np.einsum("cadb->abcd", dgamma)
         - np.einsum("dacb->abcd", dgamma)
@@ -292,9 +262,9 @@ def covariant_derivative_field(metric: MetricField, frame, p) -> np.ndarray:
     Returns nabla[mu, nu] = Q^mu_{;nu} = d_nu Q^mu + Gamma^mu_{nu rho} Q^rho.
     ``frame`` is anything with a dual-capable ``component_fn``.
     """
-    p = as_point(p, metric.chart_id)
-    q, dq = jet(frame.component_fn, p.coords)
-    gamma = christoffel(metric, p).gamma
+    p = as_points(p)
+    q, dq = jet(frame.component_fn, p)
+    gamma = christoffel(metric, p)
     return dq.T + np.einsum("mnr,r->mn", gamma, q)
 
 
@@ -304,4 +274,4 @@ def minkowski_metric(name="minkowski") -> MetricField:
     def comps(coords):
         return [[SIGNATURE[i, j] for j in range(DIM)] for i in range(DIM)]
 
-    return MetricField(comps, chart_id="minkowski", name=name)
+    return MetricField(comps, name=name)

@@ -15,8 +15,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import DIM, MetricField, as_point
-from .hyperdual import dual_matrix_inverse, jet, value
+from .geometry import DIM, MetricField, as_points, christoffel
+from .hyperdual import dual_matrix_inverse, jet
 
 
 @dataclass
@@ -31,30 +31,25 @@ class ChartMap:
 
     forward_fn: Callable
     inverse_fn: Callable
-    source_chart_id: str = "default"
-    target_chart_id: str = "mapped"
     name: str = "chart-map"
     inverse_jacobian_fn: Optional[Callable] = None
 
     def forward(self, p):
-        coords = list(as_point(p, self.source_chart_id).coords)
-        return np.array([value(c) for c in self.forward_fn(coords)])
+        return jet(self.forward_fn, as_points(p), order=0)[0]
 
     def inverse(self, p):
-        coords = list(as_point(p, self.target_chart_id).coords)
-        return np.array([value(c) for c in self.inverse_fn(coords)])
+        return jet(self.inverse_fn, as_points(p), order=0)[0]
 
     def jacobian(self, p):
         """Lambda[mu, alpha] = d x'^mu / d x^alpha at the source point p."""
-        _, dJ = jet(self.forward_fn, as_point(p, self.source_chart_id).coords)
+        _, dJ = jet(self.forward_fn, as_points(p))
         return dJ.T
 
     def inverse_jacobian(self, p_image):
         """d x^alpha / d x'^mu at the image point."""
-        coords = as_point(p_image, self.target_chart_id).coords
+        coords = as_points(p_image)
         if self.inverse_jacobian_fn is not None:
-            rows = self.inverse_jacobian_fn(list(coords))
-            return np.array([[value(rows[i][j]) for j in range(DIM)] for i in range(DIM)])
+            return jet(self.inverse_jacobian_fn, coords, order=0)[0]
         _, dJ = jet(self.inverse_fn, coords)
         return dJ.T
 
@@ -76,26 +71,20 @@ class ChartMap:
         def inv(coords):
             return inner.inverse_fn(self.inverse_fn(coords))
 
-        return ChartMap(
-            fwd,
-            inv,
-            inner.source_chart_id,
-            self.target_chart_id,
-            f"{self.name}*{inner.name}",
-        )
+        return ChartMap(fwd, inv, f"{self.name}*{inner.name}")
 
 
-def identity_map(chart_id="default") -> ChartMap:
+def identity_map() -> ChartMap:
     def ident(coords):
         return list(coords)
 
     def ijac(coords):
         return [[1.0 if i == j else 0.0 for j in range(DIM)] for i in range(DIM)]
 
-    return ChartMap(ident, ident, chart_id, chart_id, "identity", ijac)
+    return ChartMap(ident, ident, "identity", ijac)
 
 
-def linear_map(matrix, chart_id="default", target_chart_id="mapped", name="linear") -> ChartMap:
+def linear_map(matrix, name="linear") -> ChartMap:
     """Map x' = M x with constant matrix M (boosts, rotations, dilations)."""
     m = np.asarray(matrix, dtype=float)
     minv = np.linalg.inv(m)
@@ -109,10 +98,10 @@ def linear_map(matrix, chart_id="default", target_chart_id="mapped", name="linea
     def ijac(coords):
         return [[float(minv[i, j]) for j in range(DIM)] for i in range(DIM)]
 
-    return ChartMap(fwd, inv, chart_id, target_chart_id, name, ijac)
+    return ChartMap(fwd, inv, name, ijac)
 
 
-def translation_map(offset, chart_id="default", name="translation") -> ChartMap:
+def translation_map(offset, name="translation") -> ChartMap:
     off = np.asarray(offset, dtype=float)
 
     def fwd(coords):
@@ -124,10 +113,10 @@ def translation_map(offset, chart_id="default", name="translation") -> ChartMap:
     def ijac(coords):
         return [[1.0 if i == j else 0.0 for j in range(DIM)] for i in range(DIM)]
 
-    return ChartMap(fwd, inv, chart_id, chart_id, name, ijac)
+    return ChartMap(fwd, inv, name, ijac)
 
 
-def boost_map(speed, chart_id="default", name="boost") -> ChartMap:
+def boost_map(speed, name="boost") -> ChartMap:
     """Hyperbolic mixing of x^0 and x^1 with velocity ``speed``."""
     if not -1.0 < speed < 1.0:
         raise ValueError("boost speed must satisfy |v| < 1")
@@ -135,7 +124,7 @@ def boost_map(speed, chart_id="default", name="boost") -> ChartMap:
     m = np.eye(DIM)
     m[0, 0] = m[1, 1] = gam
     m[0, 1] = m[1, 0] = -gam * speed
-    return linear_map(m, chart_id, chart_id, name)
+    return linear_map(m, name)
 
 
 def pushforward_tensor(cmap: ChartMap, components, tensor_type, p):
@@ -194,15 +183,11 @@ def pushed_metric_field(cmap: ChartMap, metric: MetricField, name=None) -> Metri
         return out
 
     def domain(coords):
-        if metric.domain_fn is None:
-            return True
-        back = cmap.inverse(coords)
-        return metric.domain_fn(np.asarray(back))
+        return metric.domain_fn(cmap.inverse_fn(coords))
 
     return MetricField(
         comps,
-        chart_id=cmap.target_chart_id,
-        name=name or f"{metric.name}@{cmap.target_chart_id}",
+        name=name or f"{metric.name}@{cmap.name}",
         domain_fn=domain if metric.domain_fn is not None else None,
     )
 
@@ -232,10 +217,7 @@ def transform_connection(cmap: ChartMap, metric: MetricField, p):
                         + La^m_a  d^2 x^a / d x'^i d x'^j,
     computed from exact second derivatives of the inverse point map.
     """
-    from .geometry import christoffel
-
-    p = as_point(p, cmap.source_chart_id)
-    gamma = christoffel(metric, p).gamma
+    gamma = christoffel(metric, p)
     image = cmap.forward(p)
     lam = cmap.jacobian(p)
     lam_inv = np.linalg.inv(lam)

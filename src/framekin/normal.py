@@ -36,10 +36,8 @@ import numpy as np
 from .geodesics import GeodesicPath
 from .geometry import (
     DIM,
-    ChartPoint,
-    ConnectionCoefficients,
     MetricField,
-    as_point,
+    as_points,
     christoffel,
     christoffel_jet,
     covariant_derivative_field,
@@ -62,7 +60,7 @@ def _check_tetrad(metric, p, tetrad, tol=1e-10):
     e = np.asarray(tetrad, dtype=float)
     err = np.max(np.abs(e @ g @ e.T - ETA))
     if err > tol:
-        raise ValueError(f"tetrad not orthonormal at {tuple(p.coords)}: deviation {err}")
+        raise ValueError(f"tetrad not orthonormal at {tuple(p.tolist())}: deviation {err}")
     return e
 
 
@@ -81,9 +79,9 @@ def _cubic_coefficient(gamma, dgamma):
 class NormalChart:
     """Chart flattening the metric and connection at one base point."""
 
-    base_point: ChartPoint
+    base_point: np.ndarray
     tetrad: np.ndarray
-    gamma_at_p0: ConnectionCoefficients
+    gamma_at_p0: np.ndarray
     chart_map: ChartMap
     validity_radius: float
 
@@ -98,9 +96,9 @@ class NormalChart:
 
     def to_json_dict(self):
         return {
-            "base_point": list(self.base_point.coords),
+            "base_point": self.base_point.tolist(),
             "tetrad": [list(row) for row in self.tetrad],
-            "gamma_at_p0": [float(x) for x in self.gamma_at_p0.gamma.reshape(-1)],
+            "gamma_at_p0": self.gamma_at_p0.reshape(-1).tolist(),
             "validity_radius": self.validity_radius,
         }
 
@@ -113,11 +111,10 @@ def build_normal_chart(metric: MetricField, p0, initial_tetrad, validity_radius=
     Jacobians, so the chart functions are differentiable to second order
     everywhere in the validity ball.
     """
-    p0 = as_point(p0, metric.chart_id)
-    e = _check_tetrad(metric, p0, initial_tetrad)
-    gamma, dgamma = christoffel_jet(metric, p0)
+    x0 = as_points(p0)
+    e = _check_tetrad(metric, x0, initial_tetrad)
+    gamma, dgamma = christoffel_jet(metric, x0)
     cubic = _cubic_coefficient(gamma, dgamma)
-    x0 = p0.array
 
     def inverse_fn(xi):
         y = [sum(e[a, mu] * xi[a] for a in range(DIM)) for mu in range(DIM)]
@@ -166,15 +163,8 @@ def build_normal_chart(metric: MetricField, p0, initial_tetrad, validity_radius=
         target, _ = block_values(coords)
         return dual_newton_invert(inverse_fn, coords, np.linalg.solve(e.T, (target - x0).T).T)
 
-    cmap = ChartMap(
-        forward_fn,
-        inverse_fn,
-        source_chart_id=metric.chart_id,
-        target_chart_id=f"normal@{tuple(round(c, 12) for c in p0.coords)}",
-        name="normal-chart",
-        inverse_jacobian_fn=inverse_jacobian_fn,
-    )
-    return NormalChart(p0, e, ConnectionCoefficients(gamma, p0), cmap, validity_radius)
+    cmap = ChartMap(forward_fn, inverse_fn, "normal-chart", inverse_jacobian_fn)
+    return NormalChart(x0, e, gamma, cmap, validity_radius)
 
 
 def normal_chart_curvature_check(metric: MetricField, chart: NormalChart, step=1e-3):
@@ -188,7 +178,7 @@ def normal_chart_curvature_check(metric: MetricField, chart: NormalChart, step=1
     pushed = chart.metric_in_chart(metric)
     # one block: +h and -h along each axis, for h = step and step / 2
     hs = (step, -step, step / 2.0, -step / 2.0)
-    gam = christoffel(pushed, np.concatenate([np.diag(np.full(DIM, h)) for h in hs])).gamma
+    gam = christoffel(pushed, np.concatenate([np.diag(np.full(DIM, h)) for h in hs]))
     gam = gam.reshape(len(hs), DIM, DIM, DIM, DIM)  # [h, d, a, b, c]
     d1 = (gam[0] - gam[1]) / (2 * step)
     d2 = (gam[2] - gam[3]) / (2 * (step / 2.0))
@@ -372,23 +362,15 @@ def lab_frame_along_geodesic(
         )
     tube = _TubeChart(metric, path)
     k0 = int(np.argmin(np.abs(path.s)))
-    base = as_point(tuple(path.points[k0]), metric.chart_id)
-    cmap = ChartMap(
-        tube.forward_fn,
-        tube.inverse_fn,
-        source_chart_id=metric.chart_id,
-        target_chart_id=f"lab@{label}",
-        name=f"lab-chart-{label}",
-        inverse_jacobian_fn=tube.inverse_jacobian_fn,
-    )
-    gamma0 = christoffel(metric, base)
-    chart = NormalChart(base, path.tetrad.samples[k0], gamma0, cmap, validity_radius)
+    base = as_points(path.points[k0])
+    cmap = ChartMap(tube.forward_fn, tube.inverse_fn, f"lab-chart-{label}", tube.inverse_jacobian_fn)
+    chart = NormalChart(base, path.tetrad.samples[k0], christoffel(metric, base), cmap, validity_radius)
 
     def raw_field(coords):
         jac = tube.inverse_jacobian_fn(tube.forward_fn(coords))
         return [jac[mu][0] for mu in range(DIM)]
 
-    frame = make_frame(raw_field, metric, label=label, sample_points=[base.coords])
+    frame = make_frame(raw_field, metric, label=label, sample_points=[base])
     return GeodesicLabFrame(chart, frame, path, validity_radius, label)
 
 
@@ -398,10 +380,10 @@ class LabExpansion:
 
     theta: float
     theta_raw: float
-    point: ChartPoint
+    point: np.ndarray
 
     def to_json_dict(self):
-        return {"theta": self.theta, "theta_raw": self.theta_raw, "point": list(self.point.coords)}
+        return {"theta": self.theta, "theta_raw": self.theta_raw, "point": self.point.tolist()}
 
 
 def lab_frame_expansion(metric: MetricField, lab: GeodesicLabFrame, p) -> LabExpansion:
@@ -411,7 +393,7 @@ def lab_frame_expansion(metric: MetricField, lab: GeodesicLabFrame, p) -> LabExp
     decomposition; ``theta_raw`` is the covariant divergence of the
     unnormalized coordinate field.  The two coincide on the curve.
     """
-    p = as_point(p, metric.chart_id)
+    p = as_points(p)
     lab.check_inside(p)
     dec = kinematic_decompose(metric, lab.frame, p)
     raw = SimpleNamespace(component_fn=lab.frame.raw_fn)

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import DIM, MetricField, as_point, eval_metric
+from .geometry import DIM, MetricField, as_points, christoffel, eval_metric
 from .hyperdual import block_values
 
 
 def fd_metric_derivatives(metric: MetricField, p, step=1e-5) -> np.ndarray:
     """Central-difference first derivatives dg[sigma, mu, nu]."""
-    p = as_point(p, metric.chart_id)
-    x = p.array
+    x = as_points(p)
     dg = np.zeros((DIM, DIM, DIM))
     for s in range(DIM):
         hi = x.copy()
@@ -32,10 +31,7 @@ def fd_connection_derivatives(metric: MetricField, p, step=1e-4) -> np.ndarray:
 
     Returns dgamma[sigma, mu, nu, rho] = d_sigma Gamma^mu_{nu rho}.
     """
-    from .geometry import christoffel
-
-    p = as_point(p, metric.chart_id)
-    x = p.array
+    x = as_points(p)
 
     def diff(h):
         out = np.zeros((DIM, DIM, DIM, DIM))
@@ -44,7 +40,7 @@ def fd_connection_derivatives(metric: MetricField, p, step=1e-4) -> np.ndarray:
             lo = x.copy()
             hi[s] += h
             lo[s] -= h
-            out[s] = (christoffel(metric, hi).gamma - christoffel(metric, lo).gamma) / (2 * h)
+            out[s] = (christoffel(metric, hi) - christoffel(metric, lo)) / (2 * h)
         return out
 
     d1 = diff(step)
@@ -57,10 +53,7 @@ def fd_riemann_from_connection(metric: MetricField, p, step=1e-4) -> np.ndarray:
 
     Same sign convention as geometry.riemann; serves as its oracle.
     """
-    from .geometry import christoffel
-
-    p = as_point(p, metric.chart_id)
-    gamma = christoffel(metric, p).gamma
+    gamma = christoffel(metric, p)
     dgamma = fd_connection_derivatives(metric, p, step)
     return (
         np.einsum("cadb->abcd", dgamma)
@@ -79,9 +72,8 @@ def fd_divergence(metric: MetricField, frame, p, step=1e-4) -> float:
     stencil points and p go to the metric as one block, and the stencil
     points to the frame as one block.
     """
-    p = as_point(p, metric.chart_id)
     hs = (step, -step, step / 2.0, -step / 2.0)
-    pts = p.array + np.concatenate([np.diag(np.full(DIM, h)) for h in hs] + [np.zeros((1, DIM))])
+    pts = as_points(p) + np.concatenate([np.diag(np.full(DIM, h)) for h in hs] + [np.zeros((1, DIM))])
     root_det = np.sqrt(np.abs(np.linalg.det(eval_metric(metric, pts))))
     q, _ = block_values(frame.component_fn(list(pts[:-1].T)))
     # dens[h, mu] = sqrt|g| Q^mu at the point moved by h along axis mu

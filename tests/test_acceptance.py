@@ -37,7 +37,7 @@ def test_friedmann_connection_regression():
     worst = 0.0
     for m in models:
         for p in points:
-            gam = fk.christoffel(m.metric, p).gamma
+            gam = fk.christoffel(m.metric, p)
             closed = friedmann_connection_closed(m.scale, p)
             worst = max(worst, float(np.max(np.abs(gam - closed))))
     elapsed = time.perf_counter() - start
@@ -58,7 +58,7 @@ def test_z_chart_regression():
         worst_g = max(worst_g, float(np.max(np.abs(fk.eval_metric(gz, q) - z_chart_metric_closed(m, cmap, q)))))
         worst_gam = max(
             worst_gam,
-            float(np.max(np.abs(fk.christoffel(gz, q).gamma - z_chart_connection_closed(m, cmap, q)))),
+            float(np.max(np.abs(fk.christoffel(gz, q) - z_chart_connection_closed(m, cmap, q)))),
         )
     elapsed = time.perf_counter() - start
     assert worst_g < 1e-8, f"metric deviation {worst_g}"
@@ -160,7 +160,7 @@ def test_normal_chart_conditions():
     chart = fk.build_normal_chart(m.metric, p0, np.diag([1.0, 1 / r, 1 / r, 1 / r]))
     pushed = chart.metric_in_chart(m.metric)
     g_dev = float(np.max(np.abs(fk.eval_metric(pushed, (0, 0, 0, 0)) - np.diag([1.0, -1, -1, -1]))))
-    gam_dev = float(np.max(np.abs(fk.christoffel(pushed, (0, 0, 0, 0)).gamma)))
+    gam_dev = float(np.max(np.abs(fk.christoffel(pushed, (0, 0, 0, 0)))))
     assert g_dev < 1e-10
     assert gam_dev < 1e-8
     curv_dev, _, _ = fk.normal_chart_curvature_check(m.metric, chart)

@@ -109,6 +109,14 @@ def test_non_finite_metric_exits_2_naming_the_metric(tmp_path, capsys):
     assert "friedmann(a=0.001): components not finite at [1e+300, 0.0, 0.0, 0.0]" in err
 
 
+@pytest.mark.parametrize("scenario", ["decompose", "classify", "pirf-check", "equivalence"])
+def test_overflowing_drifting_frame_exits_2_naming_it(scenario, tmp_path, capsys):
+    # at u = 1e300 the drifting frame's norm is NaN, which once passed the causality check
+    argv = [scenario, "--u", "1e300", "--out", str(tmp_path / "r.json")]
+    assert main(argv + ([] if scenario == "equivalence" else ["--frame", "drifting"])) == 2
+    assert "drifting: components not finite at [0.0, 0.0, 0.0, 0.0]" in capsys.readouterr().err
+
+
 def test_experiment_scenario(tmp_path):
     out = tmp_path / "exp.json"
     rc = main(["experiment", "--a", "1e-3", "--u", "0.1005", "--v-probe", "0.01", "--out", str(out)])
@@ -504,3 +512,25 @@ def test_main_exits_0_2_or_3_without_traceback_on_any_input(case, tmp_path_facto
     finally:
         os.chdir(cwd)
     assert code in (0, 2, 3) and "Traceback" not in err
+
+
+# Every real-valued key of every scenario at extreme values, given as --key=value.
+_EXTREMES = ["1e300", "-1e300", "1e200", "-1e200", "2e154", "1e10", "-1e10", "1e-300", "0"]
+
+
+def test_extreme_real_values_exit_0_2_or_3(tmp_path, capsys):
+    bad = []
+    for scenario in cli.SCENARIOS:
+        for key in (*cli._GLOBAL, *cli._DEFAULTS[scenario]):
+            if cli._KEYS[key].flag.get("type") is not float:
+                continue
+            # decompose, classify and pirf-check evaluate the drifting frame; a geodesic stays short
+            base = ["--frame", "drifting"] if scenario in ("decompose", "classify", "pirf-check") else []
+            base += ["--smax", "0.01"] if scenario == "geodesic" and key != "smax" else []
+            for value in _EXTREMES:
+                argv = [scenario, *base, f"--{key.replace('_', '-')}={value}", "--out", str(tmp_path / "r.out")]
+                code = main(argv)
+                err = capsys.readouterr().err
+                if code not in (0, 2, 3) or "Traceback" in err or "cannot serialize non-finite number" in err:
+                    bad.append((" ".join(argv[:-2]), code, err))
+    assert not bad

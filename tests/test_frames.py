@@ -15,6 +15,7 @@ import framekin as fk
 from framekin.catalog import theta_comoving_closed, theta_drifting_closed
 from framekin.frames import FrameCausalityError, SynchronizabilityClass, curl_and_wedge
 from framekin.geometry import ChartDomainError, SingularMetricError
+from framekin.hyperdual import jet
 from framekin.oracles import fd_divergence
 
 from conftest import random_points, survey_frames
@@ -54,7 +55,7 @@ def test_coframe_pairs_to_one(friedmann_small):
     p = (0.5, 0.1, 0.2, 0.3)
     alpha = fk.coframe(friedmann_small.metric, friedmann_small.frame_drifting, p)
     q = np.array([float(c) for c in friedmann_small.frame_drifting.component_fn(list(p))])
-    assert abs(alpha.components @ q - 1.0) < 1e-10
+    assert abs(alpha @ q - 1.0) < 1e-10
 
 
 # -- decomposition ------------------------------------------------------------
@@ -173,6 +174,21 @@ def test_wedge_iff_vorticity(friedmann_small, minkowski):
 
 
 # -- synchronizability ---------------------------------------------------------
+
+
+def test_coframe_from_jets_equals_the_jet_of_g_q():
+    # the reference takes the jet of alpha_i = sum_j g_ij Q^j written in dual arithmetic
+    samples = np.array(fk.grid_samples((0, -0.5, -0.5, -0.5), (1, 0.5, 0.5, 0.5), 5))
+    for metric, frame in survey_frames():
+
+        def alpha_fn(c):
+            g, q = metric.component_fn(c), frame.component_fn(c)
+            return [sum(g[i][j] * q[j] for j in range(4)) for i in range(4)]
+
+        a, da = jet(alpha_fn, samples)
+        alpha, two_form, _ = curl_and_wedge(metric, frame, samples)
+        assert np.array_equal(alpha, a)
+        assert np.array_equal(two_form, da - np.swapaxes(da, -1, -2))
 
 
 def test_classify_comoving_proper_time(friedmann_small):
@@ -371,6 +387,23 @@ def test_debug_log_reports_samples_blocks_and_jets(monkeypatch, caplog):
         fk.is_pirf(m.metric, m.frame_drifting, grid)
     lines = [r.getMessage() for r in caplog.records if r.name == "framekin.frames"]
     assert lines == [
-        "synchronizability: 81 samples in 2 blocks, 2 jet evaluations",
-        "pseudo-inertial test: 81 samples in 2 blocks, 6 jet evaluations",
+        "synchronizability: 81 samples in 2 blocks, 4 jet evaluations",
+        "pseudo-inertial test: 81 samples in 2 blocks, 4 jet evaluations",
     ]
+
+
+def test_metric_evaluated_twice_per_block(monkeypatch):
+    import framekin.frames as frames
+
+    monkeypatch.setattr(frames, "_BLOCK", 50)
+    m = fk.make_friedmann(1e-3, 0.1005)
+    grid = fk.grid_samples((0, -0.5, -0.5, -0.5), (1, 0.5, 0.5, 0.5), 3)  # 81 samples: two blocks
+    expected = fk.is_pirf(m.metric, m.frame_drifting, grid), fk.classify_synchronizability(m.metric, m.frame_drifting, grid)
+    calls = []
+    component_fn = m.metric.component_fn
+    m.metric.component_fn = lambda c: calls.append(1) or component_fn(c)  # the frame's normalization reads it too
+    assert fk.is_pirf(m.metric, m.frame_drifting, grid) == expected[0]
+    assert len(calls) == 4  # the metric jet, and the frame jet's normalization
+    calls.clear()
+    assert fk.classify_synchronizability(m.metric, m.frame_drifting, grid) == expected[1]
+    assert len(calls) == 4

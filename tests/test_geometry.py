@@ -40,6 +40,28 @@ def test_eval_metric_domain_error():
         fk.eval_metric(m.metric, (-2.5, 0.0, 0.0, 0.0))
 
 
+def test_domain_fn_sees_a_point_or_a_block_in_one_call():
+    model = fk.make_friedmann(0.5)
+    calls = []
+
+    def domain(c):
+        calls.append([np.shape(x) for x in c])
+        return c[0] > -1.0
+
+    metric = fk.MetricField(model.metric.component_fn, name="cut", domain_fn=domain)
+    fk.eval_metric(metric, (0.5, 0.1, 0.2, 0.3))
+    assert calls == [[()] * 4]  # four floats
+    calls.clear()
+    block = np.zeros((20, 4))
+    fk.christoffel(metric, block)
+    assert calls == [[(20,)] * 4]  # four coordinate columns
+    calls.clear()
+    block[[7, 9], 0] = -1.5
+    with pytest.raises(ChartDomainError, match=r"cut: point sample 7 \[-1.5, 0.0, 0.0, 0.0\] outside chart domain") as err:
+        fk.eval_metric(metric, block)
+    assert err.value.sample == 7 and len(calls) == 1
+
+
 def test_eval_metric_signature_error():
     # two positive directions is not Lorentzian
     def comps(c):
@@ -88,10 +110,10 @@ def test_block_metric_and_connection_equal_single_points(friedmann_a03, rng):
     block = np.array(random_points(rng, 20))
     g = fk.eval_metric(friedmann_a03.metric, block)
     con = fk.christoffel(friedmann_a03.metric, block)
-    assert g.shape == (20, 4, 4) and con.gamma.shape == (20, 4, 4, 4)
+    assert g.shape == (20, 4, 4) and con.shape == (20, 4, 4, 4)
     for k, p in enumerate(block):
         assert np.array_equal(g[k], fk.eval_metric(friedmann_a03.metric, p))
-        assert np.array_equal(con.gamma[k], fk.christoffel(friedmann_a03.metric, p).gamma)
+        assert np.array_equal(con[k], fk.christoffel(friedmann_a03.metric, p))
     block[7, 0] = -10.0  # before the big bang of a = 0.3
     with pytest.raises(ChartDomainError, match="sample 7") as err:
         fk.christoffel(friedmann_a03.metric, block)
@@ -154,13 +176,13 @@ def test_inverse_metric_random_lorentzian(rng):
 
 
 def test_christoffel_minkowski_zero(minkowski):
-    gam = fk.christoffel(minkowski, (1.0, 2.0, 3.0, 4.0)).gamma
+    gam = fk.christoffel(minkowski, (1.0, 2.0, 3.0, 4.0))
     assert np.count_nonzero(gam) == 0
 
 
 def test_christoffel_friedmann_values():
     m = fk.make_friedmann(0.001)
-    gam = fk.christoffel(m.metric, (0.0, 0.3, -0.7, 0.2)).gamma
+    gam = fk.christoffel(m.metric, (0.0, 0.3, -0.7, 0.2))
     assert gam[0, 1, 1] == pytest.approx(0.001, abs=1e-15)
     assert gam[1, 0, 1] == pytest.approx(0.001, abs=1e-15)
     assert gam[1, 0, 0] == 0.0 and gam[2, 0, 0] == 0.0 and gam[3, 0, 0] == 0.0
@@ -171,7 +193,7 @@ def test_christoffel_symmetry_and_compatibility(friedmann_small, minkowski, rng)
     for metric in (friedmann_small.metric, minkowski):
         for p in random_points(rng, 100):
             g, dg, _ = jet(metric.component_fn, p, order=2)
-            gam = fk.christoffel(metric, p).gamma
+            gam = fk.christoffel(metric, p)
             assert np.max(np.abs(gam - np.einsum("mrn->mnr", gam))) == 0.0
             nabla_g = (
                 dg
@@ -247,7 +269,7 @@ def test_z_chart_connection_zero_families(friedmann_small):
     # in the drift-adapted chart the time-time and mixed families vanish
     gz = fk.pushed_metric_field(fk.z_chart(friedmann_small), friedmann_small.metric)
     for q in ((0.5, 0.2, -0.3, 0.8), (2.0, -1.0, 0.4, 0.0)):
-        gam = fk.christoffel(gz, q).gamma
+        gam = fk.christoffel(gz, q)
         for i in (1, 2, 3):
             assert abs(gam[i, 0, 0]) < 1e-12
         for l in range(4):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import framekin as fk
 from framekin.maps import transform_connection
+from framekin.geometry import ChartDomainError
 
 
 def test_identity_map_leaves_components():
@@ -104,7 +105,7 @@ def test_connection_transformation_law(friedmann_small):
     cmap = fk.z_chart(m)
     gz = fk.pushed_metric_field(cmap, m.metric)
     for p in ((0.4, 0.3, -0.1, 0.2), (1.2, -0.5, 0.0, 0.9)):
-        direct = fk.christoffel(gz, tuple(cmap.forward(p))).gamma
+        direct = fk.christoffel(gz, tuple(cmap.forward(p)))
         transformed = transform_connection(cmap, m.metric, p)
         assert np.max(np.abs(direct - transformed)) < 1e-8
 
@@ -158,6 +159,25 @@ def test_connection_law_through_normal_chart(friedmann_a03):
     chart = fk.build_normal_chart(m.metric, p0, np.diag([1.0, 1 / r, 1 / r, 1 / r]))
     pushed = chart.metric_in_chart(m.metric)
     probe = np.array(p0) + np.array([0.004, -0.002, 0.003, 0.001])
-    direct = fk.christoffel(pushed, tuple(chart.forward(tuple(probe)))).gamma
+    direct = fk.christoffel(pushed, tuple(chart.forward(tuple(probe))))
     transformed = transform_connection(chart.chart_map, m.metric, tuple(probe))
     assert np.max(np.abs(direct - transformed)) < 1e-8
+
+
+def test_pushed_domain_maps_a_block_back_in_one_call():
+    model = fk.make_friedmann(0.5)
+    cmap = fk.translation_map((0.5, 0.0, 0.0, 0.0))
+    calls = []
+    inverse_fn = cmap.inverse_fn
+    cmap.inverse_fn = lambda c: calls.append(1) or inverse_fn(c)
+    pushed = fk.pushed_metric_field(cmap, model.metric)
+    assert pushed.name == "friedmann(a=0.5)@translation"
+    block = np.zeros((30, 4))
+    pushed.check_domain(block)
+    assert len(calls) == 1
+    fk.eval_metric(pushed, block)
+    assert len(calls) == 3  # once for the domain, once for the components
+    block[4, 0] = -2.6  # x^0 - 0.5 = -3.1 lies before the big bang at -2
+    with pytest.raises(ChartDomainError, match="point sample 4 ") as err:
+        pushed.check_domain(block)
+    assert err.value.sample == 4 and len(calls) == 4
