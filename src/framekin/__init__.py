@@ -60,6 +60,7 @@ from .maps import (
 from .normal import (
     GeodesicLabFrame,
     LabExpansion,
+    NonFiniteConnectionError,
     NormalChart,
     TubeDomainError,
     build_normal_chart,

@@ -1,0 +1,8 @@
+"""``python -m framekin``: the scenario runner of ``framekin.cli``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

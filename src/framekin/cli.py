@@ -8,9 +8,9 @@ mirror config-file keys one to one, a JSON config supplies defaults and
 explicit flags win.  Exit codes: 0 success; 2 invalid configuration or an
 unwritable output, including a point where the model is not Lorentzian
 (``MetricSignatureError``), outside a lab chart's tube (``TubeDomainError``)
-or outside a chart domain; 3 numeric failure (``SingularMetricError`` and
-any other ``ArithmeticError``).  The FRAMEKIN_LOG environment variable sets
-the log level.
+or outside a chart domain; 3 numeric failure (``SingularMetricError``,
+``NonFiniteConnectionError`` and any other ``ArithmeticError``).  The
+FRAMEKIN_LOG environment variable sets the log level.
 """
 
 from __future__ import annotations

@@ -48,6 +48,10 @@ from .normal import lab_frame_along_geodesic, lab_frame_expansion
 from .oracles import fd_divergence
 
 PUBLISHED_COEFFICIENT = 2.0
+# RK4 step of the pair's geodesics, and the radius of its lab charts' validity
+# tube; the geodesics are integrated over proper times |s| <= LAB_TUBE_RADIUS.
+LAB_STEP = 2e-3
+LAB_TUBE_RADIUS = 0.05
 
 
 def _invariant_magnitudes(metric, dec, p):
@@ -227,19 +231,16 @@ def _drifting_tetrad(model: FriedmannModel):
     return e
 
 
-def moving_lab_expansion_pair(
-    a_param,
-    v_param,
-    span=0.25,
-    step=2e-3,
-    validity_radius=0.05,
-) -> MovingLabReport:
+def moving_lab_expansion_pair(a_param, v_param) -> MovingLabReport:
     """Expansion rates of the resting and moving lab frames at the epoch.
 
     Pipeline: build the expanding model with drift momentum matching the
     requested metric speed, integrate the comoving and drifting geodesics
-    through the epoch point, build the inertial lab frame of the comoving
-    geodesic, and evaluate
+    through the epoch point over the lab tube only (proper times
+    |s| <= ``LAB_TUBE_RADIUS`` at step ``LAB_STEP``: normal coordinates hold
+    only in that tube about the curve, and every lab-chart evaluation here is
+    at the epoch), build the inertial lab frame of the comoving geodesic, and
+    evaluate
 
     * ``theta_L``: its expansion at the epoch point (zero up to numerics);
     * ``theta_Lprime``: the expansion of its deformation into the
@@ -257,23 +258,20 @@ def moving_lab_expansion_pair(
         raise ValueError("need a >= 0")
     u = drift_speed_to_momentum(v_param)
     model = make_friedmann(a_param, u)
-    control = StepControl(step=step)
     epoch = (0.0, 0.0, 0.0, 0.0)
 
     w = np.sqrt(1.0 + u * u)
-    # both geodesics, forward and backward: four sweeps in lockstep
+    # both geodesics, forward and backward across the tube: four sweeps in lockstep
     path_rest, path_move = integrate_geodesics(
         model.metric,
         [(epoch, (1.0, 0.0, 0.0, 0.0), _comoving_tetrad(model)), (epoch, (w, u, 0.0, 0.0), _drifting_tetrad(model))],
-        span,
-        control,
-        s_min=-span,
+        LAB_TUBE_RADIUS,
+        StepControl(step=LAB_STEP),
+        s_min=-LAB_TUBE_RADIUS,
     )
-    lab_rest = lab_frame_along_geodesic(model.metric, path_rest, validity_radius=validity_radius, label="lab")
+    lab_rest = lab_frame_along_geodesic(model.metric, path_rest, validity_radius=LAB_TUBE_RADIUS, label="lab")
     theta_lab = lab_frame_expansion(model.metric, lab_rest, epoch).theta
-    lab_move = lab_frame_along_geodesic(
-        model.metric, path_move, validity_radius=validity_radius, label="lab-moving"
-    )
+    lab_move = lab_frame_along_geodesic(model.metric, path_move, validity_radius=LAB_TUBE_RADIUS, label="lab-moving")
     theta_move_chart = lab_frame_expansion(model.metric, lab_move, epoch).theta
 
     cmap = z_chart(model)

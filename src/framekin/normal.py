@@ -55,6 +55,10 @@ class TubeDomainError(ValueError):
     """Point lies outside the declared validity tube of a lab chart."""
 
 
+class NonFiniteConnectionError(ArithmeticError):
+    """The connection, its first derivatives or the cubic map term overflow at a normal chart's base point."""
+
+
 def _check_tetrad(metric, p, tetrad, tol=1e-10):
     g = eval_metric(metric, p)
     e = np.asarray(tetrad, dtype=float)
@@ -114,7 +118,13 @@ def build_normal_chart(metric: MetricField, p0, initial_tetrad, validity_radius=
     x0 = as_points(p0)
     e = _check_tetrad(metric, x0, initial_tetrad)
     gamma, dgamma = christoffel_jet(metric, x0)
-    cubic = _cubic_coefficient(gamma, dgamma)
+    where = f"at base point {x0.tolist()}"
+    if not (np.isfinite(gamma).all() and np.isfinite(dgamma).all()):
+        raise NonFiniteConnectionError(f"{metric.name}: connection or its derivative not finite {where}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
+        cubic = _cubic_coefficient(gamma, dgamma)
+    if not np.isfinite(cubic).all():
+        raise NonFiniteConnectionError(f"{metric.name}: connection products overflow the cubic map term {where}")
 
     def inverse_fn(xi):
         y = [sum(e[a, mu] * xi[a] for a in range(DIM)) for mu in range(DIM)]

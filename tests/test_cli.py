@@ -4,7 +4,9 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ import framekin.cli as cli
 from framekin.cli import main, run_scenario
 from framekin.frames import FrameCausalityError
 from framekin.geometry import ChartDomainError, MetricSignatureError, SingularMetricError
-from framekin.normal import TubeDomainError
+from framekin.normal import NonFiniteConnectionError, TubeDomainError
 
 SCHEMA_PATH = Path(framekin.__file__).parent / "data" / "report.schema.json"
 
@@ -115,6 +117,21 @@ def test_overflowing_drifting_frame_exits_2_naming_it(scenario, tmp_path, capsys
     argv = [scenario, "--u", "1e300", "--out", str(tmp_path / "r.json")]
     assert main(argv + ([] if scenario == "equivalence" else ["--frame", "drifting"])) == 2
     assert "drifting: components not finite at [0.0, 0.0, 0.0, 0.0]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "a, what",
+    [
+        ("1e300", "connection or its derivative not finite"),
+        ("1e200", "connection or its derivative not finite"),
+        ("2e154", "connection or its derivative not finite"),
+        ("5e153", "connection products overflow the cubic map term"),
+    ],
+)
+def test_overflowing_connection_at_normal_chart_base_exits_3_naming_it(a, what, tmp_path, capsys):
+    # the connection derivative grows as a^2 and overflows; the base point itself is inside the domain
+    assert main(["normal-chart", "--a", a, "--out", str(tmp_path / "r.json")]) == 3
+    assert f"friedmann(a={float(a)}): {what} at base point [0.0, 0.0, 0.0, 0.0]" in capsys.readouterr().err
 
 
 def test_experiment_scenario(tmp_path):
@@ -422,6 +439,7 @@ def test_singular_metric_stop_names_its_metric(capsys):
         (TubeDomainError("outside the tube"), 2),
         (FrameCausalityError("not timelike"), 2),
         (SingularMetricError("singular"), 3),
+        (NonFiniteConnectionError("connection not finite"), 3),
         (ZeroDivisionError("division by zero"), 3),
         (ArithmeticError("blowup"), 3),
     ],
@@ -529,8 +547,22 @@ def test_extreme_real_values_exit_0_2_or_3(tmp_path, capsys):
             base += ["--smax", "0.01"] if scenario == "geodesic" and key != "smax" else []
             for value in _EXTREMES:
                 argv = [scenario, *base, f"--{key.replace('_', '-')}={value}", "--out", str(tmp_path / "r.out")]
-                code = main(argv)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    code = main(argv)
                 err = capsys.readouterr().err
-                if code not in (0, 2, 3) or "Traceback" in err or "cannot serialize non-finite number" in err:
-                    bad.append((" ".join(argv[:-2]), code, err))
+                # the normal chart refuses an overflowing connection before computing with it
+                leaked = [str(w.message) for w in caught if w.filename.endswith("normal.py")]
+                if code not in (0, 2, 3) or "Traceback" in err or "cannot serialize non-finite number" in err or leaked:
+                    bad.append((" ".join(argv[:-2]), code, err, leaked))
     assert not bad
+
+
+def test_python_m_framekin_runs_the_cli():
+    src = str(Path(framekin.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "framekin", "plli", "--help"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0
+    assert "--v" in done.stdout and "RuntimeWarning" not in done.stderr

@@ -131,3 +131,79 @@ def test_lab_frames_not_equivalent_at_epoch():
     )
     assert verdict.verdict == "NotEquivalent"
     assert verdict.deltas["expansion"] > 10 * verdict.tolerance
+
+
+# The pair's reports at three configs, captured from sweeps over s in [-0.25, 0.25]:
+# how far the sweeps run beyond the epoch must not move a bit.
+_PAIR_REPORTS = {
+    (1e-3, 0.2): {
+        "u": 0.20412414523193154,
+        "theta_L": 0.0,
+        "theta_Lprime": 2.103734943258639e-05,
+        "theta_Lprime_transport_chart": -2.237564295507636e-19,
+        "theta_Lprime_divergence_oracle": 2.1037349256575072e-05,
+        "ratio_to_av2": 0.5259337358146597,
+        "theta_comoving": 0.003,
+        "theta_drifting": 0.003021037349432587,
+        "oracle_agreement": 1.760113186926801e-13,
+    },
+    (3e-5, 0.05): {
+        "u": 0.05006261743217589,
+        "theta_L": 0.0,
+        "theta_Lprime": 3.761745176834375e-08,
+        "theta_Lprime_transport_chart": 0.0,
+        "theta_Lprime_divergence_oracle": 3.761719525426787e-08,
+        "ratio_to_av2": 0.5015660235779166,
+        "theta_comoving": 9e-05,
+        "theta_drifting": 9.003761745176835e-05,
+        "oracle_agreement": 2.5651407588503076e-13,
+    },
+    (1e-2, 0.3): {
+        "u": 0.3144854510165755,
+        "theta_L": 0.0,
+        "theta_Lprime": 0.0005050887486078241,
+        "theta_Lprime_transport_chart": 1.1365526973575162e-19,
+        "theta_Lprime_divergence_oracle": 0.0005050887488163966,
+        "ratio_to_av2": 0.5612097206753601,
+        "theta_comoving": 0.03,
+        "theta_drifting": 0.03050508874860783,
+        "oracle_agreement": 2.0857252557016093e-13,
+    },
+}
+
+
+@pytest.mark.parametrize("a, v", list(_PAIR_REPORTS))
+def test_moving_lab_pair_reports_bit_for_bit(a, v):
+    pinned = dict(_PAIR_REPORTS[(a, v)])
+    agreement = pinned.pop("oracle_agreement")
+    got = fk.moving_lab_expansion_pair(a, v).to_json_dict()
+    finding = got.pop("finding")
+    assert got == {"a": a, "v": v, **pinned, "published_coefficient": 2.0, "matches_published_coefficient": False}
+    assert np.signbit(got["theta_Lprime_transport_chart"]) == np.signbit(pinned["theta_Lprime_transport_chart"])
+    assert {k: x for k, x in finding.items() if k not in ("summary", "note")} == {
+        "measured_ratio": pinned["ratio_to_av2"],
+        "published_coefficient": 2.0,
+        "divergence_oracle": pinned["theta_Lprime_divergence_oracle"],
+        "decomposition_value": pinned["theta_Lprime"],
+        "oracle_agreement": agreement,
+    }
+
+
+def test_pair_integrates_the_validity_tube_only(monkeypatch):
+    import framekin.equivalence as eq
+
+    paths = []
+    real = eq.integrate_geodesics
+
+    def spy(*args, **kwargs):
+        got = real(*args, **kwargs)
+        paths.extend(got)
+        return got
+
+    monkeypatch.setattr(eq, "integrate_geodesics", spy)
+    fk.moving_lab_expansion_pair(1e-3, 0.2)
+    # the comoving and the drifting geodesic, each 25 steps of 2e-3 either way from the epoch
+    assert len(paths) == 2
+    for path in paths:
+        assert (path.s_min, path.s_max) == (-0.05, 0.05)
+        assert path.stats["steps"] == 50 and len(path.s) == 51

@@ -169,6 +169,12 @@ def test_validity_tube_enforced():
         fk.lab_frame_expansion(m.metric, lab, (0.0, 0.2, 0, 0))
     with pytest.raises(ValueError):
         fk.lab_frame_along_geodesic(m.metric, lab.path, validity_radius=-1.0)
+    # a path as long as the tube is wide, as the moving-lab pair integrates it:
+    # a point on the curve beyond its end has a foot time outside the path
+    m, lab = build_comoving_lab(1e-2, span=0.05, radius=0.05)
+    with pytest.raises(TubeDomainError, match="foot time"):
+        fk.lab_frame_expansion(m.metric, lab, (0.06, 0, 0, 0))
+    assert abs(fk.lab_frame_expansion(m.metric, lab, (0.04, 0, 0, 0)).theta) < 1e-12
 
 
 def test_lab_frame_needs_transported_tetrad():
