@@ -17,7 +17,6 @@ from .geometry import (
     SingularMetricError,
     christoffel,
     covariant_derivative_field,
-    curvature_contractions,
     eval_metric,
     inverse_metric,
     minkowski_metric,
@@ -46,17 +45,7 @@ from .geodesics import (
     integrate_geodesic,
     integrate_geodesics,
 )
-from .maps import (
-    ChartMap,
-    boost_map,
-    identity_map,
-    linear_map,
-    pushed_frame_field,
-    pushed_metric_field,
-    pushforward_tensor,
-    transform_connection,
-    translation_map,
-)
+from .maps import ChartMap, pushed_metric_field
 from .normal import (
     GeodesicLabFrame,
     LabExpansion,
@@ -84,7 +73,6 @@ from .equivalence import (
     MovingLabReport,
     deformed_frame,
     equivalence_verdict,
-    is_symmetry,
     moving_lab_expansion_pair,
     moving_lab_theta_closed_form,
 )

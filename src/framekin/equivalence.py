@@ -1,4 +1,4 @@
-"""Frame deformation, symmetry testing and physical-equivalence verdicts.
+"""Frame deformation and physical-equivalence verdicts.
 
 Two frames are compared through the kinematic invariants of their covariant
 derivative (acceleration, vorticity, shear, expansion), which makes the
@@ -43,7 +43,7 @@ from .catalog import (
 from .frames import FrameField, kinematic_decompose, make_frame
 from .geodesics import StepControl, integrate_geodesics
 from .geometry import DIM, MetricField, as_points, covariant_derivative_field
-from .maps import ChartMap, pushed_metric_field, pushforward_tensor
+from .maps import ChartMap, pushed_metric_field
 from .normal import lab_frame_along_geodesic, lab_frame_expansion
 from .oracles import fd_divergence
 
@@ -141,26 +141,6 @@ def equivalence_verdict(
             "frame_b": db.to_json_dict(),
         },
     )
-
-
-def is_symmetry(cmap: ChartMap, field_fn, tensor_type, sample_points, tol=1e-9) -> bool:
-    """Whether pushing the field through the map reproduces it.
-
-    ``field_fn`` maps coordinates to a dense component array of the given
-    type.  True iff the pushed components at each mapped sample equal the
-    field's own components there, to ``tol``.
-    """
-    samples = list(sample_points)
-    if not samples:
-        raise ValueError("symmetry test needs at least one sample point")
-    for sp in samples:
-        src = np.asarray(field_fn(as_points(sp).tolist()), dtype=float)
-        pushed = pushforward_tensor(cmap, src, tensor_type, sp)
-        image = cmap.forward(sp)
-        there = np.asarray(field_fn([float(c) for c in image]), dtype=float)
-        if np.max(np.abs(pushed - there)) > tol:
-            return False
-    return True
 
 
 def deformed_frame(cmap: ChartMap, frame: FrameField, metric_image: MetricField, label=None) -> FrameField:

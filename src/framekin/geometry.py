@@ -250,12 +250,6 @@ def riemann(metric: MetricField, p) -> CurvatureTensor:
     return CurvatureTensor(rm, ric, scalar, einstein, p)
 
 
-def curvature_contractions(metric: MetricField, p):
-    """(ricci, scalar, einstein) at a point."""
-    curv = riemann(metric, p)
-    return curv.ricci, curv.scalar, curv.einstein
-
-
 def covariant_derivative_field(metric: MetricField, frame, p) -> np.ndarray:
     """Mixed covariant derivative of a vector field.
 

@@ -14,10 +14,10 @@ A ``HyperDual`` holds one point (``val`` a float, ``grad`` (4,), ``hess``
 ``jet(fn, points, order)`` is the one entry point; it takes a point (4,)
 or a block (N, 4) and returns dense arrays, batch axis first.  On a block,
 value comparisons give one bool per sample (``first`` finds the first
-true one).  A map already known as arrays of values and first derivatives
-joins the algebra through ``chain``; the Newton inverse of a map and the
-4x4 matrix inverse work on whole blocks, each sample with its own pivots
-and its own iteration count.
+true one).  A map already known as arrays of values and first (and
+optionally second) derivatives joins the algebra through ``chain``; the
+Newton inverse of a map and the 4x4 matrix inverse work on whole blocks,
+each sample with its own pivots and its own iteration count.
 Arithmetic and ``sqrt`` are elementwise IEEE operations, so a block equals
 its points bit for bit; ``exp``, ``log``, ``asinh``, ``sin``, ``cos`` and
 powers use numpy's vectorised kernels on a block and ``math`` on a point,
@@ -238,26 +238,37 @@ def block_values(coords):
     return vals.reshape(-1, DIM), vals.ndim == 1
 
 
-def chain(coords, f, df):
-    """Scalars of a function of ``coords`` from its values and first derivatives at their value parts.
+def chain(coords, f, df, d2f=None):
+    """Scalars of a function of ``coords`` from its values and derivatives at their value parts.
 
     ``coords`` are four scalars of a point or a block, ``f`` (N, *shape) holds the values on
-    their (N, 4) value block and ``df`` (N, *shape, 4) the derivatives in the four coordinates.
-    The gradient follows by the chain rule through the gradients of ``coords`` and no Hessian
-    is carried, which poisons any downstream second-derivative use.  Returns nested lists of
+    their (N, 4) value block, ``df`` (N, *shape, 4) the derivatives in the four coordinates and
+    ``d2f`` (broadcastable to (N, *shape, 4, 4)) the second derivatives.  The gradient follows by
+    the chain rule through the gradients of ``coords``, and the Hessian through their gradients
+    and Hessians when ``d2f`` is given and every dual coordinate carries one; else no Hessian is
+    carried, which poisons any downstream second-derivative use.  Returns nested lists of
     ``shape``: HyperDuals when a coordinate carries a gradient, else plain values.
     """
     point = not any(np.ndim(value(c)) for c in coords)
     n = len(f)
     vals = np.moveaxis(f.reshape(n, -1), 0, -1)  # (M, N)
     items = [float(v[0]) if point else v for v in vals]
-    if any(isinstance(c, HyperDual) for c in coords):
+    duals = [(b, c.grad.reshape(DIM, -1), c.hess) for b, c in enumerate(coords) if isinstance(c, HyperDual)]
+    if duals:
         d = np.moveaxis(df.reshape(n, -1, DIM), 0, -1)  # (M, 4, N)
         g = 0.0
-        for b, c in enumerate(coords):  # a fixed summation order: a block equals its points
-            if isinstance(c, HyperDual):
-                g = g + d[:, b, None] * c.grad.reshape(DIM, -1)
-        items = [HyperDual(v, gi[:, 0] if point else gi) for v, gi in zip(items, g)]
+        for b, gb, _ in duals:  # a fixed summation order: a block equals its points
+            g = g + d[:, b, None] * gb
+        h = [None] * len(g)
+        if d2f is not None and all(hb is not None for _, _, hb in duals):
+            d2 = np.moveaxis(np.broadcast_to(d2f, df.shape + (DIM,)).reshape(n, -1, DIM, DIM), 0, -1)
+            h = 0.0
+            for b, gb, hb in duals:
+                h = h + d[:, b, None, None] * hb.reshape(DIM, DIM, -1)
+                for k, gk, _ in duals:
+                    h = h + d2[:, b, k, None, None] * _outer(gb, gk)
+            h = list(h[..., 0] if point else h)
+        items = [HyperDual(v, gi[:, 0] if point else gi, hi) for v, gi, hi in zip(items, g, h)]
     for m in reversed(f.shape[2:]):
         items = [items[i : i + m] for i in range(0, len(items), m)]
     return items

@@ -17,8 +17,13 @@ origin moved to that point and the parallel-transported tetrad as axes.
 The resulting time-axis field is the inertial lab frame of the curve: it
 equals the curve's velocity on the curve, is torsion-aligned there
 (transformed connection vanishes on the curve), and is in free fall only on
-the curve itself.  The sliding chart is array code over blocks of points:
-one Newton solve and one connection-jet lookup serve a whole block.
+the curve itself.
+
+Both charts are array code over blocks of points, joined to the dual
+algebra by ``hyperdual.chain``: the point chart's map is a cubic
+polynomial, so its Jacobian and that Jacobian's derivatives are closed
+forms; in the sliding chart one Newton solve and one connection-jet lookup
+serve a whole block.
 
 Off the curve the chart is second-order accurate; derivative propagation
 through the chart drops remainder terms of the same order as the truncation
@@ -111,63 +116,43 @@ def build_normal_chart(metric: MetricField, p0, initial_tetrad, validity_radius=
     """Normal coordinates about p0 with the given orthonormal axes.
 
     The map out of the chart is the geodesic Taylor polynomial through
-    third order; the forward map inverts it by Newton iteration with exact
-    Jacobians, so the chart functions are differentiable to second order
-    everywhere in the validity ball.
+    third order, x = x0 + y - Gamma(y, y) / 2 + C(y, y, y) with y = xi^a e_a,
+    evaluated as arrays over blocks together with its Jacobian and that
+    Jacobian's derivatives, all closed polynomials, and carried into the
+    dual algebra by ``hyperdual.chain``.  The forward map inverts it by
+    Newton iteration with exact Jacobians, so the chart functions are
+    differentiable to second order everywhere in the validity ball.
     """
     x0 = as_points(p0)
     e = _check_tetrad(metric, x0, initial_tetrad)
-    gamma, dgamma = christoffel_jet(metric, x0)
     where = f"at base point {x0.tolist()}"
-    if not (np.isfinite(gamma).all() and np.isfinite(dgamma).all()):
-        raise NonFiniteConnectionError(f"{metric.name}: connection or its derivative not finite {where}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
+        gamma, dgamma = christoffel_jet(metric, x0)
+        if not (np.isfinite(gamma).all() and np.isfinite(dgamma).all()):
+            raise NonFiniteConnectionError(f"{metric.name}: connection or its derivative not finite {where}")
         cubic = _cubic_coefficient(gamma, dgamma)
-    if not np.isfinite(cubic).all():
+        # both map terms on the tetrad axes: G(xi, xi) = Gamma(y, y) and K(xi, xi, xi) = C(y, y, y)
+        g_axes = np.einsum("mnr,an,br->mab", gamma, e, e)
+        k_axes = np.einsum("mlnr,al,bn,cr->mabc", cubic, e, e, e)
+    if not (np.isfinite(cubic).all() and np.isfinite(g_axes).all() and np.isfinite(k_axes).all()):
         raise NonFiniteConnectionError(f"{metric.name}: connection products overflow the cubic map term {where}")
+    third = 6.0 * k_axes  # d H / d xi, constant: the cubic map has no fourth derivative
+
+    def _map(xi):
+        """(x, J, H) on an (N, 4) block of chart points: the map, J[n, mu, a] = d x^mu / d xi^a
+        and H[n, mu, a, b] = d J[n, mu, a] / d xi^b."""
+        kx = np.einsum("mabc,nc->nmab", k_axes, xi)
+        gx = np.einsum("mab,nb->nma", g_axes, xi)
+        kxx = np.einsum("nmab,nb->nma", kx, xi)
+        x = x0 + np.einsum("nma,na->nm", e.T - 0.5 * gx + kxx, xi)
+        return x, e.T - gx + 3.0 * kxx, 6.0 * kx - g_axes
 
     def inverse_fn(xi):
-        y = [sum(e[a, mu] * xi[a] for a in range(DIM)) for mu in range(DIM)]
-        out = []
-        for mu in range(DIM):
-            acc = x0[mu] + y[mu]
-            for n in range(DIM):
-                for r in range(DIM):
-                    gmr = gamma[mu, n, r]
-                    if gmr != 0.0:
-                        acc = acc - 0.5 * gmr * y[n] * y[r]
-            for l in range(DIM):
-                for n in range(DIM):
-                    for r in range(DIM):
-                        c = cubic[mu, l, n, r]
-                        if c != 0.0:
-                            acc = acc + c * y[l] * y[n] * y[r]
-            out.append(acc)
-        return out
+        return chain(xi, *_map(block_values(xi)[0]))
 
     def inverse_jacobian_fn(xi):
-        """d x^mu / d xi^a, a closed polynomial in the chart coordinates."""
-        y = [sum(e[b, mu] * xi[b] for b in range(DIM)) for mu in range(DIM)]
-        cols = []
-        for a in range(DIM):
-            col = []
-            for mu in range(DIM):
-                acc = e[a, mu] + 0.0
-                for n in range(DIM):
-                    for r in range(DIM):
-                        gmr = gamma[mu, n, r]
-                        if gmr != 0.0:
-                            acc = acc - gmr * e[a, n] * y[r]
-                for l in range(DIM):
-                    for n in range(DIM):
-                        for r in range(DIM):
-                            c = cubic[mu, l, n, r]
-                            if c != 0.0:
-                                acc = acc + 3.0 * c * e[a, l] * y[n] * y[r]
-                col.append(acc)
-            cols.append(col)
-        # cols[a][mu] built per axis; return rows indexed [mu][a]
-        return [[cols[a][mu] for a in range(DIM)] for mu in range(DIM)]
+        """Rows [mu][a] of d x^mu / d xi^a."""
+        return chain(xi, *_map(block_values(xi)[0])[1:], third)
 
     def forward_fn(coords):
         target, _ = block_values(coords)

@@ -1,16 +1,20 @@
 """Independent finite-difference and quadrature evaluators.
 
 These exist as cross-checks for the exact derivative engine, for the closed
-forms of the drift-adapted chart, and for report evidence.  Production code
-paths never derive geometry from them; tests and evidence payloads do.
+forms of the drift-adapted chart, for ``pushed_metric_field`` (the
+transformation laws of a connection and of a frame through a chart map),
+and for report evidence.  Production code paths never derive geometry from
+them; tests and evidence payloads do.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .frames import make_frame
 from .geometry import DIM, MetricField, as_points, christoffel, eval_metric
-from .hyperdual import block_values
+from .hyperdual import block_values, dual_matrix_inverse, jet
+from .maps import ChartMap
 
 
 def fd_metric_derivatives(metric: MetricField, p, step=1e-5) -> np.ndarray:
@@ -135,3 +139,38 @@ def invert_monotone(fn, dfn, target, lo, hi, tol=1e-12, max_iter=200):
         if abs(step) < tol:
             return t
     raise ArithmeticError("monotone inversion did not converge")
+
+
+def pushed_frame_field(cmap: ChartMap, frame, metric_image: MetricField, label=None):
+    """Frame components carried to the image chart by the map differential.
+
+    Q'^mu(x') = (d x'^mu / d x^a)(x(x')) Q^a(x(x')); the result is wrapped
+    as a unit frame against the image-chart metric.
+    """
+
+    def comps(coords):
+        back = cmap.inverse_fn(coords)
+        a = cmap.inverse_jacobian_fn(coords)  # dx/dx'
+        lam = dual_matrix_inverse(a)  # dx'/dx at the source point
+        q = frame.component_fn(back)
+        return [sum(lam[mu][al] * q[al] for al in range(DIM)) for mu in range(DIM)]
+
+    return make_frame(comps, metric_image, label=label or f"{frame.label}'")
+
+
+def transform_connection(cmap: ChartMap, metric: MetricField, p):
+    """Connection in the image chart via the inhomogeneous transformation law.
+
+    Gamma'^m_{ij}(x') = La^m_a (La^-1)^b_i (La^-1)^c_j Gamma^a_{bc}
+                        + La^m_a  d^2 x^a / d x'^i d x'^j,
+    computed from exact second derivatives of the inverse point map.
+    """
+    gamma = christoffel(metric, p)
+    image = cmap.forward(p)
+    lam = cmap.jacobian(p)
+    lam_inv = np.linalg.inv(lam)
+    _, _, d2 = jet(cmap.inverse_fn, image, order=2)
+    second = np.moveaxis(d2, -1, 0)  # [a, i, j] = d2 x^a / dx'^i dx'^j
+    out = np.einsum("ma,bi,cj,abc->mij", lam, lam_inv, lam_inv, gamma)
+    out += np.einsum("ma,aij->mij", lam, second)
+    return out

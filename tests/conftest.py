@@ -44,3 +44,9 @@ def survey_frames():
         (model.metric, model.frame_comoving),
         (model.metric, model.frame_drifting),
     ]
+
+
+def boosted_tetrad(model, t, v=0.4):
+    """Orthonormal axes at time t of the expanding model, boosted along x^1 and not diagonal."""
+    r, gam = model.scale.value(t), 1.0 / np.sqrt(1.0 - v * v)
+    return np.array([[gam, gam * v / r, 0, 0], [gam * v, gam / r, 0, 0], [0, 0, 1 / r, 0], [0, 0, 0, 1 / r]])

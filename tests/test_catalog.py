@@ -12,7 +12,7 @@ from framekin.catalog import (
     z_chart_connection_closed,
     z_chart_metric_closed,
 )
-from framekin.oracles import adaptive_simpson, invert_monotone
+from framekin.oracles import adaptive_simpson, invert_monotone, pushed_frame_field
 
 
 def test_make_friedmann_flat_limit():
@@ -174,7 +174,7 @@ def test_drifting_frame_is_time_axis_of_its_chart(friedmann_small):
     m = friedmann_small
     cmap = fk.z_chart(m)
     gz = fk.pushed_metric_field(cmap, m.metric)
-    zf = fk.pushed_frame_field(cmap, m.frame_drifting, gz)
+    zf = pushed_frame_field(cmap, m.frame_drifting, gz)
     for q in ((0.0, 0, 0, 0), (1.1, 0.5, -0.7, 0.2)):
         comps = np.array([float(c) for c in zf.component_fn(list(q))])
         assert np.max(np.abs(comps - [1, 0, 0, 0])) < 1e-8

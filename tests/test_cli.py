@@ -130,8 +130,11 @@ def test_overflowing_drifting_frame_exits_2_naming_it(scenario, tmp_path, capsys
 )
 def test_overflowing_connection_at_normal_chart_base_exits_3_naming_it(a, what, tmp_path, capsys):
     # the connection derivative grows as a^2 and overflows; the base point itself is inside the domain
-    assert main(["normal-chart", "--a", a, "--out", str(tmp_path / "r.json")]) == 3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["normal-chart", "--a", a, "--out", str(tmp_path / "r.json")]) == 3
     assert f"friedmann(a={float(a)}): {what} at base point [0.0, 0.0, 0.0, 0.0]" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]  # the refusal is the only word
 
 
 def test_experiment_scenario(tmp_path):

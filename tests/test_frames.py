@@ -16,7 +16,7 @@ from framekin.catalog import theta_comoving_closed, theta_drifting_closed
 from framekin.frames import FrameCausalityError, SynchronizabilityClass, curl_and_wedge
 from framekin.geometry import ChartDomainError, SingularMetricError
 from framekin.hyperdual import jet
-from framekin.oracles import fd_divergence
+from framekin.oracles import fd_divergence, pushed_frame_field
 
 from conftest import random_points, survey_frames
 
@@ -144,7 +144,7 @@ def test_expansion_is_chart_invariant(friedmann_small):
     m = friedmann_small
     cmap = fk.z_chart(m)
     gz = fk.pushed_metric_field(cmap, m.metric)
-    zf = fk.pushed_frame_field(cmap, m.frame_drifting, gz)
+    zf = pushed_frame_field(cmap, m.frame_drifting, gz)
     for p in ((0.0, 0, 0, 0), (1.3, 0.4, -0.2, 0.6)):
         th = fk.kinematic_decompose(m.metric, m.frame_drifting, p).theta
         th_mapped = fk.kinematic_decompose(gz, zf, tuple(cmap.forward(p))).theta
@@ -203,7 +203,7 @@ def test_classify_drifting_in_adapted_chart(friedmann_small):
     m = friedmann_small
     cmap = fk.z_chart(m)
     gz = fk.pushed_metric_field(cmap, m.metric)
-    zf = fk.pushed_frame_field(cmap, m.frame_drifting, gz)
+    zf = pushed_frame_field(cmap, m.frame_drifting, gz)
     res = fk.classify_synchronizability(
         gz, zf, fk.grid_samples((0, -0.5, -0.5, -0.5), (1, 0.5, 0.5, 0.5))
     )
@@ -336,7 +336,7 @@ def test_partial_last_block_matches_per_point_loop(monkeypatch):
 def test_block_pushed_and_lab_frames_match_per_point_loop(friedmann_small):
     m = friedmann_small
     gz = fk.pushed_metric_field(fk.z_chart(m), m.metric)
-    zf = fk.pushed_frame_field(fk.z_chart(m), m.frame_drifting, gz)
+    zf = pushed_frame_field(fk.z_chart(m), m.frame_drifting, gz)
     _assert_block_results_match_reference(gz, zf, fk.grid_samples((0, -0.5, -0.5, -0.5), (1, 0.5, 0.5, 0.5), 2))
     model = fk.make_friedmann(0.5)
     ctrl = fk.StepControl(step=2e-3)

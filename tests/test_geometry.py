@@ -240,7 +240,8 @@ def test_ricci_scalar_cas_fixture():
 
 def test_curvature_contractions(friedmann_a03, rng):
     for p in random_points(rng, 5):
-        ric, scalar, einstein = fk.curvature_contractions(friedmann_a03.metric, p)
+        curv = fk.riemann(friedmann_a03.metric, p)
+        ric, scalar, einstein = curv.ricci, curv.scalar, curv.einstein
         assert np.max(np.abs(ric - ric.T)) < 1e-10
         g = fk.eval_metric(friedmann_a03.metric, p)
         ginv = np.linalg.inv(g)

@@ -1,11 +1,15 @@
 """Derivative engine checks against analytic and finite-difference values."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from framekin.hyperdual import (
     HyperDual,
     asinh,
+    block_values,
+    chain,
     cos,
     dual_matrix_inverse,
     dual_newton_invert,
@@ -248,3 +252,73 @@ def test_newton_inversion_raises_when_a_row_does_not_converge():
     with pytest.raises(ArithmeticError, match="did not converge"):
         dual_newton_invert(shifted_square, target, np.array([[0.5, 0, 0, 0], [0.5, 0, 0, 0]]))
     assert dual_newton_invert(shifted_square, [2.0, 0.0, 0.0, 0.0], [0.5, 0, 0, 0])[0] == 1.0
+
+
+# -- chain: maps known as arrays --------------------------------------------------
+
+# a cubic map R^4 -> R^4 with small integer coefficients, symmetric in the summed indices:
+# f^m = A[m, a] x^a + B[m, a, b] x^a x^b + C[m, a, b, c] x^a x^b x^c
+_poly = np.random.default_rng(11)
+POLY_A = _poly.integers(-2, 3, (4, 4)).astype(float)
+POLY_B = _poly.integers(-2, 3, (4, 4, 4)).astype(float)
+POLY_B = POLY_B + POLY_B.transpose(0, 2, 1)
+POLY_C = _poly.integers(-1, 2, (4, 4, 4, 4)).astype(float)
+POLY_C = sum(np.transpose(POLY_C, (0, *perm)) for perm in itertools.permutations((1, 2, 3)))
+
+
+def poly_scalar(x):
+    """The cubic map as scalar arithmetic."""
+    out = []
+    for m in range(4):
+        acc = 0.0
+        for a in range(4):
+            acc = acc + float(POLY_A[m, a]) * x[a]
+            for b in range(4):
+                acc = acc + float(POLY_B[m, a, b]) * x[a] * x[b]
+                for c in range(4):
+                    acc = acc + float(POLY_C[m, a, b, c]) * x[a] * x[b] * x[c]
+        out.append(acc)
+    return out
+
+
+def poly_arrays(x):
+    """(f, df, d2f) of the cubic map on an (N, 4) block, from its coefficients."""
+    cx = np.einsum("mabc,nc->nmab", POLY_C, x)
+    bx = np.einsum("mab,nb->nma", POLY_B, x)
+    cxx = np.einsum("nmab,nb->nma", cx, x)
+    f = np.einsum("nma,na->nm", POLY_A + bx + cxx, x)
+    return f, POLY_A + 2.0 * bx + 3.0 * cxx, 2.0 * POLY_B + 6.0 * cx
+
+
+def poly_chain(x, second=True):
+    f, df, d2f = poly_arrays(block_values(x)[0])
+    return chain(x, f, df, d2f) if second else chain(x, f, df)
+
+
+def test_chain_second_derivatives_equal_the_scalar_jet():
+    # dyadic points and integer coefficients: every sum is exact, so the two forms agree bit for bit
+    block = np.random.default_rng(5).integers(-8, 9, (6, 4)) / 4.0
+    for points in (block[0], block):
+        for order in (0, 1, 2):
+            for got, want in zip(jet(poly_chain, points, order), jet(poly_scalar, points, order)):
+                assert np.array_equal(got, want)
+
+
+def test_chain_second_derivatives_through_a_dual_input(rng):
+    # the chain rule with gradients and Hessians on the input: f(h(x)) for a nonlinear h
+    def inner(x):
+        return [x[0] * x[1], sin(x[2]), x[3] * x[3] + x[0], exp(0.5 * x[1])]
+
+    block = rng.uniform(-1.0, 1.0, (5, 4))
+    for points in (block[0], block):
+        got = jet(lambda x: poly_chain(inner(x)), points, order=2)
+        want = jet(lambda x: poly_scalar(inner(x)), points, order=2)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) < 1e-10 * max(1.0, np.max(np.abs(w)))
+
+
+def test_chain_without_second_derivatives_refuses_an_order_2_jet():
+    point = np.array([0.5, -0.25, 1.0, 0.75])
+    assert np.array_equal(jet(lambda x: poly_chain(x, second=False), point)[1], jet(poly_scalar, point)[1])
+    with pytest.raises(ValueError, match="second-order jet requested from a first-order evaluation"):
+        jet(lambda x: poly_chain(x, second=False), point, order=2)

@@ -7,6 +7,8 @@ import framekin as fk
 from framekin.hyperdual import jet, value
 from framekin.normal import TubeDomainError
 
+from conftest import boosted_tetrad
+
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
@@ -64,6 +66,54 @@ def test_roundtrip_second_order_inverse(friedmann_a03):
         back = chart.inverse(tuple(chart.forward(tuple(x))))
         worst = max(worst, float(np.max(np.abs(back - x))))
     assert worst < 1e-5  # Newton inversion makes the pair exact, well under the bound
+
+
+def test_normal_chart_is_the_scalar_taylor_polynomial(friedmann_a03):
+    # reference: x = x0 + y - Gamma(y, y) / 2 + C(y, y, y), y = xi^a e_a, as scalar arithmetic
+    import framekin.normal as nm
+
+    m = friedmann_a03
+    x0 = np.array([0.5, 0.1, -0.2, 0.3])
+    e = boosted_tetrad(m, 0.5)
+    gamma, dgamma = nm.christoffel_jet(m.metric, x0)
+    cubic = nm._cubic_coefficient(gamma, dgamma)
+    r4 = range(4)
+
+    def taylor(xi):
+        y = [sum(e[a, mu] * xi[a] for a in r4) for mu in r4]
+        quad = [sum(gamma[mu, n, r] * y[n] * y[r] for n in r4 for r in r4) for mu in r4]
+        cube = [sum(cubic[mu, l, n, r] * y[l] * y[n] * y[r] for l in r4 for n in r4 for r in r4) for mu in r4]
+        return [x0[mu] + y[mu] - 0.5 * quad[mu] + cube[mu] for mu in r4]
+
+    def taylor_jacobian(xi):  # rows [mu][a] of d x^mu / d xi^a, differentiated by hand
+        y = [sum(e[b, mu] * xi[b] for b in r4) for mu in r4]
+        def entry(mu, a):
+            lin = sum(gamma[mu, n, r] * e[a, n] * y[r] for n in r4 for r in r4)
+            sq = sum(cubic[mu, l, n, r] * e[a, l] * y[n] * y[r] for l in r4 for n in r4 for r in r4)
+            return e[a, mu] - lin + 3.0 * sq
+
+        return [[entry(mu, a) for a in r4] for mu in r4]
+
+    cmap = fk.build_normal_chart(m.metric, x0, e).chart_map
+    block = np.random.default_rng(2).uniform(-0.04, 0.04, (5, 4))
+    for fn, ref in ((cmap.inverse_fn, taylor), (cmap.inverse_jacobian_fn, taylor_jacobian)):
+        for got, want in zip(jet(fn, block, order=2), jet(ref, block, order=2)):
+            assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_normal_chart_block_equals_its_points(friedmann_a03):
+    # the chart is array code over blocks: a block of chart points evaluates as its points do,
+    # bit for bit, through the map and through its inverse Jacobian, at every jet order
+    m = friedmann_a03
+    block = np.random.default_rng(1).uniform(-0.04, 0.04, (7, 4))
+    for tetrad in (comoving_tetrad(m, 0.5), boosted_tetrad(m, 0.5)):
+        cmap = fk.build_normal_chart(m.metric, (0.5, 0.1, -0.2, 0.3), tetrad).chart_map
+        for fn in (cmap.inverse_fn, cmap.inverse_jacobian_fn):
+            for order in (0, 1, 2):
+                batched = jet(fn, block, order)
+                for k, xi in enumerate(block):
+                    for arr_block, arr_point in zip(batched, jet(fn, xi, order)):
+                        assert np.array_equal(arr_block[k], arr_point)
 
 
 def test_rejects_non_orthonormal_tetrad(friedmann_a03):
