@@ -77,13 +77,13 @@ def make_friedmann(a, u=0.0) -> FriedmannModel:
 
     def metric_comps(coords):
         r = scale.value(coords[0])
-        r2 = r * r
+        m = -(r * r)
         zero = 0.0
         return [
             [1.0, zero, zero, zero],
-            [zero, -r2, zero, zero],
-            [zero, zero, -r2, zero],
-            [zero, zero, zero, -r2],
+            [zero, m, zero, zero],
+            [zero, zero, m, zero],
+            [zero, zero, zero, m],
         ]
 
     def domain(coords):

@@ -214,24 +214,24 @@ def _evaluate(metric, y, rows, sweeps, calls, knot=False):
     the reason a run of that point alone gives (see ``_failing_row``), and
     the rest are evaluated again without it.  The results have a row for
     every row of y, zero where nothing was evaluated; ``rows`` lists the
-    evaluated ones.
+    evaluated ones.  A lone state y (W,) is evaluated as it is.
     """
     kind = "knot" if knot else "stage"
     for r in rows:
         sweeps[r].counts[kind] += 1
-    name = "christoffel_jet" if knot and y.shape[1] > 2 * DIM else "christoffel"
+    name = "christoffel_jet" if knot and y.shape[-1] > 2 * DIM else "christoffel"
     while rows:
         calls[name] += 1
         try:
-            dy, d2e = _rhs(metric, y[rows[0]] if len(rows) == 1 else y[rows], knot)
+            dy, d2e = _rhs(metric, y if y.ndim == 1 else y[rows[0]] if len(rows) == 1 else y[rows], knot)
         except (ChartDomainError, SingularMetricError) as exc:
             bad, exc = _failing_row(metric, y, rows, knot, exc, calls, name)
             sweeps[bad].reason = str(exc)
             rows = [r for r in rows if r != bad]
             continue
-        if len(rows) < len(y):
+        if y.ndim == 2 and len(rows) < len(y):
             dy, d2e = _spread(dy, rows, len(y)), _spread(d2e, rows, len(y))
-        return rows, dy.reshape(y.shape), None if d2e is None else d2e.reshape(len(y), -1)
+        return rows, dy, d2e
     return rows, np.zeros(y.shape), None
 
 
@@ -285,9 +285,9 @@ def _sweep(metric, sweeps, control, calls):
         if not act:
             return
         dts = [sw.sgn * min(sw.step, abs(sw.target - sw.s)) for sw in act]
-        if len(act) == 1:
+        if len(act) == 1:  # a lone state (W,), stepped without block bookkeeping
             _, y, k1, _ = act[0].knots[-1]
-            dt, y, k1 = dts[0], y[None], k1[None]
+            dt = dts[0]
         else:
             dt = np.array(dts)[:, None]
             y, k1 = np.array([sw.knots[-1][1] for sw in act]), np.array([sw.knots[-1][2] for sw in act])
@@ -298,10 +298,10 @@ def _sweep(metric, sweeps, control, calls):
         y_new = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rows, k_new, d2e = _evaluate(metric, y_new, rows, act, calls, knot=True)
         for r in rows:
-            sw = act[r]
+            sw, at = act[r], (... if y.ndim == 1 else r)  # a lone state is the whole array
             sw.s = sw.s + dts[r]
             sw.steps += 1
-            sw.knots.append((sw.s, y_new[r], k_new[r], None if d2e is None else d2e[r]))
+            sw.knots.append((sw.s, y_new[at], k_new[at], None if d2e is None else d2e[at]))
 
 
 def integrate_geodesics(

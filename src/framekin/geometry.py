@@ -3,6 +3,8 @@
 A point is its four chart coordinates as a (4,) float array, and a block
 of points an (N, 4) array; ``as_points`` reads either from any sequence.
 Functions that take a block return their results with the batch axis first.
+The connection refuses a metric (``SingularMetricError``) that is not finite, or whose
+condition number max|lambda| / min|lambda| over its eigenvalues reaches 1e13.
 All arrays are dense with fixed 4^k layouts.  Index conventions:
 
 * metric derivative arrays put derivative indices first:
@@ -26,12 +28,13 @@ the x^0 direction timelike (g_00 > 0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .hyperdual import DIM, first, jet, seed
+from .hyperdual import DIM, first, jet
 
 SIGNATURE = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -66,7 +69,7 @@ def as_points(p):
     if coords.ndim == 1:
         if len(coords) != DIM:
             raise ValueError("a chart point has exactly four coordinates")
-        if not np.isfinite(coords).all():
+        if not all(map(math.isfinite, coords.tolist())):
             raise ValueError("chart point coordinates must be finite")
     elif coords.ndim != 2 or coords.shape[1] != DIM:
         raise ValueError(f"a block of chart points has shape (N, 4), got {coords.shape}")
@@ -101,24 +104,24 @@ class MetricField:
     name: str = "metric"
     domain_fn: Optional[Callable] = None
 
-    def check_domain(self, coords):
-        """Raise ChartDomainError at the first non-finite or out-of-domain point of a point or block."""
-        coords = np.asarray(coords, dtype=float)
-        block = coords.reshape(-1, DIM)
-        if not np.isfinite(coords).all():
-            where, k = _sample(coords, first(~np.isfinite(block).all(axis=1)))
+    def check_domain(self, p):
+        """``as_points(p)``, after raising ChartDomainError at a block's first non-finite or any out-of-domain point."""
+        coords = as_points(p)
+        if coords.ndim == 2 and not np.isfinite(coords).all():
+            where, k = _sample(coords, first(~np.isfinite(coords).all(axis=1)))
             raise ChartDomainError(f"{self.name}: non-finite coordinates {where}", k)
         if self.domain_fn is not None:
-            bad = first(~np.asarray(self.domain_fn(seed(coords, order=0)), dtype=bool))
+            ok = self.domain_fn(coords.tolist() if coords.ndim == 1 else list(coords.T))
+            bad = (None if ok else 0) if coords.ndim == 1 else first(~np.asarray(ok, dtype=bool))
             if bad is not None:
                 where, k = _sample(coords, bad)
                 raise ChartDomainError(f"{self.name}: point {where} outside chart domain", k)
+        return coords
 
 
 def eval_metric(metric: MetricField, p, symmetry_tol=1e-12) -> np.ndarray:
     """Metric components at a point (4, 4) or a block (N, 4, 4), with symmetry and signature checks."""
-    coords = as_points(p)
-    metric.check_domain(coords)
+    coords = metric.check_domain(p)
     (g,) = jet(metric.component_fn, coords, order=0)
     _check_lorentzian(metric, g, coords, symmetry_tol)
     return g
@@ -150,20 +153,24 @@ def inverse_metric(metric: MetricField, p) -> np.ndarray:
 
 
 def _invert(g: np.ndarray, name) -> np.ndarray:
-    """Inverse of a metric (4, 4) or of each metric of a stack (N, 4, 4), refusing singular ones."""
+    """Inverse of a metric (4, 4) or of each metric of a stack (N, 4, 4), refusing unusable ones.
+
+    A metric with a non-finite component is refused as singular, naming its determinant; a finite
+    one as numerically singular when cond = max|lambda| / min|lambda| over its eigenvalues (its
+    singular values; inf when min|lambda| = 0) reaches 1e13.  A stack names its first refused sample.
+    """
     point = g.ndim == 2
     where = "" if point else " at sample {}"
-    det = np.linalg.det(g)
-    bad = first((det == 0.0) | ~np.isfinite(det))
+    bad = first(~np.logical_and.reduce(np.isfinite(g), axis=(-2, -1)))
     if bad is not None:
-        message = f"{name}: singular metric, det={np.ravel(det)[bad]}" + where.format(bad)
+        message = f"{name}: singular metric, det={np.ravel(np.linalg.det(g))[bad]}" + where.format(bad)
         raise SingularMetricError(message, None if point else bad)
-    sv = np.linalg.svd(g, compute_uv=False)
-    # det != 0 rules out g = 0, so a zero smallest singular value gives cond = inf
-    cond = sv[..., 0] / sv[..., -1]
-    bad = first(cond > 1e13)
+    lam = np.abs(np.linalg.eigvalsh(g))
+    lam.sort(axis=-1)
+    bad = first(lam[..., 0] <= 1e-13 * lam[..., -1])
     if bad is not None:
-        message = f"{name}: metric numerically singular, cond={np.ravel(cond)[bad]:.2e}" + where.format(bad)
+        lo, hi = lam.reshape(-1, DIM)[bad, [0, -1]].tolist()
+        message = f"{name}: metric numerically singular, cond={hi / lo if lo else math.inf:.2e}" + where.format(bad)
         raise SingularMetricError(message, None if point else bad)
     return np.linalg.inv(g)
 
@@ -174,9 +181,7 @@ def metric_jet(metric: MetricField, p, order=2):
     Returns (g, dg) for order 1 and (g, dg, d2g) for order 2; derivative
     indices first, after the batch axis of a block.
     """
-    coords = as_points(p)
-    metric.check_domain(coords)
-    return jet(metric.component_fn, coords, order)
+    return jet(metric.component_fn, metric.check_domain(p), order)
 
 
 @dataclass
@@ -195,7 +200,8 @@ class CurvatureTensor:
 
 def _braces(dg):
     """[..., k, i, j] = d_i g_{kj} + d_j g_{ki} - d_k g_{ij}; leading axes of dg pass through."""
-    return np.einsum("...ikj->...kij", dg) + np.einsum("...jki->...kij", dg) - dg
+    swapped = dg.swapaxes(-3, -2)  # [..., k, i, j] = d_i g_{kj}
+    return swapped + swapped.swapaxes(-2, -1) - dg
 
 
 def _gamma_from_jets(g, dg, name):

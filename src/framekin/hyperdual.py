@@ -33,6 +33,9 @@ import math
 import numpy as np
 
 DIM = 4
+# Derivative parts shared read-only by every point seed: the four unit gradients and a zero Hessian
+_UNIT_GRADS, _ZERO_HESS = np.eye(DIM), np.zeros((DIM, DIM))
+_UNIT_GRADS.flags.writeable = _ZERO_HESS.flags.writeable = False
 
 
 def _outer(a, b):
@@ -53,9 +56,9 @@ class HyperDual:
     # numpy scalars and arrays defer to the reflected operators below
     __array_ufunc__ = None
 
-    def __init__(self, val, grad=None, hess=None):
+    def __init__(self, val, grad, hess=None):
         self.val = val if type(val) is float or (isinstance(val, np.ndarray) and val.ndim) else float(val)
-        self.grad = np.zeros((DIM,) + np.shape(self.val)) if grad is None else grad
+        self.grad = grad
         self.hess = hess
 
     # -- arithmetic ---------------------------------------------------------
@@ -186,6 +189,8 @@ def seed(coords, order=2):
     coords = np.asarray(coords, dtype=float)
     if order == 0:
         return list(coords.T) if coords.ndim == 2 else coords.tolist()
+    if coords.ndim == 1:
+        return [HyperDual(x, e, _ZERO_HESS if order == 2 else None) for x, e in zip(coords.tolist(), _UNIT_GRADS)]
     batch = coords.shape[:-1]
     out = []
     for i in range(DIM):
@@ -209,18 +214,24 @@ def jet(fn, points, order=1):
     matrix = isinstance(out[0], (list, tuple))
     flat = [c for row in out for c in row] if matrix else list(out)
     shape = (len(out), len(out[0])) if matrix else (len(out),)
-    parts = [np.zeros((DIM,) * n + (len(flat),) + batch) for n in range(order + 1)]
-    for i, c in enumerate(flat):
-        parts[0][i] = getattr(c, "val", c)
-        if order and isinstance(c, HyperDual):
-            parts[1][:, i] = c.grad
-            if order == 2:
-                if c.hess is None:
-                    raise ValueError("second-order jet requested from a first-order evaluation")
-                parts[2][:, :, i] = c.hess
-    if batch:
-        parts = [np.moveaxis(a, -1, 0) for a in parts]
-    return tuple(a.reshape(a.shape[: a.ndim - 1] + shape) for a in parts)
+    duals = [(i, c) for i, c in enumerate(flat) if isinstance(c, HyperDual)]
+    derivs = [np.zeros((DIM,) * n + (len(flat),) + batch) for n in range(1, order + 1)]
+    for i, c in duals:  # flat keeps the value parts, derivs gets the derivative parts
+        flat[i] = c.val
+        if order:
+            derivs[0][:, i] = c.grad
+        if order == 2:
+            if c.hess is None:
+                raise ValueError("second-order jet requested from a first-order evaluation")
+            derivs[1][:, :, i] = c.hess
+    if batch:  # a block's value parts are (N,) arrays, or constants that broadcast
+        values = np.zeros((len(flat),) + batch)
+        for i, v in enumerate(flat):
+            values[i] = v
+        parts = [np.moveaxis(a, -1, 0) for a in (values, *derivs)]
+    else:  # a point's value parts are floats
+        parts = [np.array(flat, dtype=float), *derivs]
+    return tuple([a.reshape(a.shape[:-1] + shape) for a in parts])
 
 
 def first(cond):

@@ -104,6 +104,44 @@ def test_truncated_geodesic_report_says_why(tmp_path, capsys):
     assert not res["truncated"] and "reason" not in res
 
 
+@pytest.mark.parametrize("a, cond", [("1e60", "2.50e+113"), ("1e150", "2.50e+293")])
+def test_finite_metric_with_overflowing_determinant_is_refused_by_its_condition(tmp_path, capsys, a, cond):
+    # g = diag(1, -R^2, -R^2, -R^2) is finite at the first stage, but det g = -R^6 overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["geodesic", "--a", a, "--smax", "0.01", "--out", str(tmp_path / "t.csv")])
+    assert rc == 0
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert res["truncated"] and res["steps"] == 0
+    assert res["reason"] == f"friedmann(a={float(a)}): metric numerically singular, cond={cond}"
+
+
+# Reports (less wall_time_s and csv_path) and trajectories of three short geodesic runs,
+# pinned byte for byte; the trajectories are in tests/data.
+_GEODESIC_RUNS = [
+    ("1e-4", "0", 0.0),
+    ("1e-3", "0.25", 1.1102230246251565e-15),
+    ("1e-2", "0.5", 1.5543122344752192e-15),
+]
+
+
+@pytest.mark.parametrize("a, u, drift", _GEODESIC_RUNS)
+def test_geodesic_output_bit_for_bit(tmp_path, capsys, a, u, drift):
+    csv_path = tmp_path / "traj.csv"
+    assert main(["geodesic", "--a", a, "--u", u, "--smax", "0.05", "--out", str(csv_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["wall_time_s"], report["result"]["csv_path"]
+    assert report == {
+        "inputs": {"a": float(a), "scenario": "geodesic", "smax": 0.05, "u": float(u)},
+        "result": {"max_norm_drift": drift, "samples": 51, "steps": 50, "truncated": False},
+        "scenario": "geodesic",
+        "tolerance": 1e-07,
+        "tool_version": "0.1.0",
+    }
+    pinned = Path(__file__).parent / "data" / f"geodesic_a{a}_u{u}.csv"
+    assert csv_path.read_bytes() == pinned.read_bytes()
+
+
 def test_non_finite_metric_exits_2_naming_the_metric(tmp_path, capsys):
     rc = main(["normal-chart", "--point", "1e300,0,0,0", "--out", str(tmp_path / "r.json")])
     assert rc == 2

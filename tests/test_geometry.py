@@ -7,6 +7,8 @@ under the package's sign convention; for the linear scale factor the scalar
 is -6 a^2 / R^2, giving exactly -216/529 at a = 3/10, t = 1/2).
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -106,14 +108,17 @@ def test_riemann_evaluates_the_metric_once(friedmann_a03):
     assert np.array_equal(curv.einstein, fk.riemann(friedmann_a03.metric, (0.5, 0.1, 0.2, 0.3)).einstein)
 
 
-def test_block_metric_and_connection_equal_single_points(friedmann_a03, rng):
+def test_block_metric_and_connection_equal_single_points(friedmann_a03, minkowski, rng):
+    drifting = fk.make_friedmann(0.3, 0.2)
+    z_metric = fk.pushed_metric_field(fk.z_chart(drifting), drifting.metric)  # all 16 components dual
     block = np.array(random_points(rng, 20))
-    g = fk.eval_metric(friedmann_a03.metric, block)
-    con = fk.christoffel(friedmann_a03.metric, block)
-    assert g.shape == (20, 4, 4) and con.shape == (20, 4, 4, 4)
-    for k, p in enumerate(block):
-        assert np.array_equal(g[k], fk.eval_metric(friedmann_a03.metric, p))
-        assert np.array_equal(con[k], fk.christoffel(friedmann_a03.metric, p))
+    for metric in (friedmann_a03.metric, z_metric, minkowski):
+        g = fk.eval_metric(metric, block)
+        con = fk.christoffel(metric, block)
+        assert g.shape == (20, 4, 4) and con.shape == (20, 4, 4, 4)
+        for k, p in enumerate(block):
+            assert np.array_equal(g[k], fk.eval_metric(metric, p))
+            assert np.array_equal(con[k], fk.christoffel(metric, p))
     block[7, 0] = -10.0  # before the big bang of a = 0.3
     with pytest.raises(ChartDomainError, match="sample 7") as err:
         fk.christoffel(friedmann_a03.metric, block)
@@ -152,6 +157,43 @@ def test_singular_metric_error_names_its_sample():
         with pytest.raises(SingularMetricError) as err:
             evaluate(metric, block[2])
         assert err.value.sample is None
+
+
+def lapse_metric():
+    """diag(t, -1 - x^2, -1, -1): singular at t = 0, cond = t at x = 0 for t >= 1, not finite once x^2 overflows."""
+
+    def comps(c):
+        return [[c[0], 0.0, 0.0, 0.0], [0.0, -1.0 - c[1] * c[1], 0.0, 0.0], [0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, -1.0]]
+
+    return fk.MetricField(comps, name="lapse")
+
+
+@pytest.mark.parametrize(
+    "t, x, refusal",
+    [
+        (0.0, 0.0, "metric numerically singular, cond=inf"),
+        (0.99e13, 0.0, None),
+        (1.01e13, 0.0, "metric numerically singular, cond=1.01e+13"),
+        (1.0, 1e200, "singular metric, det="),
+    ],
+)
+def test_connection_refuses_singular_and_non_finite_metrics(t, x, refusal):
+    # the inversion refuses a non-finite metric, then one whose condition number exceeds 1e13,
+    # alike at a point and in a block, where it names the sample
+    metric = lapse_metric()
+    point = np.array([t, x, 0.0, 0.0])
+    block = np.array([[1.0, 0, 0, 0], [2.0, 0.5, 0, 0], point])
+    for evaluate in (fk.christoffel, lambda m, p: christoffel_jet(m, p)[1]):
+        with np.errstate(over="ignore"):  # x^2 overflows
+            if refusal is None:
+                assert np.isfinite(evaluate(metric, point)).all() and np.isfinite(evaluate(metric, block)).all()
+                continue
+            with pytest.raises(SingularMetricError, match="^lapse: " + re.escape(refusal)) as err:
+                evaluate(metric, point)
+            assert err.value.sample is None and " at sample" not in str(err.value)
+            with pytest.raises(SingularMetricError, match="^lapse: " + re.escape(refusal) + ".* at sample 2$") as err:
+                evaluate(metric, block)
+            assert err.value.sample == 2
 
 
 def test_inverse_metric_examples(minkowski):
