@@ -16,6 +16,7 @@ FRAMEKIN_LOG environment variable sets the log level.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -175,7 +176,9 @@ def _run_geodesic(cfg):
     step, smax = cfg["step"], cfg["smax"]
     if smax / step > _MAX_STEPS:
         raise ValueError(f"smax / step must be at most {_MAX_STEPS} steps, got {smax / step:.6g}")
-    path = integrate_geodesic(model.metric, (0.0, 0.0, 0.0, 0.0), (w, u, 0.0, 0.0), smax, StepControl(step=step))
+    # Above a ~ 6e155 R·R's gradient overflows while R² stays finite; the run refuses that metric by name.
+    with np.errstate(over="ignore"):
+        path = integrate_geodesic(model.metric, (0.0, 0.0, 0.0, 0.0), (w, u, 0.0, 0.0), smax, StepControl(step=step))
     csv_path = cfg["out"] or "trajectory.csv"
     path.to_csv(csv_path)
     result = {
@@ -289,7 +292,9 @@ def _load_config(path):
     return data
 
 
+@functools.cache
 def build_parser():
+    """The CLI parser, built on the first call and shared by every later one in the process."""
     parser = argparse.ArgumentParser(
         prog="framekin",
         description="Reference-frame kinematics scenarios on spacetime models",

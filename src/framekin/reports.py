@@ -23,22 +23,17 @@ def _fmt_number(x) -> str:
     return f"{x:.17g}"
 
 
+# JSON string escapes: the quote, the backslash and every code point below 0x20.
+_ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)} | {
+    ord('"'): '\\"',
+    ord("\\"): "\\\\",
+    ord("\n"): "\\n",
+    ord("\t"): "\\t",
+}
+
+
 def _escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return s.translate(_ESCAPES)
 
 
 def serialize(obj, indent=0) -> str:

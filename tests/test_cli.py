@@ -1,5 +1,6 @@
 """Scenario runner: exit codes, determinism, schema conformance."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import framekin
 import framekin.cli as cli
+import framekin.reports as reports
 from framekin.cli import main, run_scenario
 from framekin.frames import FrameCausalityError
 from framekin.geometry import ChartDomainError, MetricSignatureError, SingularMetricError
@@ -114,6 +116,21 @@ def test_finite_metric_with_overflowing_determinant_is_refused_by_its_condition(
     res = json.loads(capsys.readouterr().out)["result"]
     assert res["truncated"] and res["steps"] == 0
     assert res["reason"] == f"friedmann(a={float(a)}): metric numerically singular, cond={cond}"
+
+
+@pytest.mark.parametrize(
+    "a, reason",
+    [("1e156", "metric numerically singular, cond=2.50e+305"), ("1e300", "singular metric, det=-inf")],
+)
+def test_refused_geodesic_prints_no_overflow_warning(tmp_path, capsys, a, reason):
+    # R^2 or its gradient overflows at the first stage; the refusal is the only word
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["geodesic", "--a", a, "--smax", "0.01", "--out", str(tmp_path / "t.csv")])
+    assert rc == 0
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert res["truncated"] and res["steps"] == 0
+    assert res["reason"] == f"friedmann(a={float(a)}): {reason}"
 
 
 # Reports (less wall_time_s and csv_path) and trajectories of three short geodesic runs,
@@ -282,6 +299,28 @@ def test_numbers_serialized_with_17_significant_digits(tmp_path):
     main(["decompose", "--model", "friedmann", "--a", "1e-3", "--u", "0.1005", "--frame", "drifting", "--out", str(out)])
     text = out.read_text()
     assert "0.0030050626856981807" in text  # expansion rate, 17 digits
+
+
+def test_escape_equals_the_character_loop():
+    def reference(s):
+        out = []
+        for ch in s:
+            if ch == '"':
+                out.append('\\"')
+            elif ch == "\\":
+                out.append("\\\\")
+            elif ch == "\n":
+                out.append("\\n")
+            elif ch == "\t":
+                out.append("\\t")
+            elif ord(ch) < 0x20:
+                out.append(f"\\u{ord(ch):04x}")
+            else:
+                out.append(ch)
+        return "".join(out)
+
+    every = "".join(map(chr, range(0x110000)))  # lone surrogates included
+    assert reports._escape(every) == reference(every)
 
 
 def test_run_scenario_unknown_name():
@@ -494,6 +533,58 @@ def test_exit_code_of_each_error(error, code, monkeypatch, capsys):
     err = capsys.readouterr().err
     kind = "invalid configuration" if code == 2 else "numeric failure"
     assert err == f"framekin: {kind}: {error}\n"
+
+
+def test_parser_is_built_once(monkeypatch, tmp_path):
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def spy(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    counts = []
+    for argv in (["decompose", "--model", "minkowski"], ["plli", "--a", "1e-3"]):
+        added.clear()
+        assert main([*argv, "--out", str(tmp_path / "r.json")]) == 0
+        counts.append(len(added))
+    assert counts[1] == 0
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_shared_parser_leaks_nothing_between_calls(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    probe = ["decompose", "--model", "friedmann", "--a", "0.05", "--frame", "drifting", "--out", str(out)]
+
+    def run_probe():
+        code = main(probe)
+        report = json.loads(out.read_text())
+        del report["wall_time_s"]
+        return code, capsys.readouterr(), report
+
+    before = run_probe()
+    with pytest.raises(SystemExit) as usage:
+        main(["decompose", "--a", "x"])
+    assert usage.value.code == 2
+    text = capsys.readouterr()
+    assert text.out == "" and text.err.startswith("usage: framekin decompose") and "invalid float value" in text.err
+    with pytest.raises(SystemExit) as version:
+        main(["--version"])
+    assert version.value.code == 0
+    assert capsys.readouterr().out == f"framekin {framekin.__version__}\n"
+    with pytest.raises(SystemExit) as helped:
+        main(["plli", "--help"])
+    assert helped.value.code == 0
+    text = capsys.readouterr()
+    assert text.out.startswith("usage: framekin plli") and text.err == ""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "decompose", "model": "minkowski", "frame": "rotating"}))
+    assert main(["decompose", "--config", str(cfg), "--out", str(tmp_path / "c.json")]) == 0
+    assert main(["normal-chart", "--a", "1e300"]) == 3
+    capsys.readouterr()
+    assert run_probe() == before
+    assert before[0] == 0 and before[1].out == before[1].err == ""
 
 
 # Values valid for each key; the fuzz test mixes them with the values below.
