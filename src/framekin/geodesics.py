@@ -157,11 +157,11 @@ class GeodesicPath:
 
     def to_csv(self, path):
         """Write samples as s,t,x1,x2,x3,u0,u1,u2,u3 with 17 digits."""
-        with open(path, "w", encoding="utf-8") as f:
+        rows = np.column_stack([self.s, self.points, self.velocities])
+        row = ",".join(["{:.17g}"] * 9) + "\n"
+        with open(path, "w", encoding="utf-8") as f:  # row by row: the whole text at once raises peak memory
             f.write("s,t,x1,x2,x3,u0,u1,u2,u3\n")
-            for k in range(len(self.s)):
-                row = [self.s[k], *self.points[k], *self.velocities[k]]
-                f.write(",".join(f"{x:.17g}" for x in row) + "\n")
+            f.writelines(row.format(*r) for r in map(np.ndarray.tolist, rows))
 
 
 def _initial_state(metric, p0, v0, tetrad):

@@ -4,7 +4,8 @@ A point is its four chart coordinates as a (4,) float array, and a block
 of points an (N, 4) array; ``as_points`` reads either from any sequence.
 Functions that take a block return their results with the batch axis first.
 The connection refuses a metric (``SingularMetricError``) that is not finite, or whose
-condition number max|lambda| / min|lambda| over its eigenvalues reaches 1e13.
+condition number max|lambda| / min|lambda| over its eigenvalues reaches 1e13.  A Frobenius norm
+bound is tried first: it accepts, without eigenvalues, a metric whose cond it proves below 1e12.
 All arrays are dense with fixed 4^k layouts.  Index conventions:
 
 * metric derivative arrays put derivative indices first:
@@ -155,10 +156,18 @@ def inverse_metric(metric: MetricField, p) -> np.ndarray:
 def _invert(g: np.ndarray, name) -> np.ndarray:
     """Inverse of a metric (4, 4) or of each metric of a stack (N, 4, 4), refusing unusable ones.
 
-    A metric with a non-finite component is refused as singular, naming its determinant; a finite
-    one as numerically singular when cond = max|lambda| / min|lambda| over its eigenvalues (its
-    singular values; inf when min|lambda| = 0) reaches 1e13.  A stack names its first refused sample.
+    A metric with a non-finite component is refused as singular, naming its determinant; a finite one as
+    numerically singular when cond = max|lambda| / min|lambda| over its eigenvalues (its singular values;
+    inf when min|lambda| = 0) reaches 1e13.  A stack names its first refused sample.  But ``np.linalg.inv`` runs
+    first, and returns at once when the whole stack's |g|_F |g^-1|_F, a bound on each cond, is below 1e12.
     """
+    try:
+        ginv = np.linalg.inv(g)
+    except np.linalg.LinAlgError:
+        ginv = None
+    # the bound in Python floats: an overflow gives inf and inf * 0 nan, with no numpy warning
+    if ginv is not None and float(np.vdot(g, g)) * float(np.vdot(ginv, ginv)) < 1e24:
+        return ginv
     point = g.ndim == 2
     where = "" if point else " at sample {}"
     bad = first(~np.logical_and.reduce(np.isfinite(g), axis=(-2, -1)))
@@ -172,7 +181,7 @@ def _invert(g: np.ndarray, name) -> np.ndarray:
         lo, hi = lam.reshape(-1, DIM)[bad, [0, -1]].tolist()
         message = f"{name}: metric numerically singular, cond={hi / lo if lo else math.inf:.2e}" + where.format(bad)
         raise SingularMetricError(message, None if point else bad)
-    return np.linalg.inv(g)
+    return np.linalg.inv(g) if ginv is None else ginv  # inv raised LinAlgError: raise it again
 
 
 def metric_jet(metric: MetricField, p, order=2):

@@ -7,15 +7,17 @@ under the package's sign convention; for the linear scale factor the scalar
 is -6 a^2 / R^2, giving exactly -216/529 at a = 3/10, t = 1/2).
 """
 
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 import framekin as fk
-from framekin.geometry import ChartDomainError, MetricSignatureError, SingularMetricError, christoffel_jet
+from framekin.geometry import ChartDomainError, MetricSignatureError, SingularMetricError, _invert, christoffel_jet
+from framekin.hyperdual import DIM, first, jet
 from framekin.oracles import fd_metric_derivatives, fd_riemann_from_connection
-from framekin.hyperdual import jet
 
 from conftest import random_points
 
@@ -194,6 +196,111 @@ def test_connection_refuses_singular_and_non_finite_metrics(t, x, refusal):
             with pytest.raises(SingularMetricError, match="^lapse: " + re.escape(refusal) + ".* at sample 2$") as err:
                 evaluate(metric, block)
             assert err.value.sample == 2
+
+
+def _invert_by_eigenvalues(g, name):
+    """The inversion as it was before the norm bound: every metric's condition decided by eigvalsh."""
+    point = g.ndim == 2
+    where = "" if point else " at sample {}"
+    bad = first(~np.logical_and.reduce(np.isfinite(g), axis=(-2, -1)))
+    if bad is not None:
+        message = f"{name}: singular metric, det={np.ravel(np.linalg.det(g))[bad]}" + where.format(bad)
+        raise SingularMetricError(message, None if point else bad)
+    lam = np.abs(np.linalg.eigvalsh(g))
+    lam.sort(axis=-1)
+    bad = first(lam[..., 0] <= 1e-13 * lam[..., -1])
+    if bad is not None:
+        lo, hi = lam.reshape(-1, DIM)[bad, [0, -1]].tolist()
+        message = f"{name}: metric numerically singular, cond={hi / lo if lo else math.inf:.2e}" + where.format(bad)
+        raise SingularMetricError(message, None if point else bad)
+    return np.linalg.inv(g)
+
+
+def _lorentzian(rng, magnitudes):
+    """Symmetric Q diag(lambda) Q^T with |lambda| = magnitudes, one lambda positive and three negative, Q a
+    random orthogonal matrix."""
+    q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    lam = -np.asarray(magnitudes, dtype=float)
+    lam[rng.integers(4)] *= -1
+    g = (q * lam) @ q.T
+    return 0.5 * (g + g.T)
+
+
+def _decision_fixtures():
+    """Metrics around the refusal line: cond_2 log-uniform over 1e11..1e15, nearly rank-1 ones whose
+    |g|_F |g^-1|_F is cond_2 to a part in 1e12 (a third of them within 2% of 1e13, where the rounding of
+    eigvalsh and inv decides), well-conditioned ones at extreme scales, exactly singular and non-finite ones."""
+    rng = np.random.default_rng(16)
+    mats = []
+    for _ in range(400):
+        cond, scale = 10 ** rng.uniform(11, 15), 10 ** rng.uniform(-3, 3)
+        mats.append(scale * _lorentzian(rng, [1, 10 ** -rng.uniform(0, math.log10(cond)), 1 / cond, 1]))
+    for k in range(600):  # sigma = (1, ~1e-6, ~1e-6, 1/cond): the Frobenius bound is tight
+        cond = 10 ** rng.uniform(11.5, 13.5) if k < 400 else rng.uniform(0.98e13, 1.02e13)  # the last at the line
+        mats.append(_lorentzian(rng, [1, *(10 ** rng.uniform(-6.5, -5.5, 2)), 1 / cond]))
+    for scale in (1e150, 1e-150, 1e300, 1e-300, 1e200, 1e-200):
+        mats += [scale * _lorentzian(rng, [1, 2, 3, 4]), scale * _lorentzian(rng, [1, 1, 1, 1e-14])]
+    singular = np.diag([1.0, -1.0, -1.0, -1.0])
+    singular[:2, :2] = 1.0
+    mats.append(singular)
+    for bad in (math.inf, -math.inf, math.nan):
+        for k in ((0, 0), (1, 1), (0, 2)):
+            g = np.diag([1.0, -1.0, -1.0, -1.0])
+            g[k] = g[k[::-1]] = bad
+            mats.append(g)
+    return mats
+
+
+def _outcome(invert, g):
+    try:
+        return invert(g, "m")
+    except Exception as exc:  # the type, message and sample are compared
+        return type(exc), str(exc), getattr(exc, "sample", "none")
+
+
+def _same(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        both = isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+        return both and a.shape == b.shape and np.array_equal(a, b)
+    return a == b
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in det")  # a NaN metric's refusal; see below
+def test_invert_decides_as_the_eigenvalues_do():
+    # the norm bound only accepts early: every refusal, message, sample and inverse is the eigvalsh decision's
+    mats = _decision_fixtures()
+    outcomes = [_outcome(_invert_by_eigenvalues, g) for g in mats]
+    assert 0.2 * len(mats) < sum(isinstance(o, tuple) for o in outcomes) < 0.8 * len(mats)  # both sides tested
+    assert any(isinstance(o, tuple) and "cond=inf" in o[1] for o in outcomes)  # inv raised LinAlgError there
+    assert sum(isinstance(o, tuple) and "det=" in o[1] for o in outcomes) == 9
+    accepted = [(g, o) for g, o in zip(mats, outcomes) if isinstance(o, np.ndarray)]
+    bounds = [float(np.vdot(g, g)) * float(np.vdot(o, o)) for g, o in accepted]
+    assert min(bounds) < 1e24 <= max(b for b in bounds if math.isfinite(b))  # accepted by the bound and past it
+    for g, expected in zip(mats, outcomes):
+        assert _same(_outcome(_invert, g), expected), g
+    order = np.random.default_rng(17).permutation(len(mats))
+    for k in range(0, len(mats), 10):  # blocks of 10 (the last shorter), most holding a refused sample
+        block = np.stack([mats[j] for j in order[k : k + 10]])
+        assert _same(_outcome(_invert, block), _outcome(_invert_by_eigenvalues, block))
+        for j in range(len(block)):  # the block up to sample j: each first refusal in turn
+            assert _same(_outcome(_invert, block[: j + 1]), _outcome(_invert_by_eigenvalues, block[: j + 1]))
+
+
+def test_invert_adds_no_numpy_warning():
+    # the bound is taken where overflow, inf * 0 and NaN raise no floating-point warning: finite metrics at
+    # extreme scales warn not at all, and a non-finite one only as its determinant in the refusal did before
+    rng = np.random.default_rng(3)
+    finite = [s * _lorentzian(rng, [1, 2, 3, 4]) for s in (1e150, 1e-150, 1e300, 1e-300)]
+    finite += [s * np.diag([1.0, -1.0, -1.0, -1.0]) for s in (1e150, 1e-150, 1e300, 1e-300)]
+    non_finite = [np.diag([bad, -1.0, -1.0, -1.0]) for bad in (math.inf, -math.inf, math.nan)]
+    eta = np.diag([1.0, -1.0, -1.0, -1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for g in finite + non_finite:
+            for arg in (g, g[None], np.stack([eta, g]), np.stack([g, eta])):
+                outcome = _outcome(_invert, arg)
+                assert _same(outcome, _outcome(_invert_by_eigenvalues, arg))
+                assert isinstance(outcome, np.ndarray) or outcome[0] is SingularMetricError or g is non_finite[2]
 
 
 def test_inverse_metric_examples(minkowski):
