@@ -16,6 +16,7 @@ from .geometry import (
     MetricSignatureError,
     SingularMetricError,
     christoffel,
+    christoffel_jet,
     covariant_derivative_field,
     eval_metric,
     inverse_metric,
@@ -48,7 +49,6 @@ from .geodesics import (
 from .maps import ChartMap, pushed_metric_field
 from .normal import (
     GeodesicLabFrame,
-    LabExpansion,
     NonFiniteConnectionError,
     NormalChart,
     TubeDomainError,

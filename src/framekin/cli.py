@@ -33,7 +33,7 @@ from .catalog import boosted_inertial_frame, inertial_frame, make_friedmann, rot
 from .equivalence import equivalence_verdict, moving_lab_expansion_pair
 from .frames import classify_synchronizability, grid_samples, is_pirf, kinematic_decompose
 from .geodesics import StepControl, free_particle_experiment, integrate_geodesic
-from .geometry import SingularMetricError, christoffel, eval_metric, minkowski_metric
+from .geometry import SingularMetricError, _connection_jet, minkowski_metric
 from .normal import build_normal_chart, metric_deviation_exponent, normal_chart_curvature_check
 from .reports import serialize
 
@@ -210,10 +210,9 @@ def _run_normal_chart(cfg):
         tetrad = np.diag([1.0, 1.0 / r, 1.0 / r, 1.0 / r])
     chart = build_normal_chart(metric, point, tetrad)
     pushed = chart.metric_in_chart(metric)
-    g0 = eval_metric(pushed, (0.0, 0.0, 0.0, 0.0))
-    gamma0 = christoffel(pushed, (0.0, 0.0, 0.0, 0.0))
-    dev, _, _ = normal_chart_curvature_check(metric, chart)
-    exponent, ladder = metric_deviation_exponent(metric, chart)
+    g0, _, gamma0, dgamma0 = _connection_jet(pushed, np.zeros(4))
+    dev, _ = normal_chart_curvature_check(chart, dgamma0)
+    exponent, ladder = metric_deviation_exponent(chart, pushed)
     payload = chart.to_json_dict()
     payload.update(
         {

@@ -250,9 +250,9 @@ def moving_lab_expansion_pair(a_param, v_param) -> MovingLabReport:
         s_min=-LAB_TUBE_RADIUS,
     )
     lab_rest = lab_frame_along_geodesic(model.metric, path_rest, validity_radius=LAB_TUBE_RADIUS, label="lab")
-    theta_lab = lab_frame_expansion(model.metric, lab_rest, epoch).theta
+    theta_lab = lab_frame_expansion(model.metric, lab_rest, epoch)
     lab_move = lab_frame_along_geodesic(model.metric, path_move, validity_radius=LAB_TUBE_RADIUS, label="lab-moving")
-    theta_move_chart = lab_frame_expansion(model.metric, lab_move, epoch).theta
+    theta_move_chart = lab_frame_expansion(model.metric, lab_move, epoch)
 
     cmap = z_chart(model)
     metric_image = pushed_metric_field(cmap, model.metric, name="friedmann-drift-chart")

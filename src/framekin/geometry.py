@@ -20,8 +20,8 @@ All arrays are dense with fixed 4^k layouts.  Index conventions:
 
   fixed once here and used everywhere.  With this orientation the
   first derivative of the transformed connection at the base point of a
-  normal chart equals -(R^a_{bcd} + R^a_{cbd}) / 3, which is the check the
-  test suite uses to pin the convention.
+  normal chart equals -(R^a_{bcd} + R^a_{cbd}) / 3, which ``normal-chart``
+  checks exactly, from jets, and the test suite uses to pin the convention.
 
 Signature is (+,-,-,-): one positive and three negative eigenvalues, with
 the x^0 direction timelike (g_00 > 0).
@@ -140,7 +140,7 @@ def _check_lorentzian(metric: MetricField, g, coords, symmetry_tol=1e-12):
     if bad is not None:
         where, k = _sample(coords, bad)
         raise MetricSignatureError(f"{metric.name}: components not symmetric at {where}", k)
-    eig = np.linalg.eigvalsh(0.5 * (g + gt))  # ascending: three negative, then one positive
+    eig = np.linalg.eigvalsh(0.5 * g + 0.5 * gt)  # g + gt may overflow; ascending: three negative, one positive
     bad = first(~((eig[..., 2] < 0) & (eig[..., 3] > 0) & (g[..., 0, 0] > 0)))
     if bad is not None:
         where, k = _sample(coords, bad)
@@ -248,17 +248,22 @@ def christoffel_jet(metric: MetricField, p):
     return _connection_jet(metric, p)[2:]
 
 
-def riemann(metric: MetricField, p) -> CurvatureTensor:
-    """Curvature tensor under the module's documented sign convention."""
-    p = as_points(p)
-    g, ginv, gamma, dgamma = _connection_jet(metric, p)
-    _check_lorentzian(metric, g, p)
-    rm = (
+def _riemann(gamma, dgamma):
+    """R^a_{bcd} at a point from the connection and its first derivatives, under the module's convention."""
+    return (
         np.einsum("cadb->abcd", dgamma)
         - np.einsum("dacb->abcd", dgamma)
         + np.einsum("acl,ldb->abcd", gamma, gamma)
         - np.einsum("adl,lcb->abcd", gamma, gamma)
     )
+
+
+def riemann(metric: MetricField, p) -> CurvatureTensor:
+    """Curvature tensor under the module's documented sign convention."""
+    p = as_points(p)
+    g, ginv, gamma, dgamma = _connection_jet(metric, p)
+    _check_lorentzian(metric, g, p)
+    rm = _riemann(gamma, dgamma)
     ric = np.einsum("abad->bd", rm)
     scalar = float(np.einsum("bd,bd->", ginv, ric))
     einstein = ric - 0.5 * scalar * g

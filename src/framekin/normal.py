@@ -9,7 +9,11 @@ curvature relation
     d_d Gamma^a_{bc}(0) = -(R^a_{bcd} + R^a_{cbd}) / 3
 
 exactly, which is also what pins the curvature sign convention.  Fourth and
-higher order corrections are out of scope.
+higher order corrections are out of scope.  ``normal_chart_curvature_check``
+tests the relation with the exact connection jet of the chart-expressed
+metric at the origin.  The validity radius is sized by the curvature on the
+chart axes, min(0.05, 0.015 / sqrt(max |R^a_{bcd}|)), so the chart stays well
+inside the curvature length (Manasse & Misner, J. Math. Phys. 4, 735 (1963)).
 
 ``lab_frame_along_geodesic`` extends the construction along a geodesic:
 at each point of the curve the quadratic normal map is applied with the
@@ -33,8 +37,9 @@ itself (see ``_TubeChart``).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from types import SimpleNamespace
+from typing import Optional
 
 import numpy as np
 
@@ -43,11 +48,10 @@ from .geometry import (
     DIM,
     MetricField,
     as_points,
+    _riemann,
     christoffel,
     christoffel_jet,
-    covariant_derivative_field,
     eval_metric,
-    riemann,
 )
 from .frames import FrameField, kinematic_decompose, make_frame
 from .hyperdual import block_values, chain, dual_newton_invert
@@ -61,7 +65,7 @@ class TubeDomainError(ValueError):
 
 
 class NonFiniteConnectionError(ArithmeticError):
-    """The connection, its first derivatives or the cubic map term overflow at a normal chart's base point."""
+    """The connection, its first derivatives or their products (cubic map term, curvature) overflow at a base point."""
 
 
 def _check_tetrad(metric, p, tetrad, tol=1e-10):
@@ -93,6 +97,7 @@ class NormalChart:
     gamma_at_p0: np.ndarray
     chart_map: ChartMap
     validity_radius: float
+    curvature: Optional[np.ndarray] = None  # R^a_{bcd} at the base point on the axes; a lab chart has none
 
     def forward(self, p):
         return self.chart_map.forward(p)
@@ -112,7 +117,7 @@ class NormalChart:
         }
 
 
-def build_normal_chart(metric: MetricField, p0, initial_tetrad, validity_radius=0.05) -> NormalChart:
+def build_normal_chart(metric: MetricField, p0, initial_tetrad) -> NormalChart:
     """Normal coordinates about p0 with the given orthonormal axes.
 
     The map out of the chart is the geodesic Taylor polynomial through
@@ -121,7 +126,9 @@ def build_normal_chart(metric: MetricField, p0, initial_tetrad, validity_radius=
     Jacobian's derivatives, all closed polynomials, and carried into the
     dual algebra by ``hyperdual.chain``.  The forward map inverts it by
     Newton iteration with exact Jacobians, so the chart functions are
-    differentiable to second order everywhere in the validity ball.
+    differentiable to second order everywhere in the validity ball.  The
+    radius min(0.05, 0.015 / sqrt(max |R^a_{bcd}|)), 0.05 on flat space, takes
+    the curvature on the axes from the same connection jet.
     """
     x0 = as_points(p0)
     e = _check_tetrad(metric, x0, initial_tetrad)
@@ -134,7 +141,9 @@ def build_normal_chart(metric: MetricField, p0, initial_tetrad, validity_radius=
         # both map terms on the tetrad axes: G(xi, xi) = Gamma(y, y) and K(xi, xi, xi) = C(y, y, y)
         g_axes = np.einsum("mnr,an,br->mab", gamma, e, e)
         k_axes = np.einsum("mlnr,al,bn,cr->mabc", cubic, e, e, e)
-    if not (np.isfinite(cubic).all() and np.isfinite(g_axes).all() and np.isfinite(k_axes).all()):
+        m = e.T  # m[mu, a] = e_a^mu
+        r_axes = np.einsum("am,mnrs,nb,rc,sd->abcd", np.linalg.inv(m), _riemann(gamma, dgamma), m, m, m)
+    if not all(np.isfinite(t).all() for t in (cubic, g_axes, k_axes, r_axes)):
         raise NonFiniteConnectionError(f"{metric.name}: connection products overflow the cubic map term {where}")
     third = 6.0 * k_axes  # d H / d xi, constant: the cubic map has no fourth derivative
 
@@ -159,53 +168,38 @@ def build_normal_chart(metric: MetricField, p0, initial_tetrad, validity_radius=
         return dual_newton_invert(inverse_fn, coords, np.linalg.solve(e.T, (target - x0).T).T)
 
     cmap = ChartMap(forward_fn, inverse_fn, "normal-chart", inverse_jacobian_fn)
-    return NormalChart(x0, e, gamma, cmap, validity_radius)
+    scale = float(np.max(np.abs(r_axes)))
+    radius = min(0.05, 0.015 / math.sqrt(scale)) if scale else 0.05
+    return NormalChart(x0, e, gamma, cmap, radius, r_axes)
 
 
-def normal_chart_curvature_check(metric: MetricField, chart: NormalChart, step=1e-3):
-    """Deviation of the transformed-connection derivative from curvature.
+def normal_chart_curvature_check(chart: NormalChart, dgamma):
+    """Deviation of the chart-expressed connection's derivative at the origin from the curvature.
 
-    Numerically differentiates the connection of the chart-expressed metric
-    at the base point (Richardson-refined central differences) and compares
-    with -(R^a_{bcd} + R^a_{cbd})/3 built from the curvature tensor carried
-    to the chart axes.  Returns (max_abs_deviation, measured, expected).
+    ``dgamma[d, a, b, c]`` = d_d Gamma^a_{bc} of ``chart.metric_in_chart(metric)`` at the chart
+    origin, exact from its connection jet, is compared with -(R^a_{bcd} + R^a_{cbd}) / 3 from the
+    curvature the chart keeps on its axes.  Returns (max_abs_deviation, expected), laid out as dgamma.
     """
-    pushed = chart.metric_in_chart(metric)
-    # one block: +h and -h along each axis, for h = step and step / 2
-    hs = (step, -step, step / 2.0, -step / 2.0)
-    gam = christoffel(pushed, np.concatenate([np.diag(np.full(DIM, h)) for h in hs]))
-    gam = gam.reshape(len(hs), DIM, DIM, DIM, DIM)  # [h, d, a, b, c]
-    d1 = (gam[0] - gam[1]) / (2 * step)
-    d2 = (gam[2] - gam[3]) / (2 * (step / 2.0))
-    measured = (4.0 * d2 - d1) / 3.0  # [d, a, b, c]
-
-    curv = riemann(metric, chart.base_point).riemann
-    m = chart.tetrad.T  # m[mu, a] = e_a^mu
-    minv = np.linalg.inv(m)
-    r_chart = np.einsum("am,mnrs,nb,rc,sd->abcd", minv, curv, m, m, m)
-    # expected[d, a, b, c] = -(R^a_{bcd} + R^a_{cbd}) / 3
-    expected = -(np.einsum("abcd->dabc", r_chart) + np.einsum("acbd->dabc", r_chart)) / 3.0
-    return float(np.max(np.abs(measured - expected))), measured, expected
+    r = chart.curvature
+    expected = -(np.einsum("abcd->dabc", r) + np.einsum("acbd->dabc", r)) / 3.0
+    return float(np.max(np.abs(dgamma - expected))), expected
 
 
-def metric_deviation_exponent(metric: MetricField, chart: NormalChart, radii=None, direction=None):
+def metric_deviation_exponent(chart: NormalChart, pushed: MetricField):
     """Fitted growth exponent of |g(xi) - eta| on a radial ladder, and the ladder.
 
-    The exponent is None when every deviation is exactly zero (flat space):
-    a growth rate of nothing is undefined.
+    ``pushed`` is the metric expressed in the chart (``chart.metric_in_chart``); the ladder's radii
+    are 0.08, 0.16, 0.32 and 0.64 of the validity radius, along one fixed direction.  The exponent
+    is None when every deviation is exactly zero (flat space): a growth rate of nothing is undefined.
     """
-    pushed = chart.metric_in_chart(metric)
-    if radii is None:
-        radii = chart.validity_radius * np.array([0.08, 0.16, 0.32, 0.64])
-    if direction is None:
-        direction = np.array([0.3, 0.8, -0.4, 0.33])
-    direction = np.asarray(direction) / np.linalg.norm(direction)
-    g = eval_metric(pushed, np.outer(radii, direction))
+    radii = chart.validity_radius * np.array([0.08, 0.16, 0.32, 0.64])
+    direction = np.array([0.3, 0.8, -0.4, 0.33])
+    g = eval_metric(pushed, np.outer(radii, direction / np.linalg.norm(direction)))
     devs = np.max(np.abs(g - ETA), axis=(1, 2))
-    ladder = list(zip([float(r) for r in radii], [float(d) for d in devs]))
+    ladder = list(zip(radii.tolist(), devs.tolist()))
     if not devs.any():
         return None, ladder
-    slope = np.polyfit(np.log(np.asarray(radii)), np.log(devs), 1)[0]
+    slope = np.polyfit(np.log(radii), np.log(devs), 1)[0]
     return float(slope), ladder
 
 
@@ -308,8 +302,8 @@ class GeodesicLabFrame:
     """Inertial lab frame of a geodesic: sliding normal chart plus field.
 
     ``frame`` is the unit-normalized time-axis field of the chart expressed
-    back in the base chart; ``raw_fn`` keeps the unnormalized coordinate
-    field for raw-expansion reporting.
+    back in the base chart; its ``raw_fn`` is the unnormalized coordinate
+    field, column 0 of the chart's inverse Jacobian.
     """
 
     chart: NormalChart
@@ -369,28 +363,9 @@ def lab_frame_along_geodesic(
     return GeodesicLabFrame(chart, frame, path, validity_radius, label)
 
 
-@dataclass
-class LabExpansion:
-    """Expansion rate of a lab frame at a point, both normalizations."""
-
-    theta: float
-    theta_raw: float
-    point: np.ndarray
-
-    def to_json_dict(self):
-        return {"theta": self.theta, "theta_raw": self.theta_raw, "point": self.point.tolist()}
-
-
-def lab_frame_expansion(metric: MetricField, lab: GeodesicLabFrame, p) -> LabExpansion:
-    """Expansion rate of the lab field at p (must lie in the validity tube).
-
-    ``theta`` uses the unit-normalized field through the kinematic
-    decomposition; ``theta_raw`` is the covariant divergence of the
-    unnormalized coordinate field.  The two coincide on the curve.
-    """
+def lab_frame_expansion(metric: MetricField, lab: GeodesicLabFrame, p) -> float:
+    """Expansion rate theta of the unit lab field at p (which must lie in the validity tube),
+    through the kinematic decomposition."""
     p = as_points(p)
     lab.check_inside(p)
-    dec = kinematic_decompose(metric, lab.frame, p)
-    raw = SimpleNamespace(component_fn=lab.frame.raw_fn)
-    raw_nabla = covariant_derivative_field(metric, raw, p)
-    return LabExpansion(dec.theta, float(np.trace(raw_nabla)), p)
+    return kinematic_decompose(metric, lab.frame, p).theta

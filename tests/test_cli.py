@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -231,6 +232,50 @@ def test_normal_chart_scenario(tmp_path):
     assert res["gamma_max_at_origin"] < 1e-8
     assert res["curvature_relation_deviation"] < 1e-6
     assert res["deviation_growth_exponent"] >= 1.9
+
+
+# normal-chart reports (less wall_time_s) as the Richardson-stencil check produced them, in tests/data.
+# The exact check moves only curvature_relation_deviation, which is held to 1e-12 instead.
+_NORMAL_CHART_RUNS = [
+    ("normal_chart_a0.3.json", ["--model", "friedmann", "--a", "0.3", "--point", "0.5,0.1,-0.2,0.3"]),
+    ("normal_chart_a1e-3.json", ["--a", "1e-3", "--u", "0.1005"]),
+    ("normal_chart_a0.05.json", ["--a", "0.05", "--u", "0.5", "--point", "0.2,-0.3,0.1,0.4"]),
+]
+
+
+@pytest.mark.parametrize("name, args", _NORMAL_CHART_RUNS)
+def test_normal_chart_output_pinned(capsys, name, args):
+    assert main(["normal-chart", *args]) == 0
+    report = json.loads(capsys.readouterr().out)
+    pinned = json.loads((Path(__file__).parent / "data" / name).read_text())
+    del report["wall_time_s"], pinned["result"]["curvature_relation_deviation"]
+    assert report["result"].pop("curvature_relation_deviation") <= 1e-12
+    assert report == pinned
+
+
+@pytest.mark.parametrize("u", ["0", "0.5"])
+@pytest.mark.parametrize("a", ["1e-3", "0.3", "1", "3", "30", "100", "1e3", "1e5", "1e8"])
+def test_normal_chart_holds_its_tolerances_at_any_curvature_length(a, u, tmp_path):
+    # the relation is checked from exact jets, and the ladder scales with the curvature length 1/a
+    out = tmp_path / "chart.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["normal-chart", "--a", a, "--u", u, "--out", str(out)]) == 0
+    assert not caught
+    res = _load(out)["result"]
+    chart = framekin.build_normal_chart(framekin.make_friedmann(float(a)).metric, (0, 0, 0, 0), np.eye(4))
+    _, expected = framekin.normal_chart_curvature_check(chart, np.zeros((4, 4, 4, 4)))
+    assert res["curvature_relation_deviation"] <= 1e-12 * np.max(np.abs(expected))
+    assert res["deviation_growth_exponent"] >= 1.9
+
+
+def test_normal_chart_where_the_metric_nears_the_largest_float_exits_3(capsys):
+    # g is finite there, about -1e308 in its spatial part, but g + g^T is not
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["normal-chart", "--a", "2e154", "--point", "0.5,0.1,-0.2,0.3"]) == 3
+    assert not caught
+    assert "friedmann(a=2e+154): metric numerically singular, cond=1.00e+308" in capsys.readouterr().err
 
 
 def test_equivalence_scenario(tmp_path):
@@ -666,6 +711,8 @@ def test_main_exits_0_2_or_3_without_traceback_on_any_input(case, tmp_path_facto
 
 # Every real-valued key of every scenario at extreme values, given as --key=value.
 _EXTREMES = ["1e300", "-1e300", "1e200", "-1e200", "2e154", "1e10", "-1e10", "1e-300", "0"]
+# stderr text that no clean refusal carries
+_UNNAMED_FAILURES = ("Traceback", "cannot serialize non-finite number", "did not converge", "Singular matrix")
 
 
 def test_extreme_real_values_exit_0_2_or_3(tmp_path, capsys):
@@ -677,7 +724,9 @@ def test_extreme_real_values_exit_0_2_or_3(tmp_path, capsys):
             # decompose, classify and pirf-check evaluate the drifting frame; a geodesic stays short
             base = ["--frame", "drifting"] if scenario in ("decompose", "classify", "pirf-check") else []
             base += ["--smax", "0.01"] if scenario == "geodesic" and key != "smax" else []
-            for value in _EXTREMES:
+            # a normal chart also away from the origin, where the scale factor is not 1
+            bases = [base, ["--point", "0.5,0.1,-0.2,0.3"]] if scenario == "normal-chart" else [base]
+            for base, value in itertools.product(bases, _EXTREMES):
                 argv = [scenario, *base, f"--{key.replace('_', '-')}={value}", "--out", str(tmp_path / "r.out")]
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
@@ -685,7 +734,9 @@ def test_extreme_real_values_exit_0_2_or_3(tmp_path, capsys):
                 err = capsys.readouterr().err
                 # the normal chart refuses an overflowing connection before computing with it
                 leaked = [str(w.message) for w in caught if w.filename.endswith("normal.py")]
-                if code not in (0, 2, 3) or "Traceback" in err or "cannot serialize non-finite number" in err or leaked:
+                # numpy's own linear-algebra failures ("did not converge", "Singular matrix") name
+                # neither the metric nor the point
+                if code not in (0, 2, 3) or leaked or any(text in err for text in _UNNAMED_FAILURES):
                     bad.append((" ".join(argv[:-2]), code, err, leaked))
     assert not bad
 

@@ -97,6 +97,15 @@ def test_non_finite_components_name_the_metric_and_point():
     assert err.value.sample == 1
 
 
+def test_signature_check_of_components_near_the_largest_float():
+    # finite and symmetric, but g + g^T overflows: the check halves before it adds
+    big = np.diag([1.0, -1.5e308, -1.5e308, -1.5e308])
+    metric = fk.MetricField(lambda c: big.tolist())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(fk.eval_metric(metric, (0, 0, 0, 0)), big)
+
+
 def test_riemann_evaluates_the_metric_once(friedmann_a03):
     calls = []
 

@@ -1,5 +1,7 @@
 """Normal-chart conditions and lab frames along geodesics."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -42,15 +44,31 @@ def test_base_point_conditions(friedmann_a03):
 def test_curvature_derivative_relation(friedmann_a03):
     m = friedmann_a03
     chart = fk.build_normal_chart(m.metric, (0.5, 0.1, -0.2, 0.3), comoving_tetrad(m, 0.5))
-    dev, measured, expected = fk.normal_chart_curvature_check(m.metric, chart)
+    dgamma = fk.christoffel_jet(chart.metric_in_chart(m.metric), (0, 0, 0, 0))[1]
+    dev, expected = fk.normal_chart_curvature_check(chart, dgamma)
     assert np.max(np.abs(expected)) > 1e-3  # the relation is not vacuous here
     assert dev < 1e-6
+
+
+@pytest.mark.parametrize("a", [1e-3, 0.3])
+@pytest.mark.parametrize("p0", [(0.0, 0.0, 0.0, 0.0), (0.5, 0.1, -0.2, 0.3)])
+def test_exact_connection_derivative_matches_the_richardson_stencil(a, p0):
+    # the check reads d Gamma of the chart-expressed metric from its jet; the stencil is the reference
+    from framekin.oracles import fd_connection_derivatives
+
+    m = fk.make_friedmann(a)
+    chart = fk.build_normal_chart(m.metric, p0, comoving_tetrad(m, p0[0]))
+    pushed = chart.metric_in_chart(m.metric)
+    exact = fk.christoffel_jet(pushed, (0, 0, 0, 0))[1]
+    stencil = fd_connection_derivatives(pushed, (0, 0, 0, 0), step=1e-3)
+    assert np.max(np.abs(exact)) > 1e-7  # not vacuous
+    assert np.max(np.abs(exact - stencil)) < 1e-11
 
 
 def test_metric_deviation_quadratic_growth(friedmann_a03):
     m = friedmann_a03
     chart = fk.build_normal_chart(m.metric, (0.5, 0.0, 0.0, 0.0), comoving_tetrad(m, 0.5))
-    exponent, ladder = fk.metric_deviation_exponent(m.metric, chart)
+    exponent, ladder = fk.metric_deviation_exponent(chart, chart.metric_in_chart(m.metric))
     assert exponent >= 1.9
     assert all(d > 0 for _, d in ladder)
 
@@ -181,9 +199,10 @@ def test_lab_frame_wedge_vanishes_on_curve():
 
 def test_lab_expansion_zero_at_epoch():
     m, lab = build_comoving_lab(1e-3)
-    res = fk.lab_frame_expansion(m.metric, lab, (0.0, 0, 0, 0))
-    assert abs(res.theta) < 1e-8
-    assert abs(res.theta_raw) < 1e-8
+    assert abs(fk.lab_frame_expansion(m.metric, lab, (0.0, 0, 0, 0))) < 1e-8
+    # the covariant divergence of the raw (unnormalized) lab field vanishes there too
+    raw = SimpleNamespace(component_fn=lab.frame.raw_fn)
+    assert abs(np.trace(fk.covariant_derivative_field(m.metric, raw, (0.0, 0, 0, 0)))) < 1e-8
     # while the comoving congruence expands at the same event
     theta_v = fk.kinematic_decompose(m.metric, m.frame_comoving, (0.0, 0, 0, 0)).theta
     assert theta_v == pytest.approx(3e-3, abs=1e-12)
@@ -196,7 +215,7 @@ def test_lab_expansion_small_time_band():
     a = 1e-3
     m, lab = build_comoving_lab(a, span=0.3)
     for t in (0.02, 0.05, 0.1):
-        theta = fk.lab_frame_expansion(m.metric, lab, (t, 0, 0, 0)).theta
+        theta = fk.lab_frame_expansion(m.metric, lab, (t, 0, 0, 0))
         printed = -3.0 * t * (a / (1 + a * t)) ** 2
         assert abs(theta) < 4e-7
         assert abs(theta - printed) < 4e-7
@@ -224,7 +243,7 @@ def test_validity_tube_enforced():
     m, lab = build_comoving_lab(1e-2, span=0.05, radius=0.05)
     with pytest.raises(TubeDomainError, match="foot time"):
         fk.lab_frame_expansion(m.metric, lab, (0.06, 0, 0, 0))
-    assert abs(fk.lab_frame_expansion(m.metric, lab, (0.04, 0, 0, 0)).theta) < 1e-12
+    assert abs(fk.lab_frame_expansion(m.metric, lab, (0.04, 0, 0, 0))) < 1e-12
 
 
 def test_lab_frame_needs_transported_tetrad():
