@@ -44,7 +44,6 @@ from .geodesics import (
     TransportedTetrad,
     free_particle_experiment,
     integrate_geodesic,
-    integrate_geodesics,
 )
 from .maps import ChartMap, pushed_metric_field
 from .normal import (

@@ -6,14 +6,12 @@ tetrad, the same pass parallel-transports it: the state is (x, v, e_a), and
 each stage's one connection evaluation feeds both the geodesic equation
 a = -Gamma(v, v) and the transport equation de_a/ds = -Gamma(v, e_a).
 Every step starts from the derivative stored at the knot it leaves.
-``integrate_geodesics`` runs the forward and backward sweeps of several
-starts in lockstep: each keeps its own proper time, step size and knots,
-and each stage evaluates the connection once for all of them, as a block
-(or at a point when one sweep is left).  ``integrate_geodesic`` is its
-one-start case.  Paths and their tetrads carry piecewise-quintic dense
-representations built from exact knot jets, so downstream consumers can
-evaluate positions, velocities, accelerations and tetrads with their first
-two s-derivatives anywhere along the path, at one proper time or a block.
+``integrate_geodesic`` runs a forward and a backward sweep from the start,
+each a plain loop of point connection calls.  Paths and their tetrads carry
+piecewise-quintic dense representations built from exact knot jets, so
+downstream consumers can evaluate positions, velocities, accelerations and
+tetrads with their first two s-derivatives anywhere along the path, at one
+proper time or a block.
 """
 
 from __future__ import annotations
@@ -49,32 +47,30 @@ class StepControl:
 
 
 def _rhs(metric, y, knot=False):
-    """Derivative of the state y = (x, v[, e_a]) from one connection evaluation.
+    """Derivative of the state y = (x, v[, e_a]) from one point connection evaluation.
 
-    y is one state (W,) or a block of states (N, W); a block makes one
-    block connection call.  Returns (dy/ds, d2e) with d2e None unless a
-    tetrad is carried and ``knot`` is set: then the connection comes with
-    its gradient and d2e is the second s-derivative of the tetrad, the last
-    knot jet of its dense output.
+    Returns (dy/ds, d2e) with d2e None unless a tetrad is carried and
+    ``knot`` is set: then the connection comes with its gradient and d2e is
+    the second s-derivative of the tetrad, the last knot jet of its dense
+    output.
     """
-    lead = y.shape[:-1]
-    x, v = y[..., :DIM], y[..., DIM : 2 * DIM]
-    carried = y.shape[-1] > 2 * DIM
+    x, v = y[:DIM], y[DIM : 2 * DIM]
+    carried = len(y) > 2 * DIM
     if knot and carried:
         gamma, dgamma = christoffel_jet(metric, x)
     else:
         gamma = christoffel(metric, x)
-    acc = -np.einsum("...mnr,...n,...r->...m", gamma, v, v)
+    acc = -np.einsum("mnr,n,r->m", gamma, v, v)
     if not carried:
-        return np.concatenate([v, acc], axis=-1), None
-    e = y[..., 2 * DIM :].reshape(lead + (DIM, DIM))
-    de = -np.einsum("...mnr,...n,...ar->...am", gamma, v, e)
-    dy = np.concatenate([v, acc, de.reshape(lead + (-1,))], axis=-1)
+        return np.concatenate([v, acc]), None
+    e = y[2 * DIM :].reshape(DIM, DIM)
+    de = -np.einsum("mnr,n,ar->am", gamma, v, e)
+    dy = np.concatenate([v, acc, de.reshape(-1)])
     if not knot:
         return dy, None
-    dgamma_ds = np.einsum("...smnr,...s,...n->...mr", dgamma, v, v) + np.einsum("...mnr,...n->...mr", gamma, acc)
-    d2e = -np.einsum("...mr,...ar->...am", dgamma_ds, e) - np.einsum("...mnr,...n,...ar->...am", gamma, v, de)
-    return dy, d2e.reshape(lead + (-1,))
+    dgamma_ds = np.einsum("smnr,s,n->mr", dgamma, v, v) + np.einsum("mnr,n->mr", gamma, acc)
+    d2e = -np.einsum("mr,ar->am", dgamma_ds, e) - np.einsum("mnr,n,ar->am", gamma, v, de)
+    return dy, d2e.reshape(-1)
 
 
 class QuinticDense:
@@ -120,7 +116,8 @@ class GeodesicPath:
     """Proper-time parameterized geodesic with dense evaluation.
 
     ``tetrad`` is the transported tetrad when one was given to
-    ``integrate_geodesic``.
+    ``integrate_geodesic``; ``error`` is the chart-domain or singular-metric
+    error that truncated the path, if one did.
     """
 
     s: np.ndarray
@@ -131,6 +128,7 @@ class GeodesicPath:
     stats: dict
     metric: Optional[MetricField] = None
     tetrad: Optional[TransportedTetrad] = None
+    error: Optional[ValueError] = None
     _dense: Optional[QuinticDense] = None
 
     def __post_init__(self):
@@ -185,189 +183,41 @@ def _initial_state(metric, p0, v0, tetrad):
     return np.concatenate([x0, v0, e0.ravel()])
 
 
-class _Sweep:
-    """One direction of one path: its own proper time, sign, step size, knots and counts."""
+def _sweep(metric, origin, target, control, counts):
+    """Integrate one direction from the origin knot (s, y, dy/ds, d2e) toward proper time target.
 
-    def __init__(self, origin, target, control, counts):
-        self.knots = [origin]  # (s, y, dy/ds, d2e)
-        self.s = origin[0]
-        self.target = target
-        self.sgn = 1.0 if target >= 0 else -1.0
-        self.step = abs(control.step)
-        self.steps = 0
-        self.reason = None  # why the sweep was truncated
-        self.counts = counts  # connection evaluations, shared by the sweeps of a path
-
-    def running(self, control):
-        """Whether the sweep goes on; reaching ``control.max_steps`` short of the target truncates it."""
-        if self.reason is None and self.steps >= control.max_steps and self.sgn * (self.target - self.s) > 1e-15:
-            self.reason = f"step limit: max_steps={control.max_steps} reached at s={self.s!r}"
-        return self.reason is None and self.sgn * (self.target - self.s) > 1e-15
-
-
-def _evaluate(metric, y, rows, sweeps, calls, knot=False):
-    """(rows, dy/ds, d2e) at the given rows of the state block y, from one connection call.
-
-    Each row counts one stage or knot evaluation of its sweep.  One row goes
-    to the connection as a point, several as a block.  A row whose point
-    leaves the chart domain or meets a singular metric ends its sweep, with
-    the reason a run of that point alone gives (see ``_failing_row``), and
-    the rest are evaluated again without it.  The results have a row for
-    every row of y, zero where nothing was evaluated; ``rows`` lists the
-    evaluated ones.  A lone state y (W,) is evaluated as it is.
+    Returns (knots, cause): the knots from the origin on, and what truncated
+    the sweep, None when it reached the target.  The first stage of every
+    step is the derivative stored at the knot the step leaves, so a step
+    costs one connection evaluation per further stage plus one at the knot
+    it reaches (``counts``, shared by the sweeps of a path, counts each).
+    Leaving the chart domain or meeting a singular metric stops the sweep
+    with that error as its cause; reaching ``control.max_steps`` short of
+    the target stops it with a step-limit message.
     """
-    kind = "knot" if knot else "stage"
-    for r in rows:
-        sweeps[r].counts[kind] += 1
-    name = "christoffel_jet" if knot and y.shape[-1] > 2 * DIM else "christoffel"
-    while rows:
-        calls[name] += 1
+    knots = [origin]
+    s, y, k1, _ = origin
+    sgn = 1.0 if target >= 0 else -1.0
+    step = abs(control.step)
+    while sgn * (target - s) > 1e-15:
+        if len(knots) - 1 >= control.max_steps:
+            return knots, f"step limit: max_steps={control.max_steps} reached at s={s!r}"
+        dt = sgn * min(step, abs(target - s))
         try:
-            dy, d2e = _rhs(metric, y if y.ndim == 1 else y[rows[0]] if len(rows) == 1 else y[rows], knot)
+            counts["stage"] += 1
+            k2, _ = _rhs(metric, y + dt * 0.5 * k1)
+            counts["stage"] += 1
+            k3, _ = _rhs(metric, y + dt * 0.5 * k2)
+            counts["stage"] += 1
+            k4, _ = _rhs(metric, y + dt * k3)
+            y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            counts["knot"] += 1
+            k1, d2e = _rhs(metric, y, knot=True)
         except (ChartDomainError, SingularMetricError) as exc:
-            bad, exc = _failing_row(metric, y, rows, knot, exc, calls, name)
-            sweeps[bad].reason = str(exc)
-            rows = [r for r in rows if r != bad]
-            continue
-        if y.ndim == 2 and len(rows) < len(y):
-            dy, d2e = _spread(dy, rows, len(y)), _spread(d2e, rows, len(y))
-        return rows, dy, d2e
-    return rows, np.zeros(y.shape), None
-
-
-def _failing_row(metric, y, rows, knot, exc, calls, name):
-    """(row, error) for the error exc of the evaluation at rows: the row whose
-    point fails when evaluated alone, and the error that point call raises.
-
-    The rows are tried one at a time, starting with the one a block error
-    names through ``sample``.  An error has no ``sample`` when a domain test
-    or component function raised it for the block as a whole (the chart
-    inverse of a pushed metric, say).  A block error that no point
-    reproduces is raised.
-    """
-    if len(rows) == 1:
-        return rows[0], exc
-    named = [] if exc.sample is None else [rows[exc.sample]]
-    for r in named + [r for r in rows if r not in named]:
-        calls[name] += 1
-        try:
-            _rhs(metric, y[r], knot)
-        except (ChartDomainError, SingularMetricError) as own:
-            return r, own
-    raise exc
-
-
-def _spread(a, rows, n):
-    """The per-row results a, one row per evaluated row, as n rows with zeros elsewhere."""
-    if a is None:
-        return None
-    out = np.zeros((n, a.shape[-1]))
-    out[rows] = a
-    return out
-
-
-def _sweep(metric, sweeps, control, calls):
-    """Integrate a block of sweeps in lockstep, each from its last knot toward its target.
-
-    Every step advances each running sweep by its own dt, and each stage
-    evaluates the connection once for all of them (a point call when one
-    sweep is left).  The first stage of every step is the derivative stored
-    at the knot the step leaves, so a step costs one connection evaluation
-    per further stage plus one at the knot it reaches.  A sweep that leaves
-    the domain or meets a singular metric stops there with its reason; the
-    others run on.  Per-sweep
-    arithmetic is elementwise, so each sweep reproduces a run of its own
-    bit for bit wherever the connection of a block equals that of its
-    points (see ``hyperdual``).
-    """
-    while True:
-        act = [sw for sw in sweeps if sw.running(control)]
-        if not act:
-            return
-        dts = [sw.sgn * min(sw.step, abs(sw.target - sw.s)) for sw in act]
-        if len(act) == 1:  # a lone state (W,), stepped without block bookkeeping
-            _, y, k1, _ = act[0].knots[-1]
-            dt = dts[0]
-        else:
-            dt = np.array(dts)[:, None]
-            y, k1 = np.array([sw.knots[-1][1] for sw in act]), np.array([sw.knots[-1][2] for sw in act])
-        rows = list(range(len(act)))
-        rows, k2, _ = _evaluate(metric, y + dt * 0.5 * k1, rows, act, calls)
-        rows, k3, _ = _evaluate(metric, y + dt * 0.5 * k2, rows, act, calls)
-        rows, k4, _ = _evaluate(metric, y + dt * k3, rows, act, calls)
-        y_new = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rows, k_new, d2e = _evaluate(metric, y_new, rows, act, calls, knot=True)
-        for r in rows:
-            sw, at = act[r], (... if y.ndim == 1 else r)  # a lone state is the whole array
-            sw.s = sw.s + dts[r]
-            sw.steps += 1
-            sw.knots.append((sw.s, y_new[at], k_new[at], None if d2e is None else d2e[at]))
-
-
-def integrate_geodesics(
-    metric: MetricField, starts, s_max, control: Optional[StepControl] = None, s_min=0.0
-) -> list:
-    """Integrate one geodesic per start, all their sweeps in lockstep.
-
-    Each start is ``(p0, v0, tetrad)`` with ``tetrad`` None or a 4x4 array
-    (rows e_a^mu at p0, orthonormal with e_0 equal to v0); either every start
-    carries a tetrad or none does.  Every path covers proper times
-    [s_min, s_max] (s_min may be negative; the path then extends backward
-    through p0), so a start makes up to two sweeps, forward and backward.
-    All sweeps share one connection evaluation per stage; each path equals
-    the one ``integrate_geodesic`` returns for its start alone wherever a
-    block connection equals its points bit for bit (components built from
-    arithmetic and ``sqrt``).  Leaving the chart domain, a singular metric
-    or reaching ``max_steps`` truncates a path and records why in
-    ``stats['reason']``.
-
-    Returns one ``GeodesicPath`` per start, in order.
-    """
-    control = control or StepControl()
-    if s_max <= s_min:
-        raise ValueError("need s_max > s_min")
-    y0 = [_initial_state(metric, *start) for start in starts]
-    if not y0:
-        raise ValueError("need at least one start")
-    if len({len(y) for y in y0}) > 1:
-        raise ValueError("either every start carries a tetrad or none does")
-    carried = len(y0[0]) > 2 * DIM
-
-    calls = {"christoffel": 0, "christoffel_jet": 0}
-    pairs = []
-    for y in y0:
-        calls["christoffel_jet" if carried else "christoffel"] += 1
-        origin = (0.0, y, *_rhs(metric, y, knot=True))
-        counts = {"stage": 0, "knot": 1}
-        pairs.append(
-            (
-                counts,
-                _Sweep(origin, s_max, control, counts) if s_max > 0 else None,
-                _Sweep(origin, s_min, control, counts) if s_min < 0 else None,
-            )
-        )
-    sweeps = [sw for _, *pair in pairs for sw in pair if sw is not None]
-    _sweep(metric, sweeps, control, calls)
-    paths = [_path(metric, carried, *pair) for pair in pairs]
-    if log.isEnabledFor(logging.DEBUG):
-        for path in paths:
-            tetrad_health = ""
-            if path.tetrad is not None:
-                tetrad_health = f", tetrad orthonormality drift {path.tetrad.orthonormality_drift(metric):.3g}"
-            log.debug(
-                "geodesic on %s: rk4, %d steps, %d christoffel and %d christoffel_jet evaluations, "
-                "norm drift %.3g%s; %d sweeps in lockstep made %d christoffel and %d christoffel_jet calls",
-                metric.name,
-                path.stats["steps"],
-                path.stats["christoffel_evals"],
-                path.stats["christoffel_jet_evals"],
-                path.stats["max_norm_drift"],
-                tetrad_health,
-                len(sweeps),
-                calls["christoffel"],
-                calls["christoffel_jet"],
-            )
-    return paths
+            return knots, exc
+        s = s + dt
+        knots.append((s, y, k1, d2e))
+    return knots, None
 
 
 def integrate_geodesic(
@@ -376,25 +226,44 @@ def integrate_geodesic(
     """Integrate the geodesic equation from p0 with unit velocity v0.
 
     Covers proper times [s_min, s_max] (s_min may be negative; the path then
-    extends backward through p0, and both sweeps run in lockstep).  Leaving
-    the chart domain, a singular metric or reaching ``max_steps`` truncates
-    the path and records why in ``stats['reason']``.
+    extends backward through p0: a forward sweep, then a backward one).
+    Leaving the chart domain, a singular metric or reaching ``max_steps``
+    truncates the path and records why in ``stats['reason']``; the error of
+    the first two is kept as the path's ``error``.
 
     Args:
         tetrad: optional 4x4 array, rows e_a^mu at p0, orthonormal with e_0
             equal to v0 (``ValueError`` otherwise).  It is parallel-transported
             in the same pass and returned as the path's ``tetrad``.
     """
-    return integrate_geodesics(metric, [(p0, v0, tetrad)], s_max, control, s_min)[0]
+    control = control or StepControl()
+    if s_max <= s_min:
+        raise ValueError("need s_max > s_min")
+    y0 = _initial_state(metric, p0, v0, tetrad)
+    carried = tetrad is not None
+    counts = {"stage": 0, "knot": 1}
+    origin = (0.0, y0, *_rhs(metric, y0, knot=True))
+    forward, cause = _sweep(metric, origin, s_max, control, counts) if s_max > 0 else ([origin], None)
+    backward, cause_back = _sweep(metric, origin, s_min, control, counts) if s_min < 0 else ([origin], None)
+    path = _path(metric, carried, counts, backward[:0:-1] + forward, cause_back if cause is None else cause)
+    if log.isEnabledFor(logging.DEBUG):
+        tetrad_health = ""
+        if path.tetrad is not None:
+            tetrad_health = f", tetrad orthonormality drift {path.tetrad.orthonormality_drift(metric):.3g}"
+        log.debug(
+            "geodesic on %s: rk4, %d steps, %d christoffel and %d christoffel_jet evaluations, norm drift %.3g%s",
+            metric.name,
+            path.stats["steps"],
+            path.stats["christoffel_evals"],
+            path.stats["christoffel_jet_evals"],
+            path.stats["max_norm_drift"],
+            tetrad_health,
+        )
+    return path
 
 
-def _path(metric, carried, counts, forward, backward):
-    """The GeodesicPath of a start from its forward and backward sweeps (None when not run)."""
-    done = [sw for sw in (forward, backward) if sw is not None]
-    origin = done[0].knots[:1]
-    knots = (backward.knots[:0:-1] if backward else []) + (forward.knots if forward else origin)
-    truncated = next((sw.reason for sw in done if sw.reason is not None), None)
-
+def _path(metric, carried, counts, knots, cause):
+    """The GeodesicPath through the knots (s, y, dy/ds, d2e) in order of s, truncated by cause unless it is None."""
     n = len(knots)
     s_arr = np.array([kn[0] for kn in knots])
     ys = np.array([kn[1] for kn in knots])
@@ -405,10 +274,10 @@ def _path(metric, carried, counts, forward, backward):
     v = v_arr[sampled]
     drift = float(np.max(np.abs((v[:, None, :] @ g @ v[:, :, None])[:, 0, 0] - 1.0)))
     stats = {
-        "steps": sum(sw.steps for sw in done),
+        "steps": n - 1,
         "max_norm_drift": drift,
-        "truncated": truncated is not None,
-        "reason": truncated,
+        "truncated": cause is not None,
+        "reason": None if cause is None else str(cause),
         "christoffel_evals": counts["stage"] + (0 if carried else counts["knot"]),
         "christoffel_jet_evals": counts["knot"] if carried else 0,
     }
@@ -417,7 +286,8 @@ def _path(metric, carried, counts, forward, backward):
         d2e = np.array([kn[3] for kn in knots])
         dense = QuinticDense(s_arr, ys[:, 2 * DIM :], dys[:, 2 * DIM :], d2e)
         transported = TransportedTetrad(x_arr, ys[:, 2 * DIM :].reshape(n, DIM, DIM), dense)
-    return GeodesicPath(s_arr, x_arr, v_arr, a_arr, metric.name, stats, metric, transported)
+    error = cause if isinstance(cause, Exception) else None
+    return GeodesicPath(s_arr, x_arr, v_arr, a_arr, metric.name, stats, metric, transported, error)
 
 
 @dataclass

@@ -49,7 +49,6 @@ from .geometry import (
     MetricField,
     as_points,
     _riemann,
-    christoffel,
     christoffel_jet,
     eval_metric,
 )
@@ -219,7 +218,7 @@ class _TubeChart:
     as the quadratic truncation error and vanishes identically on the curve.
     """
 
-    # connection jets kept per chart: a plli lab chart visits about five foot points
+    # connection jets kept per chart: a plli's comoving lab chart visits 8 or 9 foot points, its drifting one 1
     _JET_CACHE_SIZE = 64
 
     def __init__(self, metric: MetricField, path: GeodesicPath):
@@ -353,7 +352,8 @@ def lab_frame_along_geodesic(
     k0 = int(np.argmin(np.abs(path.s)))
     base = as_points(path.points[k0])
     cmap = ChartMap(tube.forward_fn, tube.inverse_fn, f"lab-chart-{label}", tube.inverse_jacobian_fn)
-    chart = NormalChart(base, path.tetrad.samples[k0], christoffel(metric, base), cmap, validity_radius)
+    # the connection at the base comes from the chart's jet cache, where the epoch evaluation finds it
+    chart = NormalChart(base, path.tetrad.samples[k0], tube._connection_jet(base)[0], cmap, validity_radius)
 
     def raw_field(coords):
         jac = tube.inverse_jacobian_fn(tube.forward_fn(coords))

@@ -404,13 +404,23 @@ def test_normal_chart_minkowski_has_no_growth_exponent(tmp_path):
     assert [d for _, d in res["deviation_ladder"]] == [0.0] * 4
 
 
-@pytest.mark.parametrize("a", ["1e4", "1e6", "1e8", "1e10"])
+@pytest.mark.parametrize("a", ["1e4", "1e6", "1e8"])
 def test_plli_on_a_path_without_dense_output_exits_2(a, capsys):
     # the drifting geodesic leaves the domain within its first step: one knot, no lab chart
     rc = main(["plli", "--a", a, "--v", "0.1"])
     assert rc == 2
     err = capsys.readouterr().err
     assert "invalid configuration" in err and "no dense output" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("a, cond", [("1e10", "1.00e+14"), ("2e154", "4.00e+302")])
+def test_plli_where_the_first_step_meets_a_singular_metric_exits_3(a, cond, capsys):
+    # the comoving geodesic's first step takes the scale factor to 1 + a * 1e-3: a numeric failure
+    rc = main(["plli", "--a", a, "--v", "0.2"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"numeric failure: friedmann(a={float(a)}): metric numerically singular, cond={cond}" in err
+    assert "Traceback" not in err
 
 
 def test_non_finite_tolerance_exits_2(capsys):
@@ -551,7 +561,7 @@ def test_numeric_strings_in_a_config_are_accepted_and_echoed(tmp_path):
 
 
 def test_singular_metric_stop_names_its_metric(capsys):
-    assert main(["plli", "--a", "1e10", "--v", "0.1"]) == 2
+    assert main(["plli", "--a", "1e10", "--v", "0.1"]) == 3
     err = capsys.readouterr().err
     assert "friedmann(a=" in err and "metric: metric" not in err
 

@@ -193,17 +193,52 @@ def test_pair_integrates_the_validity_tube_only(monkeypatch):
     import framekin.equivalence as eq
 
     paths = []
-    real = eq.integrate_geodesics
+    real = eq.integrate_geodesic
 
     def spy(*args, **kwargs):
-        got = real(*args, **kwargs)
-        paths.extend(got)
-        return got
+        path = real(*args, **kwargs)
+        paths.append(path)
+        return path
 
-    monkeypatch.setattr(eq, "integrate_geodesics", spy)
+    monkeypatch.setattr(eq, "integrate_geodesic", spy)
     fk.moving_lab_expansion_pair(1e-3, 0.2)
-    # the comoving and the drifting geodesic, each 25 steps of 2e-3 either way from the epoch
+    # the comoving and the drifting geodesic, each one step of 2e-3 either way from the epoch
     assert len(paths) == 2
     for path in paths:
-        assert (path.s_min, path.s_max) == (-0.05, 0.05)
-        assert path.stats["steps"] == 50 and len(path.s) == 51
+        assert (path.s_min, path.s_max) == (-2e-3, 2e-3)
+        assert path.stats["steps"] == 2 and len(path.s) == 3
+
+
+@pytest.mark.parametrize("a, v", [(1e-5, 0.05), (3e-5, 0.3), (1e-3, 0.2), (1e-2, 0.1)])
+def test_pair_report_does_not_depend_on_the_span_or_step(a, v, monkeypatch):
+    # the lab charts read the epoch knot and its first two s-derivatives only: the report over one
+    # step of 2e-3 each way equals the one over 25 such steps (|s| <= 0.05) and over one step of 1e-3
+    import framekin.equivalence as eq
+
+    report = fk.moving_lab_expansion_pair(a, v).to_json_dict()
+    real = eq.integrate_geodesic
+    for span, step in ((0.05, 2e-3), (1e-3, 1e-3)):
+
+        def integrate(metric, p0, v0, s_max, control, s_min, tetrad, span=span, step=step):
+            return real(metric, p0, v0, span, fk.StepControl(step=step), s_min=-span, tetrad=tetrad)
+
+        monkeypatch.setattr(eq, "integrate_geodesic", integrate)
+        assert fk.moving_lab_expansion_pair(a, v).to_json_dict() == report
+
+
+def test_pair_raises_the_singular_metric_that_cuts_a_geodesic():
+    # a step of 2e-3 takes the scale factor to 4e151, where the metric's condition reaches 4e302
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(fk.SingularMetricError, match=r"friedmann\(a=2e\+154\): metric numerically singular"):
+            fk.moving_lab_expansion_pair(2e154, 0.2)
+
+
+def test_closed_form_does_not_cancel_at_small_speeds():
+    def textbook(a, v):
+        return a * ((3.0 - v**2) / np.sqrt(1.0 - v**2) - 3.0)
+
+    for v in (0.05, 0.1, 0.3, 0.9):
+        assert moving_lab_theta_closed_form(1e-3, v) == pytest.approx(textbook(1e-3, v), rel=1e-12)
+    # a v^2 (1/2 + 3 v^2 / 8 + ...): at v = 1e-8 the textbook form keeps no correct digit
+    assert moving_lab_theta_closed_form(1e-3, 1e-8) == pytest.approx(5e-20, rel=1e-15)
+    assert moving_lab_theta_closed_form(1e-3, 0.0) == 0.0

@@ -217,11 +217,12 @@ def test_transported_e0_follows_velocity():
 def test_connection_evaluations_per_rk4_step(monkeypatch):
     import framekin.geodesics as geo
 
-    calls = {"christoffel": 0, "christoffel_jet": 0}  # evaluated points: a block call counts its rows
+    calls = {"christoffel": 0, "christoffel_jet": 0}
 
     def counted(name, fn):
         def wrapper(metric, p):
-            calls[name] += len(p) if np.ndim(p) == 2 else 1
+            assert np.ndim(p) == 1  # every evaluation is a point call, never a (1, 4) block
+            calls[name] += 1
             return fn(metric, p)
 
         return wrapper
@@ -245,73 +246,11 @@ def test_connection_evaluations_per_rk4_step(monkeypatch):
     assert (path.stats["christoffel_evals"], path.stats["christoffel_jet_evals"]) == (3 * n, n + 1)
 
 
-def boost_tetrad(u, axis=1):
+def boost_tetrad(u):
     w = np.sqrt(1 + u * u)
     e = np.eye(4)
-    e[0, 0], e[0, axis], e[axis, 0], e[axis, axis] = w, u, u, w
+    e[0, 0], e[0, 1], e[1, 0], e[1, 1] = w, u, u, w
     return e
-
-
-def lockstep_starts(carried):
-    """Comoving and drifting starts at three points; boosts along x1 and x2."""
-    out = []
-    for p0, u, axis in (((0, 0, 0, 0), 0.0, 1), ((0, 0.1, 0, 0), 0.3, 1), ((0, 0, 0.2, -0.1), 0.15, 2)):
-        e = boost_tetrad(u, axis)
-        out.append((p0, e[0], e if carried else None))
-    return out
-
-
-def assert_same_path(got, want):
-    for name in ("s", "points", "velocities", "accelerations"):
-        assert np.array_equal(getattr(got, name), getattr(want, name))
-    assert got.stats == want.stats
-    assert np.array_equal(got._dense.coeffs, want._dense.coeffs)
-    assert (got.tetrad is None) == (want.tetrad is None)
-    if want.tetrad is not None:
-        assert np.array_equal(got.tetrad.samples, want.tetrad.samples)
-        assert np.array_equal(got.tetrad._dense.coeffs, want.tetrad._dense.coeffs)
-
-
-@pytest.mark.parametrize("carried", [False, True])
-@pytest.mark.parametrize("span", [(0.0, 0.6), (-0.5, 0.0), (-0.45, 0.2)])  # forward, backward, ragged
-def test_lockstep_equals_separate_runs(carried, span):
-    m = fk.make_friedmann(0.05, 0.3)
-    s_min, s_max = span
-    ctrl = fk.StepControl(step=0.03)
-    starts = lockstep_starts(carried)
-    paths = fk.integrate_geodesics(m.metric, starts, s_max, ctrl, s_min=s_min)
-    assert len(paths) == len(starts)
-    for (p0, v0, tetrad), path in zip(starts, paths):
-        assert_same_path(path, fk.integrate_geodesic(m.metric, p0, v0, s_max, ctrl, s_min=s_min, tetrad=tetrad))
-
-
-def test_lockstep_truncated_sweep_leaves_the_others_unchanged():
-    # the expanding model cut off at t = -0.9: every backward sweep to s = -3
-    # leaves the domain while the forward sweeps run on to s = 3
-    model = fk.make_friedmann(0.5)
-    m = fk.MetricField(model.metric.component_fn, name="cut", domain_fn=lambda c: c[0] > -0.9)
-    ctrl = fk.StepControl(step=0.05)
-    starts = lockstep_starts(carried=True)
-    paths = fk.integrate_geodesics(m, starts, 3.0, ctrl, s_min=-3.0)
-    for (p0, v0, tetrad), path in zip(starts, paths):
-        assert path.stats["truncated"] and "outside chart domain" in path.stats["reason"]
-        assert "sample" not in path.stats["reason"]  # named as a run of its own names it
-        assert path.s[-1] == pytest.approx(3.0, abs=1e-12) and -3.0 < path.s[0] < -0.5
-        assert_same_path(path, fk.integrate_geodesic(m, p0, v0, 3.0, ctrl, s_min=-3.0, tetrad=tetrad))
-
-
-def test_lockstep_truncation_mid_block():
-    # one start runs into the boundary while the others do not
-    m = fk.make_friedmann(0.5)
-    ctrl = fk.StepControl(step=0.05)
-    starts = []
-    for t in (0.0, -1.7, 1.0):
-        e = np.diag([1.0] + [1.0 / m.scale.value(t)] * 3)  # comoving, orthonormal at time t
-        starts.append(((t, 0, 0, 0), e[0], e))
-    paths = fk.integrate_geodesics(m.metric, starts, 0.5, ctrl, s_min=-0.6)
-    assert [p.stats["truncated"] for p in paths] == [False, True, False]
-    for (p0, v0, tetrad), path in zip(starts, paths):
-        assert_same_path(path, fk.integrate_geodesic(m.metric, p0, v0, 0.5, ctrl, s_min=-0.6, tetrad=tetrad))
 
 
 def orthonormal_tetrad(g, e0):
@@ -324,26 +263,37 @@ def orthonormal_tetrad(g, e0):
     return np.array(e)
 
 
-@pytest.mark.parametrize("carried", [False, True])
-def test_lockstep_truncation_without_a_sample_index(carried):
-    # in the drift-adapted chart the domain test inverts the chart, which
-    # raises for a block as a whole past the big bang, naming no sample:
-    # the backward sweep must end there and the forward one run on
+def cut_or_drift_chart(domain):
+    """The expanding model cut off at t = -0.9, or its drift-adapted chart, whose domain test
+    inverts the chart and fails past the big bang naming no sample."""
     model = fk.make_friedmann(0.5, 0.1)
-    gz = pushed_metric_field(z_chart(model), model.metric, name="friedmann-drift-chart")
+    if domain == "cut":
+        return fk.MetricField(model.metric.component_fn, name="cut", domain_fn=lambda c: c[0] > -0.9)
+    return pushed_metric_field(z_chart(model), model.metric, name="friedmann-drift-chart")
+
+
+@pytest.mark.parametrize("carried", [False, True])
+@pytest.mark.parametrize("domain", ["cut", "drift-chart"])
+def test_truncated_backward_sweep_leaves_the_forward_one_unchanged(domain, carried):
+    # the backward sweep to s = -3 leaves the domain; the forward one runs on to s = 3, and the
+    # path is the forward and the backward run of their own, joined at the knot s = 0
+    m = cut_or_drift_chart(domain)
     ctrl = fk.StepControl(step=0.05)
-    starts = []
     for p0 in ((0, 0, 0, 0), (0.2, 0.1, 0, 0)):
-        e = orthonormal_tetrad(fk.eval_metric(gz, p0), np.array([1.0, 0.2, 0.0, 0.0]))
-        starts.append((p0, e[0], e if carried else None))
-    paths = fk.integrate_geodesics(gz, starts, 3.0, ctrl, s_min=-3.0)
-    for (p0, v0, tetrad), path in zip(starts, paths):
-        assert path.stats["reason"] == "time outside the scale-factor domain"
-        assert path.s[-1] == 3.0 and -3.0 < path.s[0] < -1.0
-        assert_same_path(path, fk.integrate_geodesic(gz, p0, v0, 3.0, ctrl, s_min=-3.0, tetrad=tetrad))
-        forward = fk.integrate_geodesic(gz, p0, v0, 3.0, ctrl, tetrad=tetrad)
-        backward = fk.integrate_geodesic(gz, p0, v0, 0.0, ctrl, s_min=-3.0, tetrad=tetrad)
-        assert not forward.stats["truncated"] and backward.stats["reason"] == path.stats["reason"]
+        e = orthonormal_tetrad(fk.eval_metric(m, p0), np.array([1.0, 0.2, 0.0, 0.0]))
+        tetrad = e if carried else None
+        path = fk.integrate_geodesic(m, p0, e[0], 3.0, ctrl, s_min=-3.0, tetrad=tetrad)
+        if domain == "cut":
+            assert "outside chart domain" in path.stats["reason"] and "sample" not in path.stats["reason"]
+        else:
+            assert path.stats["reason"] == "time outside the scale-factor domain"
+        assert isinstance(path.error, fk.ChartDomainError) and str(path.error) == path.stats["reason"]
+        assert path.s[-1] == 3.0 and -3.0 < path.s[0] < -0.5
+        forward = fk.integrate_geodesic(m, p0, e[0], 3.0, ctrl, tetrad=tetrad)
+        backward = fk.integrate_geodesic(m, p0, e[0], 0.0, ctrl, s_min=-3.0, tetrad=tetrad)
+        assert not forward.stats["truncated"] and forward.error is None
+        assert backward.stats["reason"] == path.stats["reason"]
+        assert path.stats["steps"] == forward.stats["steps"] + backward.stats["steps"]
         k = len(backward.s) - 1  # the knot at s = 0
         for name in ("s", "points", "velocities", "accelerations"):
             assert np.array_equal(getattr(path, name)[k:], getattr(forward, name))
@@ -351,42 +301,6 @@ def test_lockstep_truncation_without_a_sample_index(carried):
         if carried:
             assert np.array_equal(path.tetrad.samples[k:], forward.tetrad.samples)
             assert np.array_equal(path.tetrad.samples[: k + 1], backward.tetrad.samples)
-
-
-def test_lockstep_connection_calls(monkeypatch):
-    import framekin.geodesics as geo
-
-    rows = []
-
-    def counted(fn):
-        def wrapper(metric, p):
-            rows.append(len(p) if np.ndim(p) == 2 else 0)  # 0 marks a point call
-            return fn(metric, p)
-
-        return wrapper
-
-    monkeypatch.setattr(geo, "christoffel", counted(geo.christoffel))
-    monkeypatch.setattr(geo, "christoffel_jet", counted(geo.christoffel_jet))
-    m = fk.make_friedmann(0.01, 0.3)
-    starts = lockstep_starts(carried=True)[:2]
-    paths = fk.integrate_geodesics(m.metric, starts, 0.3, fk.StepControl(step=0.01), s_min=-0.2)
-    # one point call per origin; 20 steps of all four sweeps; 10 more of the two forward ones
-    assert rows == [0, 0] + [4] * 4 * 20 + [2] * 4 * 10
-    for path in paths:
-        assert path.stats["christoffel_evals"] == 3 * 50 and path.stats["christoffel_jet_evals"] == 51
-
-    rows.clear()
-    fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), 0.05, fk.StepControl(step=0.01))
-    assert rows == [0] * (4 * 5 + 1)  # a lone sweep calls with points, never a (1, 4) block
-
-
-def test_lockstep_rejects_mixed_starts():
-    m = fk.make_friedmann(0.01)
-    e = np.eye(4)
-    with pytest.raises(ValueError, match="every start"):
-        fk.integrate_geodesics(m.metric, [((0, 0, 0, 0), e[0], e), ((0, 0, 0, 0), e[0], None)], 0.1)
-    with pytest.raises(ValueError, match="at least one"):
-        fk.integrate_geodesics(m.metric, [], 0.1)
 
 
 def test_norm_and_orthonormality_drift_match_per_knot_reference():
@@ -428,25 +342,20 @@ def test_debug_log_reports_work_and_drift(caplog):
     text = record.getMessage()
     assert "rk4, 10 steps, 30 christoffel and 11 christoffel_jet evaluations" in text
     assert "norm drift" in text and "tetrad orthonormality drift" in text
-    assert "1 sweeps in lockstep made 30 christoffel and 11 christoffel_jet calls" in text
 
     caplog.clear()
-    e = np.eye(4)
     with caplog.at_level(logging.DEBUG, logger="framekin.geodesics"):
-        starts = [((0, 0, 0, 0), e[0], e), ((0, 0.5, 0, 0), e[0], e)]
-        fk.integrate_geodesics(m.metric, starts, 0.1, fk.StepControl(step=0.01), s_min=-0.05)
-    texts = [r.getMessage() for r in caplog.records if r.name == "framekin.geodesics"]
-    assert len(texts) == 2
-    for text in texts:  # per path 10 + 5 steps; the four sweeps share 10 steps of calls, plus two origins
-        assert "rk4, 15 steps, 45 christoffel and 16 christoffel_jet evaluations" in text
-        assert "4 sweeps in lockstep made 30 christoffel and 12 christoffel_jet calls" in text
+        fk.integrate_geodesic(
+            m.metric, (0, 0.5, 0, 0), (1, 0, 0, 0), 0.1, fk.StepControl(step=0.01), s_min=-0.05, tetrad=np.eye(4)
+        )
+    (record,) = [r for r in caplog.records if r.name == "framekin.geodesics"]
+    # 10 steps forward and 5 back, plus the origin knot
+    assert "rk4, 15 steps, 45 christoffel and 16 christoffel_jet evaluations" in record.getMessage()
 
 
 @pytest.mark.parametrize("domain", ["cut", "drift-chart"])
 def test_debug_log_counts_the_calls_of_a_truncated_run(caplog, monkeypatch, domain):
-    # the calls that find the failing sweep of a block are counted too
-    import re
-
+    # the evaluation that fails and ends the backward sweep is counted too
     import framekin.geodesics as geo
 
     calls = {"christoffel": 0, "christoffel_jet": 0}
@@ -458,23 +367,18 @@ def test_debug_log_counts_the_calls_of_a_truncated_run(caplog, monkeypatch, doma
 
         return wrapper
 
-    model = fk.make_friedmann(0.5, 0.1)
-    if domain == "cut":  # the block error names its sample
-        m = fk.MetricField(model.metric.component_fn, name="cut", domain_fn=lambda c: c[0] > -0.9)
-    else:  # it does not
-        m = pushed_metric_field(z_chart(model), model.metric, name="friedmann-drift-chart")
-    starts = []
-    for p0 in ((0, 0, 0, 0), (0.1, 0, 0, 0)):
-        e = orthonormal_tetrad(fk.eval_metric(m, p0), np.array([1.0, 0.2, 0.0, 0.0]))
-        starts.append((p0, e[0], e))
+    m = cut_or_drift_chart(domain)
+    e = orthonormal_tetrad(fk.eval_metric(m, (0, 0, 0, 0)), np.array([1.0, 0.2, 0.0, 0.0]))
     monkeypatch.setattr(geo, "christoffel", counted(geo.christoffel))
     monkeypatch.setattr(geo, "christoffel_jet", counted(geo.christoffel_jet))
     with caplog.at_level(logging.DEBUG, logger="framekin.geodesics"):
-        paths = fk.integrate_geodesics(m, starts, 2.0, fk.StepControl(step=0.05), s_min=-3.0)
-    assert all(p.stats["truncated"] for p in paths)
-    texts = [r.getMessage() for r in caplog.records if r.name == "framekin.geodesics"]
-    made = re.search(r"(\d+) sweeps in lockstep made (\d+) christoffel and (\d+) christoffel_jet calls", texts[0])
-    assert made.groups() == ("4", str(calls["christoffel"]), str(calls["christoffel_jet"]))
+        path = fk.integrate_geodesic(m, (0, 0, 0, 0), e[0], 2.0, fk.StepControl(step=0.05), s_min=-3.0, tetrad=e)
+    assert path.stats["truncated"]
+    (record,) = [r for r in caplog.records if r.name == "framekin.geodesics"]
+    made = f"{calls['christoffel']} christoffel and {calls['christoffel_jet']} christoffel_jet evaluations"
+    assert made in record.getMessage()
+    assert (path.stats["christoffel_evals"], path.stats["christoffel_jet_evals"]) == tuple(calls.values())
+    assert "lockstep" not in record.getMessage()
 
 
 # -- free-particle experiment ---------------------------------------------------
