@@ -246,11 +246,33 @@ def test_connection_evaluations_per_rk4_step(monkeypatch):
     assert (path.stats["christoffel_evals"], path.stats["christoffel_jet_evals"]) == (3 * n, n + 1)
 
 
-def boost_tetrad(u):
+def boost_tetrad(u, axis=1):
     w = np.sqrt(1 + u * u)
     e = np.eye(4)
-    e[0, 0], e[0, 1], e[1, 0], e[1, 1] = w, u, u, w
+    e[0, 0], e[0, axis], e[axis, 0], e[axis, axis] = w, u, u, w
     return e
+
+
+def starts_at_three_points(carried):
+    """Comoving and drifting starts at three points of the comoving chart at t = 0; boosts along x1 and x2."""
+    out = []
+    for p0, u, axis in (((0, 0, 0, 0), 0.0, 1), ((0, 0.1, 0, 0), 0.3, 1), ((0, 0, 0.2, -0.1), 0.15, 2)):
+        e = boost_tetrad(u, axis)
+        out.append((p0, e[0], e if carried else None))
+    return out
+
+
+def assert_sweeps_joined(path, backward, forward):
+    """The path is its backward and its forward run, each run on its own, joined at the knot s = 0."""
+    assert path.stats["steps"] == forward.stats["steps"] + backward.stats["steps"]
+    k = len(backward.s) - 1  # the knot at s = 0
+    for name in ("s", "points", "velocities", "accelerations"):
+        assert np.array_equal(getattr(path, name)[k:], getattr(forward, name))
+        assert np.array_equal(getattr(path, name)[: k + 1], getattr(backward, name))
+    assert (path.tetrad is None) == (forward.tetrad is None) == (backward.tetrad is None)
+    if path.tetrad is not None:
+        assert np.array_equal(path.tetrad.samples[k:], forward.tetrad.samples)
+        assert np.array_equal(path.tetrad.samples[: k + 1], backward.tetrad.samples)
 
 
 def orthonormal_tetrad(g, e0):
@@ -272,35 +294,83 @@ def cut_or_drift_chart(domain):
     return pushed_metric_field(z_chart(model), model.metric, name="friedmann-drift-chart")
 
 
-@pytest.mark.parametrize("carried", [False, True])
-@pytest.mark.parametrize("domain", ["cut", "drift-chart"])
-def test_truncated_backward_sweep_leaves_the_forward_one_unchanged(domain, carried):
-    # the backward sweep to s = -3 leaves the domain; the forward one runs on to s = 3, and the
-    # path is the forward and the backward run of their own, joined at the knot s = 0
-    m = cut_or_drift_chart(domain)
+def assert_backward_sweep_truncated(m, p0, v0, tetrad):
+    """The backward sweep to s = -3 leaves the domain; the forward one runs on to s = 3 as a run of its own."""
     ctrl = fk.StepControl(step=0.05)
+    path = fk.integrate_geodesic(m, p0, v0, 3.0, ctrl, s_min=-3.0, tetrad=tetrad)
+    assert path.stats["truncated"]
+    assert isinstance(path.error, fk.ChartDomainError) and str(path.error) == path.stats["reason"]
+    assert path.s[-1] == 3.0 and -3.0 < path.s[0] < -0.5
+    forward = fk.integrate_geodesic(m, p0, v0, 3.0, ctrl, tetrad=tetrad)
+    backward = fk.integrate_geodesic(m, p0, v0, 0.0, ctrl, s_min=-3.0, tetrad=tetrad)
+    assert not forward.stats["truncated"] and forward.error is None
+    assert backward.stats["reason"] == path.stats["reason"]
+    assert_sweeps_joined(path, backward, forward)
+    return path
+
+
+def test_lockstep_truncated_sweep_leaves_the_others_unchanged():
+    # the cut model: every start's backward sweep leaves the domain, its forward sweep is untouched
+    m = cut_or_drift_chart("cut")
+    for carried in (False, True):
+        for p0, v0, tetrad in starts_at_three_points(carried):
+            path = assert_backward_sweep_truncated(m, p0, v0, tetrad)
+            assert "outside chart domain" in path.stats["reason"] and "sample" not in path.stats["reason"]
+
+
+@pytest.mark.parametrize("carried", [False, True])
+def test_lockstep_truncation_without_a_sample_index(carried):
+    # in the drift-adapted chart the domain test inverts the chart, which raises past the big
+    # bang naming no sample: the backward sweep must end there and the forward one run on
+    m = cut_or_drift_chart("drift-chart")
     for p0 in ((0, 0, 0, 0), (0.2, 0.1, 0, 0)):
         e = orthonormal_tetrad(fk.eval_metric(m, p0), np.array([1.0, 0.2, 0.0, 0.0]))
-        tetrad = e if carried else None
-        path = fk.integrate_geodesic(m, p0, e[0], 3.0, ctrl, s_min=-3.0, tetrad=tetrad)
-        if domain == "cut":
-            assert "outside chart domain" in path.stats["reason"] and "sample" not in path.stats["reason"]
-        else:
-            assert path.stats["reason"] == "time outside the scale-factor domain"
-        assert isinstance(path.error, fk.ChartDomainError) and str(path.error) == path.stats["reason"]
-        assert path.s[-1] == 3.0 and -3.0 < path.s[0] < -0.5
-        forward = fk.integrate_geodesic(m, p0, e[0], 3.0, ctrl, tetrad=tetrad)
-        backward = fk.integrate_geodesic(m, p0, e[0], 0.0, ctrl, s_min=-3.0, tetrad=tetrad)
-        assert not forward.stats["truncated"] and forward.error is None
-        assert backward.stats["reason"] == path.stats["reason"]
-        assert path.stats["steps"] == forward.stats["steps"] + backward.stats["steps"]
-        k = len(backward.s) - 1  # the knot at s = 0
-        for name in ("s", "points", "velocities", "accelerations"):
-            assert np.array_equal(getattr(path, name)[k:], getattr(forward, name))
-            assert np.array_equal(getattr(path, name)[: k + 1], getattr(backward, name))
-        if carried:
-            assert np.array_equal(path.tetrad.samples[k:], forward.tetrad.samples)
-            assert np.array_equal(path.tetrad.samples[: k + 1], backward.tetrad.samples)
+        path = assert_backward_sweep_truncated(m, p0, e[0], e if carried else None)
+        assert path.stats["reason"] == "time outside the scale-factor domain"
+
+
+def test_lockstep_truncation_mid_block():
+    # of three comoving starts only the middle one, near the big bang at t = -2, runs into the
+    # boundary; each path is its backward and forward sweep run on their own, joined
+    m = fk.make_friedmann(0.5)
+    ctrl = fk.StepControl(step=0.05)
+    truncated = []
+    for t in (0.0, -1.7, 1.0):
+        e = np.diag([1.0] + [1.0 / m.scale.value(t)] * 3)  # comoving, orthonormal at time t
+        path = fk.integrate_geodesic(m.metric, (t, 0, 0, 0), e[0], 0.5, ctrl, s_min=-0.6, tetrad=e)
+        forward = fk.integrate_geodesic(m.metric, (t, 0, 0, 0), e[0], 0.5, ctrl, tetrad=e)
+        backward = fk.integrate_geodesic(m.metric, (t, 0, 0, 0), e[0], 0.0, ctrl, s_min=-0.6, tetrad=e)
+        assert_sweeps_joined(path, backward, forward)
+        truncated.append(path.stats["truncated"])
+    assert truncated == [False, True, False]
+
+
+def test_lockstep_connection_calls(monkeypatch):
+    import framekin.geodesics as geo
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(metric, p):
+            assert np.ndim(p) == 1  # a point call, never a (1, 4) block
+            calls.append(name)
+            return fn(metric, p)
+
+        return wrapper
+
+    monkeypatch.setattr(geo, "christoffel", counted("christoffel", geo.christoffel))
+    monkeypatch.setattr(geo, "christoffel_jet", counted("christoffel_jet", geo.christoffel_jet))
+    m = fk.make_friedmann(0.01, 0.3)
+    for p0, v0, tetrad in starts_at_three_points(carried=True)[:2]:
+        calls.clear()
+        path = fk.integrate_geodesic(m.metric, p0, v0, 0.3, fk.StepControl(step=0.01), s_min=-0.2, tetrad=tetrad)
+        # the origin's jet, then per step of both sweeps (30 forward, 20 back) three stages and a knot
+        assert calls == ["christoffel_jet"] + (["christoffel"] * 3 + ["christoffel_jet"]) * 50
+        assert path.stats["christoffel_evals"] == 3 * 50 and path.stats["christoffel_jet_evals"] == 51
+
+    calls.clear()
+    fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), 0.05, fk.StepControl(step=0.01))
+    assert calls == ["christoffel"] * (4 * 5 + 1)  # without a tetrad every evaluation is a point christoffel
 
 
 def test_norm_and_orthonormality_drift_match_per_knot_reference():
