@@ -116,8 +116,9 @@ class GeodesicPath:
     """Proper-time parameterized geodesic with dense evaluation.
 
     ``tetrad`` is the transported tetrad when one was given to
-    ``integrate_geodesic``; ``error`` is the chart-domain or singular-metric
-    error that truncated the path, if one did.
+    ``integrate_geodesic``; ``error`` is what truncated the path, if anything
+    did: a chart-domain or singular-metric error, or a ``ValueError`` naming
+    the step limit.
     """
 
     s: np.ndarray
@@ -186,14 +187,14 @@ def _initial_state(metric, p0, v0, tetrad):
 def _sweep(metric, origin, target, control, counts):
     """Integrate one direction from the origin knot (s, y, dy/ds, d2e) toward proper time target.
 
-    Returns (knots, cause): the knots from the origin on, and what truncated
-    the sweep, None when it reached the target.  The first stage of every
-    step is the derivative stored at the knot the step leaves, so a step
-    costs one connection evaluation per further stage plus one at the knot
-    it reaches (``counts``, shared by the sweeps of a path, counts each).
+    Returns (knots, error): the knots from the origin on, and the error that
+    truncated the sweep, None when it reached the target.  The first stage
+    of every step is the derivative stored at the knot the step leaves, so a
+    step costs one connection evaluation per further stage plus one at the
+    knot it reaches (``counts``, shared by the sweeps of a path, counts each).
     Leaving the chart domain or meeting a singular metric stops the sweep
-    with that error as its cause; reaching ``control.max_steps`` short of
-    the target stops it with a step-limit message.
+    with that error; reaching ``control.max_steps`` short of the target
+    stops it with a ``ValueError`` naming the step limit.
     """
     knots = [origin]
     s, y, k1, _ = origin
@@ -201,7 +202,7 @@ def _sweep(metric, origin, target, control, counts):
     step = abs(control.step)
     while sgn * (target - s) > 1e-15:
         if len(knots) - 1 >= control.max_steps:
-            return knots, f"step limit: max_steps={control.max_steps} reached at s={s!r}"
+            return knots, ValueError(f"step limit: max_steps={control.max_steps} reached at s={s!r}")
         dt = sgn * min(step, abs(target - s))
         try:
             counts["stage"] += 1
@@ -228,8 +229,8 @@ def integrate_geodesic(
     Covers proper times [s_min, s_max] (s_min may be negative; the path then
     extends backward through p0: a forward sweep, then a backward one).
     Leaving the chart domain, a singular metric or reaching ``max_steps``
-    truncates the path and records why in ``stats['reason']``; the error of
-    the first two is kept as the path's ``error``.
+    truncates the path: the error is kept as the path's ``error`` and its
+    text as ``stats['reason']``.
 
     Args:
         tetrad: optional 4x4 array, rows e_a^mu at p0, orthonormal with e_0
@@ -243,9 +244,9 @@ def integrate_geodesic(
     carried = tetrad is not None
     counts = {"stage": 0, "knot": 1}
     origin = (0.0, y0, *_rhs(metric, y0, knot=True))
-    forward, cause = _sweep(metric, origin, s_max, control, counts) if s_max > 0 else ([origin], None)
-    backward, cause_back = _sweep(metric, origin, s_min, control, counts) if s_min < 0 else ([origin], None)
-    path = _path(metric, carried, counts, backward[:0:-1] + forward, cause_back if cause is None else cause)
+    forward, error = _sweep(metric, origin, s_max, control, counts) if s_max > 0 else ([origin], None)
+    backward, error_back = _sweep(metric, origin, s_min, control, counts) if s_min < 0 else ([origin], None)
+    path = _path(metric, carried, counts, backward[:0:-1] + forward, error_back if error is None else error)
     if log.isEnabledFor(logging.DEBUG):
         tetrad_health = ""
         if path.tetrad is not None:
@@ -262,8 +263,8 @@ def integrate_geodesic(
     return path
 
 
-def _path(metric, carried, counts, knots, cause):
-    """The GeodesicPath through the knots (s, y, dy/ds, d2e) in order of s, truncated by cause unless it is None."""
+def _path(metric, carried, counts, knots, error):
+    """The GeodesicPath through the knots (s, y, dy/ds, d2e) in order of s, truncated by error unless it is None."""
     n = len(knots)
     s_arr = np.array([kn[0] for kn in knots])
     ys = np.array([kn[1] for kn in knots])
@@ -276,8 +277,8 @@ def _path(metric, carried, counts, knots, cause):
     stats = {
         "steps": n - 1,
         "max_norm_drift": drift,
-        "truncated": cause is not None,
-        "reason": None if cause is None else str(cause),
+        "truncated": error is not None,
+        "reason": None if error is None else str(error),
         "christoffel_evals": counts["stage"] + (0 if carried else counts["knot"]),
         "christoffel_jet_evals": counts["knot"] if carried else 0,
     }
@@ -286,7 +287,6 @@ def _path(metric, carried, counts, knots, cause):
         d2e = np.array([kn[3] for kn in knots])
         dense = QuinticDense(s_arr, ys[:, 2 * DIM :], dys[:, 2 * DIM :], d2e)
         transported = TransportedTetrad(x_arr, ys[:, 2 * DIM :].reshape(n, DIM, DIM), dense)
-    error = cause if isinstance(cause, Exception) else None
     return GeodesicPath(s_arr, x_arr, v_arr, a_arr, metric.name, stats, metric, transported, error)
 
 

@@ -95,9 +95,10 @@ def test_step_limit_truncates_with_reason():
     assert path.s[-1] == pytest.approx(0.05) and path.stats["steps"] == 5
     assert path.stats["truncated"]
     assert "max_steps=5" in path.stats["reason"]
+    assert type(path.error) is ValueError and str(path.error) == path.stats["reason"]
     # a sweep that reaches its target on its last allowed step is not truncated
     full = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), 0.05, fk.StepControl(step=0.01, max_steps=5))
-    assert not full.stats["truncated"] and full.stats["reason"] is None
+    assert not full.stats["truncated"] and full.stats["reason"] is None and full.error is None
 
 
 def test_rejects_non_unit_velocity():
@@ -294,13 +295,14 @@ def cut_or_drift_chart(domain):
     return pushed_metric_field(z_chart(model), model.metric, name="friedmann-drift-chart")
 
 
-def assert_backward_sweep_truncated(m, p0, v0, tetrad):
-    """The backward sweep to s = -3 leaves the domain; the forward one runs on to s = 3 as a run of its own."""
+def assert_backward_sweep_truncated(m, p0, v0, tetrad, s_end):
+    """The backward sweep to s = -3 leaves the domain before s_end; the forward one runs on to s = 3
+    as a run of its own."""
     ctrl = fk.StepControl(step=0.05)
     path = fk.integrate_geodesic(m, p0, v0, 3.0, ctrl, s_min=-3.0, tetrad=tetrad)
     assert path.stats["truncated"]
     assert isinstance(path.error, fk.ChartDomainError) and str(path.error) == path.stats["reason"]
-    assert path.s[-1] == 3.0 and -3.0 < path.s[0] < -0.5
+    assert path.s[-1] == 3.0 and -3.0 < path.s[0] < s_end
     forward = fk.integrate_geodesic(m, p0, v0, 3.0, ctrl, tetrad=tetrad)
     backward = fk.integrate_geodesic(m, p0, v0, 0.0, ctrl, s_min=-3.0, tetrad=tetrad)
     assert not forward.stats["truncated"] and forward.error is None
@@ -314,7 +316,7 @@ def test_lockstep_truncated_sweep_leaves_the_others_unchanged():
     m = cut_or_drift_chart("cut")
     for carried in (False, True):
         for p0, v0, tetrad in starts_at_three_points(carried):
-            path = assert_backward_sweep_truncated(m, p0, v0, tetrad)
+            path = assert_backward_sweep_truncated(m, p0, v0, tetrad, s_end=-0.5)
             assert "outside chart domain" in path.stats["reason"] and "sample" not in path.stats["reason"]
 
 
@@ -325,7 +327,7 @@ def test_lockstep_truncation_without_a_sample_index(carried):
     m = cut_or_drift_chart("drift-chart")
     for p0 in ((0, 0, 0, 0), (0.2, 0.1, 0, 0)):
         e = orthonormal_tetrad(fk.eval_metric(m, p0), np.array([1.0, 0.2, 0.0, 0.0]))
-        path = assert_backward_sweep_truncated(m, p0, e[0], e if carried else None)
+        path = assert_backward_sweep_truncated(m, p0, e[0], e if carried else None, s_end=-1.0)
         assert path.stats["reason"] == "time outside the scale-factor domain"
 
 
