@@ -11,6 +11,10 @@ with h = g - alpha (x) alpha.  Vorticity and shear are projected orthogonal
 to the frame, shear is trace-free, and the five parts reassemble the full
 covariant derivative exactly; the expansion rate Theta (units: inverse
 time) is the covariant divergence Q^mu_{;mu}.
+
+Building a frame evaluates nothing.  Causality is checked where the frame is
+evaluated: the components must be finite, timelike and future pointing at
+every point asked for, and the first point where they are not is named.
 """
 
 from __future__ import annotations
@@ -18,12 +22,12 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .geometry import DIM, MetricField, as_points, eval_metric, metric_jet, _gamma_from_jets
-from .hyperdual import block_values, first, jet, seed, sqrt, value
+from .hyperdual import block_values, first, jet, sqrt, value
 
 log = logging.getLogger(__name__)
 
@@ -38,35 +42,25 @@ class FrameCausalityError(ValueError):
 
 @dataclass
 class FrameField:
-    """A unit timelike vector field expressed in a chart.
-
-    ``component_fn`` returns the normalized components; ``raw_fn`` is the
-    user-supplied form before unit normalization.  ``was_rescaled`` records
-    whether normalization changed anything at the construction samples.
-    """
+    """A unit timelike vector field expressed in a chart; ``component_fn`` returns the normalized components."""
 
     component_fn: Callable
     label: str
     metric: MetricField
-    raw_fn: Optional[Callable] = None
-    was_rescaled: bool = False
 
 
-def make_frame(components, metric: MetricField, label="Q", sample_points=None) -> FrameField:
-    """Build a frame field, normalizing to unit length pointwise.
+def make_frame(components, metric: MetricField, label="Q") -> FrameField:
+    """Build a frame field, normalizing to unit length pointwise.  Nothing is evaluated here.
 
     Args:
         components: either a length-4 constant sequence or a dual-capable
             function coords -> 4 components.
         metric: metric used for normalization and causality checks.
         label: display name.
-        sample_points: points used to decide the ``was_rescaled`` flag and to
-            validate causality eagerly (defaults to the chart origin).
 
-    Raises:
-        FrameCausalityError: if the norm is not finite or the components are
-            spacelike, null or past pointing at any sampled point (also raised
-            lazily at evaluation).
+    The returned field's ``component_fn`` raises ``FrameCausalityError``,
+    naming the first bad point, where the norm is not finite or the
+    components are spacelike, null or past pointing.
     """
     if callable(components):
         raw_fn = components
@@ -76,8 +70,8 @@ def make_frame(components, metric: MetricField, label="Q", sample_points=None) -
         def raw_fn(coords, _c=const):
             return list(_c)
 
-    def raw_norm2(coords):
-        """(q, g(q, q)), raising at the first point where q is not timelike future pointing."""
+    def normalized_fn(coords):
+        """q / g(q, q)^(1/2), raising at the first point where q is not timelike future pointing."""
         q = list(raw_fn(coords))
         g = metric.component_fn(coords)
         norm2 = sum(g[i][j] * q[i] * q[j] for i in range(DIM) for j in range(DIM))
@@ -91,17 +85,10 @@ def make_frame(components, metric: MetricField, label="Q", sample_points=None) -
             if bad is not None:
                 where = block_values(coords)[0][bad].tolist()
                 raise FrameCausalityError(f"{label}: components not {what} at {where}")
-        return q, norm2
-
-    def normalized_fn(coords):
-        q, norm2 = raw_norm2(coords)
         inv = 1.0 / sqrt(norm2)
         return [qi * inv for qi in q]
 
-    samples = as_points([np.zeros(DIM)] if sample_points is None else list(sample_points))
-    _, norm2 = raw_norm2(seed(samples, order=0))
-    rescaled = first(np.abs(value(norm2) - 1.0) > 1e-10) is not None
-    return FrameField(normalized_fn, label, metric, raw_fn, rescaled)
+    return FrameField(normalized_fn, label, metric)
 
 
 def coframe(metric: MetricField, frame: FrameField, p) -> np.ndarray:
@@ -229,6 +216,7 @@ def classify_synchronizability(
     dal = wed = spat = tdev = 0.0
     for block in blocks:
         alpha, two_form, wedge = curl_and_wedge(metric, frame, block)
+        _refuse_non_finite(frame, block, "coframe or its derivatives", alpha, two_form, wedge)
         dal = max(dal, float(np.max(np.abs(two_form))))
         wed = max(wed, float(np.max(np.abs(wedge))))
         spat = max(spat, float(np.max(np.abs(alpha[:, 1:]))))
@@ -271,10 +259,19 @@ def is_pirf(metric: MetricField, frame: FrameField, sample_points, tolerance=1e-
     for block in blocks:
         dec, jets = _decompose(metric, frame, block)
         _, _, wedge = _forms(*jets)
+        _refuse_non_finite(frame, block, "acceleration or rotation", dec.accel, wedge)
         max_accel = max(max_accel, float(np.max(np.abs(dec.accel))))
         max_wedge = max(max_wedge, float(np.max(np.abs(wedge))))
     ok = max_accel < tolerance and max_wedge < tolerance
     return PirfResult(ok, max_accel, max_wedge, tolerance, sum(map(len, blocks)))
+
+
+def _refuse_non_finite(frame, block, what, *evidence):
+    """Raise ArithmeticError at the first sample of a block where some evidence is not finite: a
+    running maximum would skip a NaN, so no verdict may rest on one."""
+    bad = first(~np.logical_and.reduce([np.isfinite(e).reshape(len(block), -1).all(axis=1) for e in evidence]))
+    if bad is not None:
+        raise ArithmeticError(f"{frame.label}: {what} not finite at {block[bad].tolist()}")
 
 
 def _blocks(sample_points, what, jets_per_block):

@@ -125,9 +125,7 @@ class GeodesicPath:
     points: np.ndarray
     velocities: np.ndarray
     accelerations: np.ndarray
-    metric_id: str
     stats: dict
-    metric: Optional[MetricField] = None
     tetrad: Optional[TransportedTetrad] = None
     error: Optional[ValueError] = None
     _dense: Optional[QuinticDense] = None
@@ -287,7 +285,7 @@ def _path(metric, carried, counts, knots, error):
         d2e = np.array([kn[3] for kn in knots])
         dense = QuinticDense(s_arr, ys[:, 2 * DIM :], dys[:, 2 * DIM :], d2e)
         transported = TransportedTetrad(x_arr, ys[:, 2 * DIM :].reshape(n, DIM, DIM), dense)
-    return GeodesicPath(s_arr, x_arr, v_arr, a_arr, metric.name, stats, metric, transported, error)
+    return GeodesicPath(s_arr, x_arr, v_arr, a_arr, stats, transported, error)
 
 
 @dataclass

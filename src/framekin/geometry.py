@@ -120,15 +120,15 @@ class MetricField:
         return coords
 
 
-def eval_metric(metric: MetricField, p, symmetry_tol=1e-12) -> np.ndarray:
+def eval_metric(metric: MetricField, p) -> np.ndarray:
     """Metric components at a point (4, 4) or a block (N, 4, 4), with symmetry and signature checks."""
     coords = metric.check_domain(p)
     (g,) = jet(metric.component_fn, coords, order=0)
-    _check_lorentzian(metric, g, coords, symmetry_tol)
+    _check_lorentzian(metric, g, coords)
     return g
 
 
-def _check_lorentzian(metric: MetricField, g, coords, symmetry_tol=1e-12):
+def _check_lorentzian(metric: MetricField, g, coords):
     """Raise MetricSignatureError at the first point where g is not finite, symmetric and (+,-,-,-) with g_00 > 0."""
     scale = np.maximum(1.0, np.abs(g).max(axis=(-2, -1)))  # not finite where a component is not
     bad = first(~np.isfinite(scale))
@@ -136,7 +136,7 @@ def _check_lorentzian(metric: MetricField, g, coords, symmetry_tol=1e-12):
         where, k = _sample(coords, bad)
         raise MetricSignatureError(f"{metric.name}: components not finite at {where}", k)
     gt = np.swapaxes(g, -1, -2)
-    bad = first(np.abs(g - gt).max(axis=(-2, -1)) > symmetry_tol * scale)
+    bad = first(np.abs(g - gt).max(axis=(-2, -1)) > 1e-12 * scale)
     if bad is not None:
         where, k = _sample(coords, bad)
         raise MetricSignatureError(f"{metric.name}: components not symmetric at {where}", k)

@@ -285,12 +285,12 @@ def chain(coords, f, df, d2f=None):
     return items
 
 
-def dual_newton_invert(map_fn, target, seed_guess, tol=1e-13, max_iter=60):
+def dual_newton_invert(map_fn, target, seed_guess):
     """Invert a dual-capable map R^4 -> R^4 at a (possibly dual) target point or block.
 
-    Solves map_fn(x) = target.  The float solution comes from Newton
-    iteration with the exact Jacobian, all rows of a block at once: a row
-    stops once its step falls below ``tol`` and never moves again, so each
+    Solves map_fn(x) = target.  The float solution comes from at most 60
+    Newton steps with the exact Jacobian, all rows of a block at once: a row
+    stops once its step falls below 1e-13 and never moves again, so each
     row iterates as its point would.  ``seed_guess`` holds one row per target.
     When ``target`` carries dual parts, fixed-point corrections with each
     row's last Jacobian propagate gradients (and Hessians when present) to
@@ -300,12 +300,12 @@ def dual_newton_invert(map_fn, target, seed_guess, tol=1e-13, max_iter=60):
     x = np.array(seed_guess, dtype=float).reshape(tv.shape)
     jac = np.empty((len(x), DIM, DIM))
     rows = np.arange(len(x))  # the rows still iterating
-    for _ in range(max_iter):
+    for _ in range(60):
         fx, dfx = jet(map_fn, x[0] if point else x[rows])
         jac[rows] = np.swapaxes(dfx, -1, -2)
         delta = np.linalg.solve(jac[rows], (fx - tv[rows])[..., None])[..., 0]
         x[rows] -= delta
-        rows = rows[~(np.max(np.abs(delta), axis=-1) < tol)]
+        rows = rows[~(np.max(np.abs(delta), axis=-1) < 1e-13)]
         if not rows.size:
             break
     else:

@@ -39,7 +39,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -67,11 +66,11 @@ class NonFiniteConnectionError(ArithmeticError):
     """The connection, its first derivatives or their products (cubic map term, curvature) overflow at a base point."""
 
 
-def _check_tetrad(metric, p, tetrad, tol=1e-10):
+def _check_tetrad(metric, p, tetrad):
     g = eval_metric(metric, p)
     e = np.asarray(tetrad, dtype=float)
     err = np.max(np.abs(e @ g @ e.T - ETA))
-    if err > tol:
+    if err > 1e-10:
         raise ValueError(f"tetrad not orthonormal at {tuple(p.tolist())}: deviation {err}")
     return e
 
@@ -96,13 +95,7 @@ class NormalChart:
     gamma_at_p0: np.ndarray
     chart_map: ChartMap
     validity_radius: float
-    curvature: Optional[np.ndarray] = None  # R^a_{bcd} at the base point on the axes; a lab chart has none
-
-    def forward(self, p):
-        return self.chart_map.forward(p)
-
-    def inverse(self, xi):
-        return self.chart_map.inverse(xi)
+    curvature: np.ndarray  # R^a_{bcd} at the base point on the axes
 
     def metric_in_chart(self, metric: MetricField) -> MetricField:
         return pushed_metric_field(self.chart_map, metric, name=f"{metric.name}@normal")
@@ -142,9 +135,9 @@ def build_normal_chart(metric: MetricField, p0, initial_tetrad) -> NormalChart:
         k_axes = np.einsum("mlnr,al,bn,cr->mabc", cubic, e, e, e)
         m = e.T  # m[mu, a] = e_a^mu
         r_axes = np.einsum("am,mnrs,nb,rc,sd->abcd", np.linalg.inv(m), _riemann(gamma, dgamma), m, m, m)
-    if not all(np.isfinite(t).all() for t in (cubic, g_axes, k_axes, r_axes)):
+        third = 6.0 * k_axes  # d H / d xi, constant: the cubic map has no fourth derivative
+    if not all(np.isfinite(t).all() for t in (cubic, g_axes, k_axes, r_axes, third)):
         raise NonFiniteConnectionError(f"{metric.name}: connection products overflow the cubic map term {where}")
-    third = 6.0 * k_axes  # d H / d xi, constant: the cubic map has no fourth derivative
 
     def _map(xi):
         """(x, J, H) on an (N, 4) block of chart points: the map, J[n, mu, a] = d x^mu / d xi^a
@@ -218,7 +211,7 @@ class _TubeChart:
     as the quadratic truncation error and vanishes identically on the curve.
     """
 
-    # connection jets kept per chart: a plli's comoving lab chart visits 8 or 9 foot points, its drifting one 1
+    # jets kept per chart: a plli evaluates 8 or 9 foot points of its comoving lab chart and 1 of its drifting one
     _JET_CACHE_SIZE = 64
 
     def __init__(self, metric: MetricField, path: GeodesicPath):
@@ -300,12 +293,12 @@ class _TubeChart:
 class GeodesicLabFrame:
     """Inertial lab frame of a geodesic: sliding normal chart plus field.
 
-    ``frame`` is the unit-normalized time-axis field of the chart expressed
-    back in the base chart; its ``raw_fn`` is the unnormalized coordinate
-    field, column 0 of the chart's inverse Jacobian.
+    ``chart`` is the sliding chart's map.  ``frame`` is the unit-normalized
+    time-axis field of the chart expressed back in the base chart: column 0
+    of the chart's inverse Jacobian, normalized where it is evaluated.
     """
 
-    chart: NormalChart
+    chart: ChartMap
     frame: FrameField
     path: GeodesicPath
     validity_radius: float
@@ -334,8 +327,8 @@ def lab_frame_along_geodesic(
 
     Args:
         path: geodesic from the integrator, integrated with a tetrad (its
-            s=0 point becomes the chart base point, its transported tetrad
-            the axes).
+            points become the chart's foot points, its transported tetrad
+            the axes); nothing is evaluated until the frame is.
         validity_radius: declared tube radius (chart units); guidance is the
             inverse square root of the local curvature scale.
     """
@@ -349,17 +342,13 @@ def lab_frame_along_geodesic(
             f"(truncated: {path.stats.get('reason')})"
         )
     tube = _TubeChart(metric, path)
-    k0 = int(np.argmin(np.abs(path.s)))
-    base = as_points(path.points[k0])
-    cmap = ChartMap(tube.forward_fn, tube.inverse_fn, f"lab-chart-{label}", tube.inverse_jacobian_fn)
-    # the connection at the base comes from the chart's jet cache, where the epoch evaluation finds it
-    chart = NormalChart(base, path.tetrad.samples[k0], tube._connection_jet(base)[0], cmap, validity_radius)
+    chart = ChartMap(tube.forward_fn, tube.inverse_fn, f"lab-chart-{label}", tube.inverse_jacobian_fn)
 
     def raw_field(coords):
         jac = tube.inverse_jacobian_fn(tube.forward_fn(coords))
         return [jac[mu][0] for mu in range(DIM)]
 
-    frame = make_frame(raw_field, metric, label=label, sample_points=[base])
+    frame = make_frame(raw_field, metric, label=label)
     return GeodesicLabFrame(chart, frame, path, validity_radius, label)
 
 

@@ -30,9 +30,11 @@ def test_make_friedmann_drift_speed():
 
 
 def test_drift_speed_stable_for_huge_momentum():
-    # the drifting frame overflows before v could: the model is refused, naming the frame
+    # the drifting frame overflows before v could: its first evaluation refuses it, naming the frame
+    m = fk.make_friedmann(1e-3, 1e300)
+    assert m.v == 1.0
     with pytest.raises(fk.FrameCausalityError, match=r"drifting: components not finite at \[0.0, 0.0, 0.0, 0.0\]"):
-        fk.make_friedmann(1e-3, 1e300)
+        fk.kinematic_decompose(m.metric, m.frame_drifting, (0, 0, 0, 0))
     for u in (0.0, 1e-8, 0.1005, 0.3, 0.5, 3.0):
         assert fk.make_friedmann(1e-3, u).v == u / np.sqrt(1.0 + u * u)
 

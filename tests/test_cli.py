@@ -169,10 +169,36 @@ def test_non_finite_metric_exits_2_naming_the_metric(tmp_path, capsys):
 
 @pytest.mark.parametrize("scenario", ["decompose", "classify", "pirf-check", "equivalence"])
 def test_overflowing_drifting_frame_exits_2_naming_it(scenario, tmp_path, capsys):
-    # at u = 1e300 the drifting frame's norm is NaN, which once passed the causality check
+    # at u = 1e300 the drifting frame's norm is NaN, which once passed the causality check; the
+    # refusal names the first point evaluated: the point, or the first sample of the grid
     argv = [scenario, "--u", "1e300", "--out", str(tmp_path / "r.json")]
     assert main(argv + ([] if scenario == "equivalence" else ["--frame", "drifting"])) == 2
-    assert "drifting: components not finite at [0.0, 0.0, 0.0, 0.0]" in capsys.readouterr().err
+    where = "[0.0, -0.5, -0.5, -0.5]" if scenario in ("classify", "pirf-check") else "[0.0, 0.0, 0.0, 0.0]"
+    assert f"drifting: components not finite at {where}" in capsys.readouterr().err
+
+
+def test_a_frame_that_is_never_evaluated_does_not_refuse_the_run(tmp_path):
+    # at u = 1e10 the drifting frame's norm loses every digit, but decompose evaluates only the comoving one
+    out = tmp_path / "r.json"
+    assert main(["decompose", "--frame", "comoving", "--u", "1e10", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["result"]["theta"] == 3e-3
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["pirf-check", "--a", "1e308", "--grid", "1", "--box-hi", "0.5,0.1,-0.2,0.3"], "[0.0, -0.5, -0.5, -0.5]"),
+        (["classify", "--u", "0.3", "--a", "1e154"], "[1.0, -0.5, -0.5, -0.5]"),
+    ],
+    ids=["pirf-check", "classify"],
+)
+def test_non_finite_evidence_decides_no_verdict(argv, where, tmp_path, capsys):
+    # the comoving frame is geodesic and irrotational, but at these a its evidence overflows to NaN,
+    # which a running maximum once skipped to read is_pirf true and ProperTimeSynchronizable
+    assert main(argv + ["--frame", "comoving", "--out", str(tmp_path / "r.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("framekin: numeric failure: comoving: ") and f"not finite at {where}" in err
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize(

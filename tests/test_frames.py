@@ -25,30 +25,74 @@ from conftest import random_points, survey_frames
 
 
 def test_make_frame_comoving_no_rescale(friedmann_small):
-    assert friedmann_small.frame_comoving.was_rescaled is False
+    # the comoving components are unit as given: normalization leaves them exactly as they are
+    for p in ((0.0, 0, 0, 0), (1.0, 2.0, -1.0, 0.5)):
+        assert [float(c) for c in friedmann_small.frame_comoving.component_fn(list(p))] == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_make_frame_drifting_unit(friedmann_small):
     m = friedmann_small
-    assert m.frame_drifting.was_rescaled is False
     for p in ((0.0, 0, 0, 0), (1.0, 2.0, -1.0, 0.5)):
         g = fk.eval_metric(m.metric, p)
         q = np.array([float(c) for c in m.frame_drifting.component_fn(list(p))])
         assert abs(q @ g @ q - 1.0) < 1e-12
+        # the catalog components are unit as given: normalization changes them only by rounding
+        r, u = m.scale.value(p[0]), m.u
+        assert np.max(np.abs(q / [np.sqrt(r * r + u * u) / r, u / (r * r), 1.0, 1.0] - [1, 1, 0, 0])) < 1e-14
 
 
 def test_make_frame_rescales_and_flags(minkowski):
     f = fk.make_frame((2.0, 0.0, 0.0, 0.0), minkowski, label="double")
-    assert f.was_rescaled is True
     q = [float(c) for c in f.component_fn([0, 0, 0, 0])]
     assert q == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_make_frame_rejects_spacelike(minkowski):
-    with pytest.raises(FrameCausalityError):
-        fk.make_frame((0.5, 1.0, 0.0, 0.0), minkowski)
-    with pytest.raises(FrameCausalityError):
-        fk.make_frame((-1.0, 0.0, 0.0, 0.0), minkowski)
+    # the refusal comes where the frame is evaluated, naming the frame and the point
+    spacelike = fk.make_frame((0.5, 1.0, 0.0, 0.0), minkowski)
+    with pytest.raises(FrameCausalityError, match=r"^Q: components not timelike at \[0.0, 0.0, 0.0, 0.0\]$"):
+        spacelike.component_fn([0.0, 0.0, 0.0, 0.0])
+    past = fk.make_frame((-1.0, 0.0, 0.0, 0.0), minkowski)
+    with pytest.raises(FrameCausalityError, match=r"^Q: components not future pointing at \[0.0, 0.0, 0.0, 0.0\]$"):
+        fk.kinematic_decompose(minkowski, past, (0.0, 0, 0, 0))
+
+
+def test_building_a_frame_evaluates_nothing(monkeypatch):
+    import framekin.catalog as catalog
+    import framekin.frames as frames
+    import framekin.geometry as geometry
+    import framekin.maps as maps
+
+    calls = []
+
+    def counting(cls):  # the field class, counting each call of a field's components
+        class Counting(cls):
+            def __init__(self, component_fn, *args, **kwargs):
+                super().__init__(lambda c: calls.append(cls.__name__) or component_fn(c), *args, **kwargs)
+
+        return Counting
+
+    for module in (geometry, maps, catalog, frames):  # every module that builds a metric or a frame field
+        for cls in (fk.MetricField, fk.FrameField):
+            if getattr(module, cls.__name__, None) is cls:
+                monkeypatch.setattr(module, cls.__name__, counting(cls))
+    m = fk.make_friedmann(1e-2, 0.3)
+    fk.boosted_inertial_frame(0.4)
+    fk.rotating_minkowski_frame(0.1, 1.0)
+    assert calls == []
+    ctrl = fk.StepControl(step=2e-3)
+    path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), 0.05, ctrl, s_min=-0.05, tetrad=np.eye(4))
+    calls.clear()
+    lab = fk.lab_frame_along_geodesic(m.metric, path)
+    cmap = fk.z_chart(m)
+    moved = fk.deformed_frame(cmap, lab.frame, fk.pushed_metric_field(cmap, m.metric))
+    assert calls == []
+    # the fields are counted where they are evaluated
+    fk.kinematic_decompose(m.metric, m.frame_drifting, (0.0, 0, 0, 0))
+    assert "FrameField" in calls and "MetricField" in calls
+    calls.clear()
+    moved.component_fn([0.0, 0.0, 0.0, 0.0])
+    assert calls.count("FrameField") == 2  # the deformed frame and the lab frame under it
 
 
 def test_coframe_pairs_to_one(friedmann_small):
@@ -368,7 +412,7 @@ def test_block_failure_names_first_failing_sample():
         return [[1.0, 0.0, 0.0, 0.0], [0.0, -c[1] * c[1], 0.0, 0.0], [0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, -1.0]]
 
     metric = fk.MetricField(degenerate, name="degenerate")
-    frame = fk.make_frame((1.0, 0.0, 0.0, 0.0), metric, label="static", sample_points=[(0, 1, 0, 0)])
+    frame = fk.make_frame((1.0, 0.0, 0.0, 0.0), metric, label="static")
     samples = [(0.0, 1.0, 0, 0), (0.0, 0.5, 0, 0), (0.0, 0.0, 0, 0), (0.0, 0.0, 1, 0)]
     with pytest.raises(SingularMetricError, match="at sample 2"):
         fk.is_pirf(metric, frame, samples)

@@ -311,7 +311,7 @@ def assert_backward_sweep_truncated(m, p0, v0, tetrad, s_end):
     return path
 
 
-def test_lockstep_truncated_sweep_leaves_the_others_unchanged():
+def test_backward_truncation_leaves_the_forward_sweep_unchanged():
     # the cut model: every start's backward sweep leaves the domain, its forward sweep is untouched
     m = cut_or_drift_chart("cut")
     for carried in (False, True):
@@ -321,7 +321,7 @@ def test_lockstep_truncated_sweep_leaves_the_others_unchanged():
 
 
 @pytest.mark.parametrize("carried", [False, True])
-def test_lockstep_truncation_without_a_sample_index(carried):
+def test_truncation_without_a_sample_index(carried):
     # in the drift-adapted chart the domain test inverts the chart, which raises past the big
     # bang naming no sample: the backward sweep must end there and the forward one run on
     m = cut_or_drift_chart("drift-chart")
@@ -331,7 +331,7 @@ def test_lockstep_truncation_without_a_sample_index(carried):
         assert path.stats["reason"] == "time outside the scale-factor domain"
 
 
-def test_lockstep_truncation_mid_block():
+def test_only_the_start_near_the_big_bang_truncates():
     # of three comoving starts only the middle one, near the big bang at t = -2, runs into the
     # boundary; each path is its backward and forward sweep run on their own, joined
     m = fk.make_friedmann(0.5)
@@ -347,7 +347,7 @@ def test_lockstep_truncation_mid_block():
     assert truncated == [False, True, False]
 
 
-def test_lockstep_connection_calls(monkeypatch):
+def test_two_sided_connection_calls(monkeypatch):
     import framekin.geodesics as geo
 
     calls = []

@@ -20,7 +20,7 @@ def comoving_tetrad(model, t):
 
 
 def test_minkowski_chart_is_identity(minkowski):
-    chart = fk.build_normal_chart(minkowski, (0.4, 1.0, -2.0, 0.3), np.eye(4))
+    chart = fk.build_normal_chart(minkowski, (0.4, 1.0, -2.0, 0.3), np.eye(4)).chart_map
     p = np.array([0.4, 1.0, -2.0, 0.3])
     offs = np.array([0.01, -0.02, 0.005, 0.015])
     xi = chart.forward(tuple(p + offs))
@@ -38,7 +38,7 @@ def test_base_point_conditions(friedmann_a03):
     assert np.max(np.abs(g0 - ETA)) < 1e-10
     gam0 = fk.christoffel(pushed, (0, 0, 0, 0))
     assert np.max(np.abs(gam0)) < 1e-8
-    assert np.max(np.abs(chart.forward(p0))) < 1e-14
+    assert np.max(np.abs(chart.chart_map.forward(p0))) < 1e-14
 
 
 def test_curvature_derivative_relation(friedmann_a03):
@@ -76,7 +76,7 @@ def test_metric_deviation_quadratic_growth(friedmann_a03):
 def test_roundtrip_second_order_inverse(friedmann_a03):
     m = friedmann_a03
     p0 = np.array([0.5, 0.1, -0.2, 0.3])
-    chart = fk.build_normal_chart(m.metric, tuple(p0), comoving_tetrad(m, 0.5))
+    chart = fk.build_normal_chart(m.metric, tuple(p0), comoving_tetrad(m, 0.5)).chart_map
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(20):
@@ -139,6 +139,23 @@ def test_rejects_non_orthonormal_tetrad(friedmann_a03):
         fk.build_normal_chart(friedmann_a03.metric, (0.5, 0, 0, 0), np.eye(4))
 
 
+def test_cubic_term_overflow_is_refused_without_a_warning():
+    # a boosted tetrad (gamma = 100) scales the cubic term by gamma^3: at a = 1e151 the term is finite
+    # but six times it, the map's constant second Jacobian derivative, is not
+    import warnings
+
+    from framekin.normal import NonFiniteConnectionError
+
+    m = fk.make_friedmann(1e151)
+    gam = 100.0
+    gv = gam * np.sqrt(1.0 - 1.0 / gam**2)
+    tetrad = np.array([[gam, gv, 0, 0], [gv, gam, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteConnectionError, match="connection products overflow the cubic map term"):
+            fk.build_normal_chart(m.metric, (0, 0, 0, 0), tetrad)
+
+
 def test_chart_serialization(friedmann_a03):
     m = friedmann_a03
     chart = fk.build_normal_chart(m.metric, (0.5, 0, 0, 0), comoving_tetrad(m, 0.5))
@@ -180,7 +197,7 @@ def test_lab_frame_matches_velocity_on_curve():
 
 def test_lab_frame_chart_conditions_on_curve():
     m, lab = build_comoving_lab(1e-2)
-    pushed = lab.chart.metric_in_chart(m.metric)
+    pushed = fk.pushed_metric_field(lab.chart, m.metric)
     for s in (0.0, 0.1, -0.15):
         g = fk.eval_metric(pushed, (s, 0, 0, 0))
         assert np.max(np.abs(g - ETA)) < 1e-8
@@ -201,8 +218,11 @@ def test_lab_expansion_zero_at_epoch():
     m, lab = build_comoving_lab(1e-3)
     assert abs(fk.lab_frame_expansion(m.metric, lab, (0.0, 0, 0, 0))) < 1e-8
     # the covariant divergence of the raw (unnormalized) lab field vanishes there too
-    raw = SimpleNamespace(component_fn=lab.frame.raw_fn)
-    assert abs(np.trace(fk.covariant_derivative_field(m.metric, raw, (0.0, 0, 0, 0)))) < 1e-8
+    def raw(c):  # column 0 of the chart's inverse Jacobian
+        return [row[0] for row in lab.chart.inverse_jacobian_fn(lab.chart.forward_fn(c))]
+
+    raw_field = SimpleNamespace(component_fn=raw)
+    assert abs(np.trace(fk.covariant_derivative_field(m.metric, raw_field, (0.0, 0, 0, 0)))) < 1e-8
     # while the comoving congruence expands at the same event
     theta_v = fk.kinematic_decompose(m.metric, m.frame_comoving, (0.0, 0, 0, 0)).theta
     assert theta_v == pytest.approx(3e-3, abs=1e-12)
