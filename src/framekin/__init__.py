@@ -41,7 +41,6 @@ from .geodesics import (
     ExperimentReport,
     GeodesicPath,
     StepControl,
-    TransportedTetrad,
     free_particle_experiment,
     integrate_geodesic,
 )

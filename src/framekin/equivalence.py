@@ -34,16 +34,11 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import (
-    FriedmannModel,
-    drift_speed_to_momentum,
-    make_friedmann,
-    z_chart,
-)
+from .catalog import drift_speed_to_momentum, make_friedmann, z_chart
 from .frames import FrameField, kinematic_decompose, make_frame
 from .geodesics import StepControl, integrate_geodesic
 from .geometry import DIM, MetricField, SingularMetricError, as_points, covariant_derivative_field
-from .maps import ChartMap, pushed_metric_field
+from .maps import pushed_metric_field
 from .normal import lab_frame_along_geodesic, lab_frame_expansion
 from .oracles import fd_divergence
 
@@ -84,10 +79,6 @@ class EquivalenceVerdict:
     deltas: dict
     dominant_discriminant: str
     evidence: dict
-
-    @property
-    def equivalent(self):
-        return self.verdict == "Equivalent"
 
     def to_json_dict(self):
         return {
@@ -143,7 +134,7 @@ def equivalence_verdict(
     )
 
 
-def deformed_frame(cmap: ChartMap, frame: FrameField, metric_image: MetricField, label=None) -> FrameField:
+def deformed_frame(frame: FrameField, metric_image: MetricField) -> FrameField:
     """The image-chart frame with the source frame's functional form.
 
     Components in the image chart are the source components evaluated at
@@ -152,12 +143,7 @@ def deformed_frame(cmap: ChartMap, frame: FrameField, metric_image: MetricField,
     adapted charts; it agrees with the source frame at fixed points of
     the identification.
     """
-    base_fn = frame.component_fn
-
-    def comps(coords):
-        return base_fn(list(coords))
-
-    return make_frame(comps, metric_image, label=label or f"{frame.label}-deformed")
+    return make_frame(frame.component_fn, metric_image, label=f"{frame.label}-deformed")
 
 
 @dataclass
@@ -198,29 +184,13 @@ class MovingLabReport:
         return out
 
 
-def _comoving_tetrad(model: FriedmannModel):
-    return np.eye(DIM)
-
-
-def _drifting_tetrad(model: FriedmannModel):
-    u = model.u
-    w = np.sqrt(1.0 + u * u)
-    e = np.eye(DIM)
-    e[0] = [w, u, 0.0, 0.0]
-    e[1] = [u, w, 0.0, 0.0]
-    return e
-
-
 def moving_lab_expansion_pair(a_param, v_param) -> MovingLabReport:
     """Expansion rates of the resting and moving lab frames at the epoch.
 
     Pipeline: build the expanding model with drift momentum matching the
     requested metric speed, integrate the comoving and drifting geodesics
-    through the epoch point by one RK4 step of ``LAB_STEP`` each way (every
-    lab-chart evaluation here is at the epoch, and the sliding chart is a
-    second-order construction, so it reads only the epoch knot and its first
-    two s-derivatives), build the inertial lab frame of the comoving
-    geodesic, and evaluate
+    through the epoch point by one RK4 step of ``LAB_STEP`` each way, build
+    the inertial lab frame of the comoving geodesic, and evaluate
 
     * ``theta_L``: its expansion at the epoch point (zero up to numerics);
     * ``theta_Lprime``: the expansion of its deformation into the
@@ -229,6 +199,12 @@ def moving_lab_expansion_pair(a_param, v_param) -> MovingLabReport:
       divergence oracle;
     * the strict sliding-chart value along the drifting geodesic, which is
       zero at the point by construction and reported for transparency.
+
+    The drifting lab chart is evaluated at the epoch only, where the
+    sliding chart, a second-order construction, reads only the epoch knot
+    and its first two s-derivatives.  The comoving one is evaluated there
+    and on the divergence oracle's stencil, at foot times from -``LAB_STEP``
+    to ``LAB_STEP``: the ends of its path.
 
     The ratio theta_Lprime / (a v^2) is recorded and compared against the
     published coefficient 2; a reproducible mismatch is attached as a
@@ -242,10 +218,12 @@ def moving_lab_expansion_pair(a_param, v_param) -> MovingLabReport:
     epoch = (0.0, 0.0, 0.0, 0.0)
 
     w = np.sqrt(1.0 + u * u)
+    boost = np.eye(DIM)  # the drifting observer's tetrad: e_0 its velocity, e_1 along the drift
+    boost[:2, :2] = [[w, u], [u, w]]
     control = StepControl(step=LAB_STEP)
     paths = []
-    for v0, tetrad in (((1.0, 0.0, 0.0, 0.0), _comoving_tetrad(model)), ((w, u, 0.0, 0.0), _drifting_tetrad(model))):
-        path = integrate_geodesic(model.metric, epoch, v0, LAB_STEP, control, s_min=-LAB_STEP, tetrad=tetrad)
+    for tetrad in (np.eye(DIM), boost):
+        path = integrate_geodesic(model.metric, epoch, tetrad[0], LAB_STEP, control, s_min=-LAB_STEP, tetrad=tetrad)
         if isinstance(path.error, SingularMetricError):  # a numeric failure, not a configuration error
             raise path.error
         paths.append(path)
@@ -257,10 +235,13 @@ def moving_lab_expansion_pair(a_param, v_param) -> MovingLabReport:
 
     cmap = z_chart(model)
     metric_image = pushed_metric_field(cmap, model.metric, name="friedmann-drift-chart")
-    moving = deformed_frame(cmap, lab_rest.frame, metric_image, label="lab-deformed")
+    moving = deformed_frame(lab_rest.frame, metric_image)
     epoch_image = cmap.forward(epoch)
     theta_moving = kinematic_decompose(metric_image, moving, tuple(epoch_image)).theta
-    theta_oracle = fd_divergence(metric_image, moving, tuple(epoch_image), step=2e-3)
+    # The oracle's stencil reaches t' = +-step about the epoch, where the deformed frame reads the
+    # comoving lab chart at foot times +-step: with step LAB_STEP, the ends of its path.  A longer
+    # step would read the path's dense output past its ends.
+    theta_oracle = fd_divergence(metric_image, moving, tuple(epoch_image), step=LAB_STEP)
 
     av2 = a_param * v_param * v_param
     ratio = theta_moving / av2 if av2 > 0 else 0.0

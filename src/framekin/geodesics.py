@@ -7,10 +7,10 @@ each stage's one connection evaluation feeds both the geodesic equation
 a = -Gamma(v, v) and the transport equation de_a/ds = -Gamma(v, e_a).
 Every step starts from the derivative stored at the knot it leaves.
 ``integrate_geodesic`` runs a forward and a backward sweep from the start,
-each a plain loop of point connection calls.  Paths and their tetrads carry
-piecewise-quintic dense representations built from exact knot jets, so
-downstream consumers can evaluate positions, velocities, accelerations and
-tetrads with their first two s-derivatives anywhere along the path, at one
+each a plain loop of point connection calls.  A path carries one
+piecewise-quintic dense output, built from exact knot jets, of its position
+and, when one was carried, its tetrad: ``GeodesicPath.state`` evaluates both,
+or their first or second s-derivatives, anywhere along the path, at one
 proper time or a block.
 """
 
@@ -115,10 +115,11 @@ class QuinticDense:
 class GeodesicPath:
     """Proper-time parameterized geodesic with dense evaluation.
 
-    ``tetrad`` is the transported tetrad when one was given to
-    ``integrate_geodesic``; ``error`` is what truncated the path, if anything
-    did: a chart-domain or singular-metric error, or a ``ValueError`` naming
-    the step limit.
+    ``tetrads`` holds the transported tetrad at each knot, rows e_a^mu with
+    e_0 the velocity, when one was given to ``integrate_geodesic``, else
+    None; ``error`` is what truncated the path, if anything did: a
+    chart-domain or singular-metric error, or a ``ValueError`` naming the
+    step limit.
     """
 
     s: np.ndarray
@@ -126,13 +127,9 @@ class GeodesicPath:
     velocities: np.ndarray
     accelerations: np.ndarray
     stats: dict
-    tetrad: Optional[TransportedTetrad] = None
+    tetrads: Optional[np.ndarray] = None  # (n, 4, 4), [k, a, mu]
     error: Optional[ValueError] = None
-    _dense: Optional[QuinticDense] = None
-
-    def __post_init__(self):
-        if self._dense is None and len(self.s) > 1:
-            self._dense = QuinticDense(self.s, self.points, self.velocities, self.accelerations)
+    _dense: Optional[QuinticDense] = None  # None at one knot
 
     @property
     def s_min(self):
@@ -142,15 +139,23 @@ class GeodesicPath:
     def s_max(self):
         return float(self.s[-1])
 
-    def position(self, s):
-        """Coordinates at proper time s, a float or a block (N,)."""
-        return self._dense.eval(s, derivative=0)
+    def state(self, s, derivative=0):
+        """(x, e) at proper time s, or their s-derivatives of the given order.
 
-    def velocity(self, s):
-        return self._dense.eval(s, derivative=1)
+        x is (4,) at a float and (N, 4) at a block (N,); e[..., a, mu] is the
+        tetrad part, (4, 4) or (N, 4, 4), or None when no tetrad was carried.
+        """
+        out = self._dense.eval(s, derivative)
+        if self.tetrads is None:
+            return out, None
+        return out[..., :DIM], out[..., DIM:].reshape(out.shape[:-1] + (DIM, DIM))
 
-    def acceleration(self, s):
-        return self._dense.eval(s, derivative=2)
+    def orthonormality_drift(self, metric: MetricField) -> float:
+        """max |g(e_a, e_b) - eta_ab| over about 64 knots, from one block metric evaluation."""
+        sampled = slice(0, len(self.s), max(1, len(self.s) // 64))
+        e = self.tetrads[sampled]
+        g = eval_metric(metric, self.points[sampled])
+        return float(np.max(np.abs(e @ g @ np.swapaxes(e, 1, 2) - SIGNATURE)))
 
     def to_csv(self, path):
         """Write samples as s,t,x1,x2,x3,u0,u1,u2,u3 with 17 digits."""
@@ -247,8 +252,8 @@ def integrate_geodesic(
     path = _path(metric, carried, counts, backward[:0:-1] + forward, error_back if error is None else error)
     if log.isEnabledFor(logging.DEBUG):
         tetrad_health = ""
-        if path.tetrad is not None:
-            tetrad_health = f", tetrad orthonormality drift {path.tetrad.orthonormality_drift(metric):.3g}"
+        if path.tetrads is not None:
+            tetrad_health = f", tetrad orthonormality drift {path.orthonormality_drift(metric):.3g}"
         log.debug(
             "geodesic on %s: rk4, %d steps, %d christoffel and %d christoffel_jet evaluations, norm drift %.3g%s",
             metric.name,
@@ -280,38 +285,13 @@ def _path(metric, carried, counts, knots, error):
         "christoffel_evals": counts["stage"] + (0 if carried else counts["knot"]),
         "christoffel_jet_evals": counts["knot"] if carried else 0,
     }
-    transported = None
-    if carried:
-        d2e = np.array([kn[3] for kn in knots])
-        dense = QuinticDense(s_arr, ys[:, 2 * DIM :], dys[:, 2 * DIM :], d2e)
-        transported = TransportedTetrad(x_arr, ys[:, 2 * DIM :].reshape(n, DIM, DIM), dense)
-    return GeodesicPath(s_arr, x_arr, v_arr, a_arr, stats, transported, error)
-
-
-@dataclass
-class TransportedTetrad:
-    """Orthonormal tetrad parallel-transported along a geodesic.
-
-    Row a of each 4x4 sample is the vector e_a at the path knot of the same
-    index; e_0 is the path velocity.  Transport preserves inner products,
-    so g(e_a, e_b) stays eta_{ab} up to integration error.
-    """
-
-    points: np.ndarray  # (n, 4) knot positions of the path
-    samples: np.ndarray  # (n, 4, 4), [k, a, mu]
-    _dense: QuinticDense
-
-    def tetrad(self, s, derivative=0):
-        """e[a, mu] (4, 4) at proper time s, or (N, 4, 4) at a block (N,); ``derivative`` in s."""
-        flat = self._dense.eval(s, derivative)
-        return flat.reshape(flat.shape[:-1] + (DIM, DIM))
-
-    def orthonormality_drift(self, metric: MetricField) -> float:
-        """max |g(e_a, e_b) - eta_ab| over about 64 knots, from one block metric evaluation."""
-        sampled = slice(0, len(self.points), max(1, len(self.points) // 64))
-        e = self.samples[sampled]
-        g = eval_metric(metric, self.points[sampled])
-        return float(np.max(np.abs(e @ g @ np.swapaxes(e, 1, 2) - SIGNATURE)))
+    tetrads = ys[:, 2 * DIM :].reshape(n, DIM, DIM) if carried else None
+    dense = None
+    if n > 1:  # one dense output: columns x^mu, then e_a^mu when carried; derivatives (v, de/ds), (a, d2e)
+        keep = np.r_[0:DIM, 2 * DIM : ys.shape[1]]
+        d2y = np.hstack([a_arr, np.array([kn[3] for kn in knots])]) if carried else a_arr
+        dense = QuinticDense(s_arr, ys[:, keep], dys[:, keep], d2y)
+    return GeodesicPath(s_arr, x_arr, v_arr, a_arr, stats, tetrads, error, dense)
 
 
 @dataclass

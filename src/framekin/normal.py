@@ -26,8 +26,9 @@ the curve itself.
 Both charts are array code over blocks of points, joined to the dual
 algebra by ``hyperdual.chain``: the point chart's map is a cubic
 polynomial, so its Jacobian and that Jacobian's derivatives are closed
-forms; in the sliding chart one Newton solve and one connection-jet lookup
-serve a whole block.
+forms; in the sliding chart one Newton solve, one connection-jet lookup and
+one evaluation of the path's dense output per derivative order serve a
+whole block.
 
 Off the curve the chart is second-order accurate; derivative propagation
 through the chart drops remainder terms of the same order as the truncation
@@ -52,7 +53,7 @@ from .geometry import (
     eval_metric,
 )
 from .frames import FrameField, kinematic_decompose, make_frame
-from .hyperdual import block_values, chain, dual_newton_invert
+from .hyperdual import block_values, chain, dual_newton_invert, first
 from .maps import ChartMap, pushed_metric_field
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -217,7 +218,6 @@ class _TubeChart:
     def __init__(self, metric: MetricField, path: GeodesicPath):
         self.metric = metric
         self.path = path
-        self.tetrad = path.tetrad
         self._jets = {}  # exact foot point -> (gamma, dgamma), oldest first
 
     def _connection_jet(self, x):
@@ -244,8 +244,7 @@ class _TubeChart:
         d x^mu / d xi^a (column 0 is the raw lab field) and, with ``rates``, H[n, mu, a, b] =
         d J[n, mu, a] / d xi^b."""
         s, q = xi[:, 0], xi[:, 1:]
-        c, v = self.path.position(s), self.path.velocity(s)
-        e, e1 = self.tetrad.tetrad(s), self.tetrad.tetrad(s, 1)
+        (c, e), (v, e1) = self.path.state(s), self.path.state(s, 1)
         gamma, dgamma = self._connection_jet(c)
 
         def spatial(t):  # xi^i t_i for a tetrad or its s-derivative t
@@ -261,15 +260,16 @@ class _TubeChart:
         jac[:, :, 0] += v - 0.5 * np.einsum("nma,na->nm", wy, y)
         if not rates:
             return x, jac
+        acc, e2 = self.path.state(s, 2)
         cc = np.zeros((len(xi), DIM, DIM, DIM))  # C[n, a, b] = d B[n, a] / d xi^b
-        cc[:, 0, 0] = spatial(self.tetrad.tetrad(s, 2))
+        cc[:, 0, 0] = spatial(e2)
         cc[:, 0, 1:] = cc[:, 1:, 0] = e1[:, 1:]
         hess = np.moveaxis(cc, 3, 1) - np.einsum("nmc,nabc->nmab", gy, cc)
         hess -= np.einsum("nmcd,nac,nbd->nmab", gamma, b, b)
         wb = np.einsum("nmc,nbc->nmb", wy, b)  # w(B_b, y), w held constant along the curve
         hess[:, :, 0] -= wb
         hess[:, :, :, 0] -= wb
-        hess[:, :, 0, 0] += self.path.acceleration(s)
+        hess[:, :, 0, 0] += acc
         return x, jac, hess
 
     def inverse_fn(self, xi):
@@ -284,7 +284,7 @@ class _TubeChart:
         target, _ = block_values(coords)
         k = np.argmin(np.linalg.norm(self.path.points[None] - target[:, None], axis=-1), axis=1)
         delta = target - self.path.points[k]
-        comp = np.linalg.solve(np.swapaxes(self.tetrad.samples[k], 1, 2), delta[..., None])[..., 0]
+        comp = np.linalg.solve(np.swapaxes(self.path.tetrads[k], 1, 2), delta[..., None])[..., 0]
         guess = np.concatenate([(self.path.s[k] + comp[:, 0])[:, None], comp[:, 1:]], axis=1)
         return dual_newton_invert(self.inverse_fn, coords, guess)
 
@@ -305,16 +305,22 @@ class GeodesicLabFrame:
     label: str
 
     def check_inside(self, p):
+        """Chart coordinates of a point (4,) or block (N, 4); ``TubeDomainError`` at the first sample
+        outside the tube, named by its index and coordinates when p is a block."""
         xi = self.chart.forward(p)
-        r = float(np.linalg.norm(xi[1:]))
-        if r > self.validity_radius:
+        rows = np.atleast_2d(xi)
+        r, foot = np.linalg.norm(rows[:, 1:], axis=1), rows[:, 0]
+        wide = r > self.validity_radius
+        k = first(wide | ~((self.path.s_min - 1e-12 <= foot) & (foot <= self.path.s_max + 1e-12)))
+        if k is None:
+            return xi
+        where = "" if xi.ndim == 1 else f" at sample {k} {np.asarray(p)[k].tolist()}"
+        if wide[k]:
             raise TubeDomainError(
-                f"{self.label}: point at slice radius {r:.3g} exceeds validity radius "
-                f"{self.validity_radius:.3g}"
+                f"{self.label}: point at slice radius {r[k]:.3g} exceeds validity radius "
+                f"{self.validity_radius:.3g}{where}"
             )
-        if not (self.path.s_min - 1e-12 <= xi[0] <= self.path.s_max + 1e-12):
-            raise TubeDomainError(f"{self.label}: foot time {xi[0]:.3g} outside path range")
-        return xi
+        raise TubeDomainError(f"{self.label}: foot time {foot[k]:.3g} outside path range{where}")
 
 
 def lab_frame_along_geodesic(
@@ -334,7 +340,7 @@ def lab_frame_along_geodesic(
     """
     if validity_radius <= 0:
         raise ValueError("validity radius must be positive")
-    if path.tetrad is None:
+    if path.tetrads is None:
         raise ValueError("the path carries no tetrad; integrate it with integrate_geodesic(..., tetrad=...)")
     if len(path.s) < 2:
         raise ValueError(
@@ -352,9 +358,9 @@ def lab_frame_along_geodesic(
     return GeodesicLabFrame(chart, frame, path, validity_radius, label)
 
 
-def lab_frame_expansion(metric: MetricField, lab: GeodesicLabFrame, p) -> float:
-    """Expansion rate theta of the unit lab field at p (which must lie in the validity tube),
-    through the kinematic decomposition."""
+def lab_frame_expansion(metric: MetricField, lab: GeodesicLabFrame, p) -> float | np.ndarray:
+    """Expansion rate theta of the unit lab field at p, through the kinematic decomposition: a float
+    at a point, (N,) at a block (N, 4) of points.  Every sample must lie in the validity tube."""
     p = as_points(p)
     lab.check_inside(p)
     return kinematic_decompose(metric, lab.frame, p).theta

@@ -232,7 +232,7 @@ def test_equivalence_verdicts():
     lab = fk.lab_frame_along_geodesic(m2.metric, path)
     cmap = fk.z_chart(m2)
     gz = fk.pushed_metric_field(cmap, m2.metric)
-    moving = fk.deformed_frame(cmap, lab.frame, gz, label="lab-moving")
+    moving = fk.deformed_frame(lab.frame, gz)
     v_ll = fk.equivalence_verdict(
         m2.metric, lab.frame, moving, (0, 0, 0, 0), metric_b=gz, p_b=(0, 0, 0, 0)
     )

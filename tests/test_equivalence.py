@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import framekin as fk
-from framekin.equivalence import moving_lab_theta_closed_form
+from framekin.equivalence import LAB_STEP, moving_lab_theta_closed_form
 
 
 def test_verdict_comoving_vs_drifting_not_equivalent(friedmann_small):
@@ -70,7 +70,7 @@ def test_deformed_frame_agrees_at_fixed_point(friedmann_small):
     m = friedmann_small
     cmap = fk.z_chart(m)
     gz = fk.pushed_metric_field(cmap, m.metric)
-    deformed = fk.deformed_frame(cmap, m.frame_comoving, gz)
+    deformed = fk.deformed_frame(m.frame_comoving, gz)
     comps = np.array([float(c) for c in deformed.component_fn([0, 0, 0, 0])])
     assert np.allclose(comps, [1, 0, 0, 0], atol=1e-12)
 
@@ -125,7 +125,7 @@ def test_lab_frames_not_equivalent_at_epoch():
     lab = fk.lab_frame_along_geodesic(m.metric, path)
     cmap = fk.z_chart(m)
     gz = fk.pushed_metric_field(cmap, m.metric)
-    moving = fk.deformed_frame(cmap, lab.frame, gz, label="lab-moving")
+    moving = fk.deformed_frame(lab.frame, gz)
     verdict = fk.equivalence_verdict(
         m.metric, lab.frame, moving, (0, 0, 0, 0), metric_b=gz, p_b=(0, 0, 0, 0)
     )
@@ -207,6 +207,29 @@ def test_pair_integrates_the_validity_tube_only(monkeypatch):
     for path in paths:
         assert (path.s_min, path.s_max) == (-2e-3, 2e-3)
         assert path.stats["steps"] == 2 and len(path.s) == 3
+
+
+@pytest.mark.parametrize("a, v", [(1e-5, 0.05), (1e-3, 0.2), (1e-2, 0.3)])
+def test_pair_evaluates_its_lab_charts_on_their_paths_only(a, v, monkeypatch):
+    # the drifting lab chart is read at the epoch; the comoving one also on the divergence
+    # oracle's stencil, whose step is LAB_STEP: its foot times reach the ends of the path, not beyond
+    import framekin.normal as nm
+
+    feet = {}
+    real = nm._TubeChart._map
+
+    def spy(tube, xi, rates):
+        feet.setdefault(id(tube), (tube.path, []))[1].extend(xi[:, 0].tolist())
+        return real(tube, xi, rates)
+
+    monkeypatch.setattr(nm._TubeChart, "_map", spy)
+    fk.moving_lab_expansion_pair(a, v)
+    assert len(feet) == 2
+    for path, s in feet.values():
+        assert path.s_min <= min(s) and max(s) <= path.s_max
+    (rest, rest_feet), (_, move_feet) = feet.values()
+    assert (min(rest_feet), max(rest_feet)) == (rest.s_min, rest.s_max) == (-LAB_STEP, LAB_STEP)
+    assert set(move_feet) == {0.0}
 
 
 @pytest.mark.parametrize("a, v", [(1e-5, 0.05), (3e-5, 0.3), (1e-3, 0.2), (1e-2, 0.1)])

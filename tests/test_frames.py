@@ -85,7 +85,7 @@ def test_building_a_frame_evaluates_nothing(monkeypatch):
     calls.clear()
     lab = fk.lab_frame_along_geodesic(m.metric, path)
     cmap = fk.z_chart(m)
-    moved = fk.deformed_frame(cmap, lab.frame, fk.pushed_metric_field(cmap, m.metric))
+    moved = fk.deformed_frame(lab.frame, fk.pushed_metric_field(cmap, m.metric))
     assert calls == []
     # the fields are counted where they are evaluated
     fk.kinematic_decompose(m.metric, m.frame_drifting, (0.0, 0, 0, 0))

@@ -112,8 +112,8 @@ def test_dense_output_consistency():
     u, w = 0.3, np.sqrt(1.09)
     path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (w, u, 0, 0), 2.0, fk.StepControl(step=0.01))
     s = 1.23456
-    x = [float(v) for v in path.position(s)]
-    v = [float(c) for c in path.velocity(s)]
+    x = [float(v) for v in path.state(s)[0]]
+    v = [float(c) for c in path.state(s, 1)[0]]
     t = x[0]
     assert v[1] / v[0] == pytest.approx(drift_velocity_closed(0.01, 0.3, t), abs=1e-10)
 
@@ -153,8 +153,7 @@ def test_csv_export(tmp_path):
 
 def test_transport_constant_in_flat_space(minkowski):
     path = fk.integrate_geodesic(minkowski, (0, 0, 0, 0), (1, 0, 0, 0), 2.0, fk.StepControl(step=0.05), tetrad=np.eye(4))
-    tet = path.tetrad
-    assert np.max(np.abs(tet.samples - np.eye(4)[None])) < 1e-14
+    assert np.max(np.abs(path.tetrads - np.eye(4)[None])) < 1e-14
 
 
 def comoving_transport(a=0.05):
@@ -165,23 +164,22 @@ def comoving_transport(a=0.05):
 
 def test_transport_comoving_scales_inverse_scale_factor():
     m, path = comoving_transport()
-    tet = path.tetrad
     # spatial legs contract like 1/R along the curve (hand-solved transport)
     for k in (50, 150, 299):
         r = m.scale.value(path.points[k][0])
         for i in (1, 2, 3):
             expect = np.zeros(4)
             expect[i] = 1.0 / r
-            assert np.max(np.abs(tet.samples[k][i] - expect)) < 1e-10
-    assert tet.orthonormality_drift(m.metric) < 1e-8
+            assert np.max(np.abs(path.tetrads[k][i] - expect)) < 1e-10
+    assert path.orthonormality_drift(m.metric) < 1e-8
 
 
 def test_transport_dense_between_knots():
     m, path = comoving_transport()
     for k in (0, 49, 150, 298):
         s = 0.5 * (path.s[k] + path.s[k + 1])
-        r = m.scale.value(float(path.position(s)[0]))
-        e = np.array(path.tetrad.tetrad(s), dtype=float)
+        x, e = path.state(s)
+        r = m.scale.value(float(x[0]))
         for i in (1, 2, 3):
             expect = np.zeros(4)
             expect[i] = 1.0 / r
@@ -195,7 +193,7 @@ def test_transport_preserves_inner_products():
     e[0] = [w, u, 0, 0]
     e[1] = [u, w, 0, 0]
     path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (w, u, 0, 0), 4.0, fk.StepControl(step=0.01), tetrad=e)
-    assert path.tetrad.orthonormality_drift(m.metric) < 1e-8
+    assert path.orthonormality_drift(m.metric) < 1e-8
 
 
 def test_transport_rejects_bad_tetrad():
@@ -212,7 +210,7 @@ def test_transported_e0_follows_velocity():
     e[1] = [u, w, 0, 0]
     ctrl = fk.StepControl(step=0.01)
     path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (w, u, 0, 0), 2.0, ctrl, s_min=-1.0, tetrad=e)
-    assert np.max(np.abs(path.tetrad.samples[:, 0] - path.velocities)) < 1e-12
+    assert np.max(np.abs(path.tetrads[:, 0] - path.velocities)) < 1e-12
 
 
 def test_connection_evaluations_per_rk4_step(monkeypatch):
@@ -270,10 +268,10 @@ def assert_sweeps_joined(path, backward, forward):
     for name in ("s", "points", "velocities", "accelerations"):
         assert np.array_equal(getattr(path, name)[k:], getattr(forward, name))
         assert np.array_equal(getattr(path, name)[: k + 1], getattr(backward, name))
-    assert (path.tetrad is None) == (forward.tetrad is None) == (backward.tetrad is None)
-    if path.tetrad is not None:
-        assert np.array_equal(path.tetrad.samples[k:], forward.tetrad.samples)
-        assert np.array_equal(path.tetrad.samples[: k + 1], backward.tetrad.samples)
+    assert (path.tetrads is None) == (forward.tetrads is None) == (backward.tetrads is None)
+    if path.tetrads is not None:
+        assert np.array_equal(path.tetrads[k:], forward.tetrads)
+        assert np.array_equal(path.tetrads[: k + 1], backward.tetrads)
 
 
 def orthonormal_tetrad(g, e0):
@@ -383,15 +381,15 @@ def test_norm_and_orthonormality_drift_match_per_knot_reference():
     knots = range(0, n, max(1, n // 64))
     drift = worst = 0.0
     for k in knots:
-        v, ek, g = path.velocities[k], path.tetrad.samples[k], fk.eval_metric(m.metric, path.points[k])
+        v, ek, g = path.velocities[k], path.tetrads[k], fk.eval_metric(m.metric, path.points[k])
         drift = max(drift, abs(float(v @ g @ v) - 1.0))
         worst = max(worst, float(np.max(np.abs(ek @ g @ ek.T - np.diag([1.0, -1.0, -1.0, -1.0])))))
     assert path.stats["max_norm_drift"] == drift
-    assert path.tetrad.orthonormality_drift(m.metric) == worst
+    assert path.orthonormality_drift(m.metric) == worst
 
 
 def test_adaptive_steps_independent_of_tetrad():
-    # carrying a tetrad never changes the steps, the path or its norm drift
+    # carrying a tetrad never changes the steps, the path, its norm drift or its dense positions
     m = fk.make_friedmann(0.01, 0.3)
     u, w = 0.3, np.sqrt(1.09)
     e = np.eye(4)
@@ -403,7 +401,10 @@ def test_adaptive_steps_independent_of_tetrad():
     for name in ("s", "points", "velocities", "accelerations"):
         assert np.array_equal(getattr(bare, name), getattr(carried, name))
     assert bare.stats["max_norm_drift"] == carried.stats["max_norm_drift"]
-    assert carried.tetrad.orthonormality_drift(m.metric) < 1e-8
+    assert carried.orthonormality_drift(m.metric) < 1e-8
+    midpoints = 0.5 * (bare.s[:-1] + bare.s[1:])  # a block off the knots
+    for k in (0, 1, 2):
+        assert np.array_equal(bare.state(midpoints, k)[0], carried.state(midpoints, k)[0])
 
 
 def test_debug_log_reports_work_and_drift(caplog):
@@ -492,9 +493,9 @@ def test_experiment_initial_acceleration_matches_second_differences():
     h = 0.05
     path = fk.integrate_geodesic(gz, (0, 0, 0, 0), v0, h, fk.StepControl(step=h / 8), s_min=-h)
     dense_h = h / 2
-    x_plus = np.array([float(c) for c in path.position(dense_h)])
-    x_minus = np.array([float(c) for c in path.position(-dense_h)])
-    x_zero = np.array([float(c) for c in path.position(0.0)])
+    x_plus = np.array([float(c) for c in path.state(dense_h)[0]])
+    x_minus = np.array([float(c) for c in path.state(-dense_h)[0]])
+    x_zero = np.array([float(c) for c in path.state(0.0)[0]])
     second = (x_plus - 2 * x_zero + x_minus) / dense_h**2
     rep_a, _ = fk.free_particle_experiment(a, u, v)
     assert abs(second[1] - rep_a.accel_x1) < 1e-6

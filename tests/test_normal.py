@@ -191,7 +191,7 @@ def test_lab_frame_matches_velocity_on_curve():
     m, lab = build_comoving_lab(1e-2)
     for t in (-0.2, 0.0, 0.1, 0.2):
         q = np.array([value(c) for c in lab.frame.component_fn([t, 0, 0, 0])])
-        v = np.array([value(c) for c in lab.path.velocity(t)])
+        v = np.array([value(c) for c in lab.path.state(t, 1)[0]])
         assert np.max(np.abs(q - v)) < 1e-8
 
 
@@ -264,6 +264,18 @@ def test_validity_tube_enforced():
     with pytest.raises(TubeDomainError, match="foot time"):
         fk.lab_frame_expansion(m.metric, lab, (0.06, 0, 0, 0))
     assert abs(fk.lab_frame_expansion(m.metric, lab, (0.04, 0, 0, 0))) < 1e-12
+
+
+def test_validity_tube_checks_each_sample_of_a_block():
+    m, lab = build_comoving_lab(1e-2, radius=0.05)
+    # each row inside the tube, though the rows after the first span more than the radius together
+    block = [[0, 0, 0, 0], [0.04, 0, 0, 0], [0.04, 0, 0, 0]]
+    alone = [fk.lab_frame_expansion(m.metric, lab, p) for p in block]
+    assert np.array_equal(fk.lab_frame_expansion(m.metric, lab, block), alone)
+    assert np.array_equal(fk.lab_frame_expansion(m.metric, lab, block[:2]), alone[:2])
+    # the bad sample is named, and refused for its foot time, not for the slice radius
+    with pytest.raises(TubeDomainError, match=r"^lab: foot time 0.3 outside path range at sample 1 \[0.3, 0.0, 0.0, 0.0\]$"):
+        fk.lab_frame_expansion(m.metric, lab, [[0, 0, 0, 0], [0.3, 0, 0, 0], [0, 0, 0, 0]])
 
 
 def test_lab_frame_needs_transported_tetrad():
