@@ -37,7 +37,7 @@ import numpy as np
 from .catalog import drift_speed_to_momentum, make_friedmann, z_chart
 from .frames import FrameField, kinematic_decompose, make_frame
 from .geodesics import StepControl, integrate_geodesic
-from .geometry import DIM, MetricField, SingularMetricError, as_points, covariant_derivative_field
+from .geometry import DIM, MetricField, SingularMetricError, as_points, covariant_derivative_field, inverse_metric
 from .maps import pushed_metric_field
 from .normal import lab_frame_along_geodesic, lab_frame_expansion
 from .oracles import fd_divergence
@@ -56,8 +56,6 @@ def _invariant_magnitudes(metric, dec, p):
     and likewise for the vorticity and shear tensors, so frames living in
     different charts compare meaningfully.
     """
-    from .geometry import inverse_metric
-
     ginv = inverse_metric(metric, p)
     acc2 = abs(float(np.einsum("m,n,mn->", dec.accel, dec.accel, ginv)))
     vort2 = abs(float(np.einsum("mn,ma,nb,ab->", dec.vorticity, ginv, ginv, dec.vorticity)))
@@ -120,6 +118,9 @@ def equivalence_verdict(
         na = covariant_derivative_field(metric_a, frame_a, p)
         nb = covariant_derivative_field(metric_b, frame_b, pb)
         deltas["covariant_derivative"] = float(np.max(np.abs(na - nb)))
+    bad = next((k for k, d in deltas.items() if not np.isfinite(d)), None)
+    if bad is not None:  # a NaN would read NotEquivalent and could be named the dominant discriminant
+        raise ArithmeticError(f"{frame_a.label} vs {frame_b.label} at {p.tolist()}: {bad} delta {deltas[bad]}")
     dominant = max(deltas, key=lambda k: deltas[k])
     verdict = "Equivalent" if all(d <= tolerance for d in deltas.values()) else "NotEquivalent"
     return EquivalenceVerdict(
@@ -243,6 +244,8 @@ def moving_lab_expansion_pair(a_param, v_param) -> MovingLabReport:
     # step would read the path's dense output past its ends.
     theta_oracle = fd_divergence(metric_image, moving, tuple(epoch_image), step=LAB_STEP)
 
+    if not (np.isfinite(theta_moving) and np.isfinite(theta_oracle)):  # else a NaN would decide `matches`
+        raise ArithmeticError(f"moving lab a={a_param} v={v_param}: theta_Lprime {theta_moving}, oracle {theta_oracle}")
     av2 = a_param * v_param * v_param
     ratio = theta_moving / av2 if av2 > 0 else 0.0
     matches = av2 > 0 and abs(ratio - PUBLISHED_COEFFICIENT) <= 0.1 * PUBLISHED_COEFFICIENT

@@ -15,9 +15,10 @@ A ``HyperDual`` holds one point (``val`` a float, ``grad`` (4,), ``hess``
 or a block (N, 4) and returns dense arrays, batch axis first.  On a block,
 value comparisons give one bool per sample (``first`` finds the first
 true one).  A map already known as arrays of values and first (and
-optionally second) derivatives joins the algebra through ``chain``; the
-Newton inverse of a map and the 4x4 matrix inverse work on whole blocks,
-each sample with its own pivots and its own iteration count.
+optionally second) derivatives joins the algebra through ``chain``; its
+Newton inverse iterates on those arrays and joins by the inverse function
+theorem.  It and the 4x4 matrix inverse work on whole blocks, each sample
+with its own pivots and its own iteration count.
 Arithmetic and ``sqrt`` are elementwise IEEE operations, so a block equals
 its points bit for bit; ``exp``, ``log``, ``asinh``, ``sin``, ``cos`` and
 powers use numpy's vectorised kernels on a block and ``math`` on a point,
@@ -28,11 +29,13 @@ The dimension is fixed at 4 (one timelike plus three spacelike coordinates).
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
 
 DIM = 4
+_logger = logging.getLogger(__name__)  # ``log`` is the logarithm below
 # Derivative parts shared read-only by every point seed: the four unit gradients and a zero Hessian
 _UNIT_GRADS, _ZERO_HESS = np.eye(DIM), np.zeros((DIM, DIM))
 _UNIT_GRADS.flags.writeable = _ZERO_HESS.flags.writeable = False
@@ -285,45 +288,39 @@ def chain(coords, f, df, d2f=None):
     return items
 
 
-def dual_newton_invert(map_fn, target, seed_guess):
-    """Invert a dual-capable map R^4 -> R^4 at a (possibly dual) target point or block.
+def dual_newton_invert(map_arrays, target, seed_guess):
+    """Invert a map R^4 -> R^4, given as arrays, at a (possibly dual) target point or block.
 
-    Solves map_fn(x) = target.  The float solution comes from at most 60
-    Newton steps with the exact Jacobian, all rows of a block at once: a row
-    stops once its step falls below 1e-13 and never moves again, so each
-    row iterates as its point would.  ``seed_guess`` holds one row per target.
-    When ``target`` carries dual parts, fixed-point corrections with each
-    row's last Jacobian propagate gradients (and Hessians when present) to
-    machine precision.
+    ``map_arrays(x)`` takes an (N, 4) block and returns the values f (N, 4), the Jacobian
+    J[n, mu, a] = d f^mu / d x^a and optionally H[n, mu, a, b] = d J[n, mu, a] / d x^b.  Solves
+    f(x) = target by at most 60 Newton steps on (f, J), all rows of a block at once: a row stops
+    once its step falls below 1e-13 and never moves again, so each row iterates as its point
+    would.  ``seed_guess`` holds one row per target.  A dual target's derivatives follow by the
+    inverse function theorem from J (and H) at the solution: dx/dt = J^-1, and, when every dual
+    target carries a Hessian and the map gives H, d2x/dt2 = -J^-1 H(J^-1 ., J^-1 .).
     """
     tv, point = block_values(target)
     x = np.array(seed_guess, dtype=float).reshape(tv.shape)
-    jac = np.empty((len(x), DIM, DIM))
-    rows = np.arange(len(x))  # the rows still iterating
-    for _ in range(60):
-        fx, dfx = jet(map_fn, x[0] if point else x[rows])
-        jac[rows] = np.swapaxes(dfx, -1, -2)
-        delta = np.linalg.solve(jac[rows], (fx - tv[rows])[..., None])[..., 0]
+    last, rows = np.zeros(len(x)), np.arange(len(x))  # each row's final step, the rows still iterating
+    for iterations in range(1, 61):
+        fx, jac = map_arrays(x[rows])[:2]
+        delta = np.linalg.solve(jac, (fx - tv[rows])[..., None])[..., 0]
         x[rows] -= delta
-        rows = rows[~(np.max(np.abs(delta), axis=-1) < 1e-13)]
+        last[rows] = np.max(np.abs(delta), axis=-1)
+        rows = rows[~(last[rows] < 1e-13)]
         if not rows.size:
             break
     else:
         raise ArithmeticError("map inversion did not converge")
-    if not any(isinstance(c, HyperDual) for c in target):
+    if _logger.isEnabledFor(logging.DEBUG):
+        _logger.debug("newton inverse: %d rows, %d iterations, largest final step %.3g", len(x), iterations, last.max())
+    duals = [c for c in target if isinstance(c, HyperDual)]
+    if not duals:
         return x[0].tolist() if point else list(x.T)
-    # Dual correction: contraction on the derivative parts, quadratic once
-    # the value part has converged.
-    jinv = np.moveaxis(np.linalg.inv(jac), 0, -1)
-    x, jinv = (x[0], jinv[..., 0]) if point else (x.T, jinv)
-    batch = np.shape(x[0])
-    h0 = np.zeros((DIM, DIM) + batch) if any(isinstance(c, HyperDual) and c.hess is not None for c in target) else None
-    xs = [HyperDual(x[i], np.zeros((DIM,) + batch), h0) for i in range(DIM)]
-    for _ in range(3):
-        fx = map_fn(xs)
-        resid = [fx[m] - target[m] for m in range(DIM)]
-        xs = [xs[m] - sum(resid[k] * jinv[m, k] for k in range(DIM)) for m in range(DIM)]
-    return xs
+    _, jac, *hess = map_arrays(x)
+    jinv = np.linalg.inv(jac)
+    second = hess and all(c.hess is not None for c in duals)
+    return chain(target, x, jinv, -np.einsum("nmc,ncab,naj,nbk->nmjk", jinv, hess[0], jinv, jinv) if second else None)
 
 
 def _matmul(a, b):

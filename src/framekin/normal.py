@@ -23,12 +23,12 @@ equals the curve's velocity on the curve, is torsion-aligned there
 (transformed connection vanishes on the curve), and is in free fall only on
 the curve itself.
 
-Both charts are array code over blocks of points, joined to the dual
-algebra by ``hyperdual.chain``: the point chart's map is a cubic
-polynomial, so its Jacobian and that Jacobian's derivatives are closed
-forms; in the sliding chart one Newton solve, one connection-jet lookup and
-one evaluation of the path's dense output per derivative order serve a
-whole block.
+Both charts are array code over blocks, joined to the dual algebra by
+``hyperdual.chain`` and inverted by Newton on the same arrays: the point
+chart's map is a cubic polynomial, so its Jacobian and that Jacobian's
+derivatives are closed forms; in the sliding chart one Newton solve, one
+connection-jet lookup and one dense-output evaluation per derivative order
+serve a whole block, and one map evaluation gives the lab field and its rate.
 
 Off the curve the chart is second-order accurate; derivative propagation
 through the chart drops remainder terms of the same order as the truncation
@@ -157,8 +157,7 @@ def build_normal_chart(metric: MetricField, p0, initial_tetrad) -> NormalChart:
         return chain(xi, *_map(block_values(xi)[0])[1:], third)
 
     def forward_fn(coords):
-        target, _ = block_values(coords)
-        return dual_newton_invert(inverse_fn, coords, np.linalg.solve(e.T, (target - x0).T).T)
+        return dual_newton_invert(_map, coords, np.linalg.solve(e.T, (block_values(coords)[0] - x0).T).T)
 
     cmap = ChartMap(forward_fn, inverse_fn, "normal-chart", inverse_jacobian_fn)
     scale = float(np.max(np.abs(r_axes)))
@@ -286,7 +285,7 @@ class _TubeChart:
         delta = target - self.path.points[k]
         comp = np.linalg.solve(np.swapaxes(self.path.tetrads[k], 1, 2), delta[..., None])[..., 0]
         guess = np.concatenate([(self.path.s[k] + comp[:, 0])[:, None], comp[:, 1:]], axis=1)
-        return dual_newton_invert(self.inverse_fn, coords, guess)
+        return dual_newton_invert(lambda xi: self._map(xi, rates=False), coords, guess)
 
 
 @dataclass
@@ -350,9 +349,10 @@ def lab_frame_along_geodesic(
     tube = _TubeChart(metric, path)
     chart = ChartMap(tube.forward_fn, tube.inverse_fn, f"lab-chart-{label}", tube.inverse_jacobian_fn)
 
-    def raw_field(coords):
-        jac = tube.inverse_jacobian_fn(tube.forward_fn(coords))
-        return [jac[mu][0] for mu in range(DIM)]
+    def raw_field(coords):  # column 0 of the Jacobian at the chart point, its rate through d xi / d x = J^-1
+        xi = np.column_stack(tube.forward_fn(list(block_values(coords)[0].T)))
+        _, jac, hess = tube._map(xi, rates=True)
+        return chain(coords, jac[:, :, 0], np.einsum("nmb,nba->nma", hess[:, :, 0], np.linalg.inv(jac)))
 
     frame = make_frame(raw_field, metric, label=label)
     return GeodesicLabFrame(chart, frame, path, validity_radius, label)

@@ -54,6 +54,44 @@ def test_verdict_evidence_payload(friedmann_small):
     assert len(d["evidence"]["frame_b"]["shear"]) == 16
 
 
+def nan_theta(monkeypatch, label_end):
+    """Make every decomposition of a frame whose label ends with ``label_end`` read a NaN expansion."""
+    import dataclasses
+
+    import framekin.equivalence as eq
+
+    real = eq.kinematic_decompose
+
+    def spoiled(metric, frame, p):
+        dec = real(metric, frame, p)
+        return dataclasses.replace(dec, theta=float("nan")) if frame.label.endswith(label_end) else dec
+
+    monkeypatch.setattr(eq, "kinematic_decompose", spoiled)
+
+
+def test_verdict_refuses_a_non_finite_delta(friedmann_small, monkeypatch, capsys):
+    # a NaN delta would read NotEquivalent, and max() could name it the dominant discriminant
+    m = friedmann_small
+    nan_theta(monkeypatch, "drifting")
+    with pytest.raises(ArithmeticError, match=r"comoving vs drifting at \[0.0, 0.0, 0.0, 0.0\]: expansion delta nan"):
+        fk.equivalence_verdict(m.metric, m.frame_comoving, m.frame_drifting, (0, 0, 0, 0))
+    argv = ["equivalence", "--model", "friedmann", "--a", "1e-3", "--u", "0.1005", "--frames", "comoving,drifting"]
+    assert fk.cli.main(argv) == 3
+    assert "expansion delta nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spoil", ["theta_Lprime", "oracle"])
+def test_pair_refuses_non_finite_evidence_before_deciding_the_match(spoil, monkeypatch):
+    import framekin.equivalence as eq
+
+    if spoil == "oracle":
+        monkeypatch.setattr(eq, "fd_divergence", lambda *args, **kwargs: float("nan"))
+    else:
+        nan_theta(monkeypatch, "-deformed")
+    with pytest.raises(ArithmeticError, match="moving lab a=0.001 v=0.2: theta_Lprime .*nan"):
+        fk.moving_lab_expansion_pair(1e-3, 0.2)
+
+
 def test_nonequivalence_margin_over_parameter_floor():
     # the expansion gap stays 10x above the oracle tolerance from the
     # smallest covered parameters upward
@@ -140,7 +178,7 @@ _PAIR_REPORTS = {
         "u": 0.20412414523193154,
         "theta_L": 0.0,
         "theta_Lprime": 2.103734943258639e-05,
-        "theta_Lprime_transport_chart": -2.237564295507636e-19,
+        "theta_Lprime_transport_chart": 2.0011513549444697e-19,
         "theta_Lprime_divergence_oracle": 2.1037349256575072e-05,
         "ratio_to_av2": 0.5259337358146597,
         "theta_comoving": 0.003,
@@ -151,7 +189,7 @@ _PAIR_REPORTS = {
         "u": 0.05006261743217589,
         "theta_L": 0.0,
         "theta_Lprime": 3.761745176834375e-08,
-        "theta_Lprime_transport_chart": 0.0,
+        "theta_Lprime_transport_chart": 1.325146449713765e-23,
         "theta_Lprime_divergence_oracle": 3.761719525426787e-08,
         "ratio_to_av2": 0.5015660235779166,
         "theta_comoving": 9e-05,

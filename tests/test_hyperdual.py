@@ -95,24 +95,31 @@ def test_dual_matrix_inverse():
     assert np.max(np.abs(inv_np @ m - np.eye(4))) < 1e-12
 
 
-def test_newton_inversion_propagates_derivatives():
-    def quadratic_map(x):
-        return [
-            x[0] + 0.1 * x[1] * x[1],
-            x[1] - 0.05 * x[0] * x[2],
-            x[2] + 0.02 * x[3] * x[3],
-            x[3] + 0.01 * x[0] * x[1],
-        ]
+def quadratic_map(x):
+    """(f, J, H) on an (N, 4) block: f = (x0 + 0.1 x1^2, x1 - 0.05 x0 x2, x2 + 0.02 x3^2, x3 + 0.01 x0 x1)."""
+    x0, x1, x2, x3 = x.T
+    f = np.column_stack([x0 + 0.1 * x1 * x1, x1 - 0.05 * x0 * x2, x2 + 0.02 * x3 * x3, x3 + 0.01 * x0 * x1])
+    jac = np.zeros((len(x), 4, 4))
+    jac[:, [0, 1, 2, 3], [0, 1, 2, 3]] = 1.0
+    jac[:, 0, 1], jac[:, 1, 0], jac[:, 1, 2] = 0.2 * x1, -0.05 * x2, -0.05 * x0
+    jac[:, 2, 3], jac[:, 3, 0], jac[:, 3, 1] = 0.04 * x3, 0.01 * x1, 0.01 * x0
+    hess = np.zeros((len(x), 4, 4, 4))
+    hess[:, 0, 1, 1], hess[:, 2, 3, 3] = 0.2, 0.04
+    hess[:, 1, 0, 2] = hess[:, 1, 2, 0] = -0.05
+    hess[:, 3, 0, 1] = hess[:, 3, 1, 0] = 0.01
+    return f, jac, hess
 
+
+def test_newton_inversion_propagates_derivatives():
     target_val = np.array([0.4, -0.3, 0.2, 0.1])
     sol = dual_newton_invert(quadratic_map, list(target_val), target_val)
-    fwd = quadratic_map(sol)
+    fwd = quadratic_map(np.array([sol]))[0][0]
     assert np.max(np.abs(np.array(fwd) - target_val)) < 1e-12
 
     # dual target: the solution gradient must be the inverse Jacobian
     targets = seed(target_val, order=1)
     sol_d = dual_newton_invert(quadratic_map, targets, target_val)
-    jac_fwd = np.array([[g for g in c.grad] for c in quadratic_map(seed([value(s) for s in sol_d], order=1))])
+    jac_fwd = quadratic_map(np.array([[value(s) for s in sol_d]]))[1][0]
     grad_sol = np.array([c.grad for c in sol_d])
     assert np.max(np.abs(grad_sol @ jac_fwd - np.eye(4))) < 1e-10
 
@@ -211,9 +218,6 @@ def test_dual_matrix_inverse_refuses_a_singular_value_part():
 
 
 def test_newton_inversion_of_a_block_solves_sample_by_sample():
-    def quadratic_map(x):
-        return [x[0] + 0.1 * x[1] * x[1], x[1] - 0.05 * x[0] * x[2], x[2] + 0.02 * x[3] * x[3], x[3] + 0.01 * x[0] * x[1]]
-
     targets = np.array([[0.4, -0.3, 0.2, 0.1], [0.1, 0.2, -0.3, 0.5], [0.0, 0.0, 0.0, 0.0], [0.7, 0.0, 0.0, 0.0]])
     sol = dual_newton_invert(quadratic_map, seed(targets, order=1), targets)
     for k, t in enumerate(targets):
@@ -221,15 +225,23 @@ def test_newton_inversion_of_a_block_solves_sample_by_sample():
         assert all(sol[i].val[k] == single[i].val and np.array_equal(sol[i].grad[:, k], single[i].grad) for i in range(4))
 
 
+def test_newton_inversion_of_a_block_of_hessian_targets_equals_its_points():
+    targets = np.array([[0.4, -0.3, 0.2, 0.1], [0.1, 0.2, -0.3, 0.5], [0.0, 0.0, 0.0, 0.0], [0.7, 0.0, 0.0, 0.0]])
+    sol = dual_newton_invert(quadratic_map, seed(targets, order=2), targets)
+    for k, t in enumerate(targets):
+        single = dual_newton_invert(quadratic_map, seed(t, order=2), t)
+        for i in range(4):
+            assert sol[i].val[k] == single[i].val
+            assert np.array_equal(sol[i].grad[:, k], single[i].grad)
+            assert np.array_equal(sol[i].hess[:, :, k], single[i].hess)
+
+
 def test_newton_inversion_of_a_block_stops_each_row_at_its_own_iteration():
     # the fixed point (0.7, 0, 0, 0) starts converged beside rows that need several steps
-    def quadratic_map(x):
-        return [x[0] + 0.1 * x[1] * x[1], x[1] - 0.05 * x[0] * x[2], x[2] + 0.02 * x[3] * x[3], x[3] + 0.01 * x[0] * x[1]]
-
     iterations = []
 
     def counted(x):
-        iterations.append(np.size(value(x[0])))
+        iterations.append(len(x))
         return quadratic_map(x)
 
     targets = np.array([[0.4, -0.3, 0.2, 0.1], [0.7, 0.0, 0.0, 0.0], [0.1, 0.2, -0.3, 0.5]])
@@ -246,12 +258,26 @@ def test_newton_inversion_of_a_block_stops_each_row_at_its_own_iteration():
 
 def test_newton_inversion_raises_when_a_row_does_not_converge():
     def shifted_square(x):  # x0^2 + 1 = 0 has no real root, x0^2 + 1 = 2 has one
-        return [x[0] * x[0] + 1.0, x[1], x[2], x[3]]
+        jac = np.broadcast_to(np.eye(4), (len(x), 4, 4)).copy()
+        jac[:, 0, 0] = 2.0 * x[:, 0]
+        return np.column_stack([x[:, 0] * x[:, 0] + 1.0, x[:, 1:]]), jac
 
     target = [np.array([2.0, 0.0]), np.zeros(2), np.zeros(2), np.zeros(2)]
     with pytest.raises(ArithmeticError, match="did not converge"):
         dual_newton_invert(shifted_square, target, np.array([[0.5, 0, 0, 0], [0.5, 0, 0, 0]]))
     assert dual_newton_invert(shifted_square, [2.0, 0.0, 0.0, 0.0], [0.5, 0, 0, 0])[0] == 1.0
+
+
+def test_newton_solve_logs_one_line(caplog):
+    target = np.array([[0.4, -0.3, 0.2, 0.1], [0.7, 0.0, 0.0, 0.0]])
+    with caplog.at_level("DEBUG", logger="framekin.hyperdual"):
+        dual_newton_invert(quadratic_map, list(target.T), target)
+    (record,) = caplog.records
+    assert record.levelname == "DEBUG" and record.getMessage().startswith("newton inverse: 2 rows, 3 iterations, largest final step ")
+    caplog.clear()
+    with caplog.at_level("INFO", logger="framekin.hyperdual"):
+        dual_newton_invert(quadratic_map, list(target.T), target)
+    assert not caplog.records
 
 
 # -- chain: maps known as arrays --------------------------------------------------

@@ -134,6 +134,19 @@ def test_normal_chart_block_equals_its_points(friedmann_a03):
                         assert np.array_equal(arr_block[k], arr_point)
 
 
+def test_normal_chart_forward_undoes_inverse_to_second_order(friedmann_a03):
+    # the Newton inverse takes its derivatives from the inverse function theorem: composed with
+    # the map it inverts, it gives the identity Jacobian and a zero Hessian
+    m = friedmann_a03
+    cmap = fk.build_normal_chart(m.metric, (0.5, 0.1, -0.2, 0.3), boosted_tetrad(m, 0.5)).chart_map
+    block = np.random.default_rng(3).uniform(-0.04, 0.04, (5, 4))
+    for xi in (block[0], block):
+        value_, jac, hess = jet(lambda c: cmap.forward_fn(cmap.inverse_fn(c)), xi, order=2)
+        assert np.max(np.abs(value_ - xi)) < 1e-12
+        assert np.max(np.abs(jac - np.eye(4))) < 1e-12
+        assert np.max(np.abs(hess)) < 1e-12
+
+
 def test_rejects_non_orthonormal_tetrad(friedmann_a03):
     with pytest.raises(ValueError):
         fk.build_normal_chart(friedmann_a03.metric, (0.5, 0, 0, 0), np.eye(4))
@@ -375,3 +388,47 @@ def test_raw_lab_field_rate_matches_central_differences():
     for k, xi in enumerate(OFF_CURVE):
         measured = richardson(lambda p: np.array(raw(list(p))), xi)
         assert np.max(np.abs(exact[k] - measured)) < 1e-8
+
+
+def drifting_lab(monkeypatch, a=1e-2, u=0.3):
+    """A drifting geodesic's lab frame and its raw (unnormalized) field, caught on its way to make_frame."""
+    import framekin.normal as nm
+
+    raw = []
+    real = nm.make_frame
+    monkeypatch.setattr(nm, "make_frame", lambda fn, *args, **kw: raw.append(fn) or real(fn, *args, **kw))
+    tube = drifting_tube(a, u)
+    return fk.lab_frame_along_geodesic(tube.metric, tube.path), raw[0]
+
+
+def test_raw_lab_field_gradient_is_the_inverse_jacobian_column(monkeypatch):
+    # one map evaluation at the solved chart point gives the field and, through J^-1, its rate
+    lab, raw = drifting_lab(monkeypatch)
+
+    def reference(c):  # column 0 of the inverse Jacobian at the dual chart point
+        return [row[0] for row in lab.chart.inverse_jacobian_fn(lab.chart.forward_fn(c))]
+
+    points = np.array([[0.0, 0.0, 0.0, 0.0], [0.05, 0.03, -0.01, 0.02], [-0.1, 0.0, 0.03, -0.02]])
+    for p in (points[0], points):
+        (got, dgot), (want, dwant) = jet(raw, p), jet(reference, p)
+        assert np.array_equal(got, want)
+        assert np.max(np.abs(dgot - dwant)) <= 1e-12 * np.max(np.abs(dwant))
+
+
+def test_pair_work_counts(monkeypatch):
+    # 11 tube-chart map evaluations per pair (20 when a dual Newton target took three dual passes
+    # and the lab field evaluated the Jacobian again at the dual chart point), all on float arrays
+    import framekin.normal as nm
+
+    maps, solves = [], []
+    real_map, real_newton = nm._TubeChart._map, nm.dual_newton_invert
+
+    def spy_map(tube, xi, rates):
+        maps.append(xi)
+        return real_map(tube, xi, rates)
+
+    monkeypatch.setattr(nm._TubeChart, "_map", spy_map)
+    monkeypatch.setattr(nm, "dual_newton_invert", lambda *args: solves.append(args) or real_newton(*args))
+    fk.moving_lab_expansion_pair(1e-3, 0.2)
+    assert (len(maps), len(solves)) == (11, 6)
+    assert all(type(xi) is np.ndarray and xi.dtype == np.float64 and xi.ndim == 2 for xi in maps)

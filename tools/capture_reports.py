@@ -15,7 +15,12 @@ through ``framekin.cli.main``:
 For each run it records the command, the exit code, the report less its
 ``wall_time_s``, stderr, the CSV trajectory if one was written and the Python
 warnings, all into one JSON file.  Run it in two checkouts and compare the two
-files with ``cmp``.
+files with ``cmp``, or list what differs:
+
+    python tools/capture_reports.py --compare A.json B.json
+
+prints each run and field (a report field by its dotted path) whose values
+differ, with both values, and exits 1 when any differ, else 0.
 """
 
 from __future__ import annotations
@@ -81,9 +86,35 @@ def run(main, argv, workdir):
     }
 
 
+def fields(record, prefix=""):
+    """A record's leaves by dotted path: nested report fields each on their own."""
+    if isinstance(record, dict):
+        return {k: v for key, sub in record.items() for k, v in fields(sub, f"{prefix}{key}.").items()}
+    return {prefix[:-1]: record}
+
+
+def compare(path_a, path_b):
+    """Print each run and field that differs between two captures, with both values; the count."""
+    runs = [json.loads(Path(p).read_text(encoding="utf-8")) for p in (path_a, path_b)]
+    if [r["argv"] for r in runs[0]] != [r["argv"] for r in runs[1]]:
+        print("the two captures ran different commands")
+        return 1
+    moved = 0
+    for a, b in zip(*runs):
+        fa, fb = fields(a), fields(b)
+        for key in sorted(set(fa) | set(fb)):  # compared as written: -0.0 is not 0.0, nor 1 1.0
+            if key not in fa or key not in fb or json.dumps(fa[key]) != json.dumps(fb[key]):
+                moved += 1
+                print(f"{a['argv']}\n  {key}: {fa.get(key, '<absent>')!r} -> {fb.get(key, '<absent>')!r}")
+    print(f"{moved} fields differ over {len(runs[0])} runs")
+    return moved
+
+
 def main():
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(1 if compare(*sys.argv[2:]) else 0)
     if len(sys.argv) != 2:
-        sys.exit("usage: python tools/capture_reports.py OUT.json")
+        sys.exit("usage: python tools/capture_reports.py OUT.json | --compare A.json B.json")
     sys.dont_write_bytecode = True  # leave no cache beside the benchmark's sources
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     os.environ.pop("FRAMEKIN_LOG", None)
