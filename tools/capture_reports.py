@@ -13,22 +13,31 @@ through ``framekin.cli.main``:
 * ``plli`` at a in {1e-5, 3e-5, 1e-4, 1e-3, 1e-2} times v in {0.05, 0.1, 0.2, 0.3}.
 
 For each run it records the command, the exit code, the report less its
-``wall_time_s``, stderr, the CSV trajectory if one was written and the Python
-warnings, all into one JSON file.  Run it in two checkouts and compare the two
+``wall_time_s``, stderr, the SHA-256 of the CSV trajectory if one was written
+and the Python warnings, all into one JSON file together with the Python and
+numpy versions that made it.  Run it in two checkouts and compare the two
 files with ``cmp``, or list what differs:
 
     python tools/capture_reports.py --compare A.json B.json
 
 prints each run and field (a report field by its dotted path) whose values
 differ, with both values, and exits 1 when any differ, else 0.
+
+``tests/data/reports_golden.json`` is one such capture; ``tests/test_reports.py``
+recaptures in-process and compares with it.  A change that moves a report on
+purpose regenerates it:
+
+    python tools/capture_reports.py tests/data/reports_golden.json
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
+import platform
 import re
 import shlex
 import sys
@@ -60,7 +69,7 @@ def commands(workdir):
 
 
 def run(main, argv, workdir):
-    """One run's record: exit code, report less wall_time_s, stderr, CSV and warnings."""
+    """One run's record: exit code, report less wall_time_s, stderr, the CSV's SHA-256 and warnings."""
     out = workdir / "out"
     if out.exists():
         out.unlink()
@@ -81,7 +90,7 @@ def run(main, argv, workdir):
         "exit": code,
         "report": report,
         "stderr": stderr.getvalue().replace(str(workdir), "<tmp>"),
-        "csv": csv,
+        "csv_sha256": None if csv is None else hashlib.sha256(csv.encode("utf-8")).hexdigest(),
         "warnings": [f"{w.category.__name__} {Path(w.filename).name}: {w.message}" for w in caught],
     }
 
@@ -93,21 +102,46 @@ def fields(record, prefix=""):
     return {prefix[:-1]: record}
 
 
-def compare(path_a, path_b):
-    """Print each run and field that differs between two captures, with both values; the count."""
-    runs = [json.loads(Path(p).read_text(encoding="utf-8")) for p in (path_a, path_b)]
-    if [r["argv"] for r in runs[0]] != [r["argv"] for r in runs[1]]:
-        print("the two captures ran different commands")
-        return 1
-    moved = 0
-    for a, b in zip(*runs):
-        fa, fb = fields(a), fields(b)
+def versions():
+    """The Python and numpy versions a capture is made with: the float text of a report can depend on them."""
+    import numpy
+
+    return {"python": platform.python_version(), "numpy": numpy.__version__}
+
+
+def capture():
+    """Every command's record, run in this process, with the versions that made them."""
+    for path in (ROOT / "bench", ROOT / "src"):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
+    from framekin.cli import main as framekin_main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        return {**versions(), "runs": [run(framekin_main, argv, workdir) for argv in commands(workdir)]}
+
+
+def differences(a, b):
+    """The versions and each run's dotted fields that differ between two captures, as lines naming both values."""
+    out = [f"{key}: {a[key]} -> {b[key]}" for key in ("python", "numpy") if a[key] != b[key]]
+    if [r["argv"] for r in a["runs"]] != [r["argv"] for r in b["runs"]]:
+        return out + ["the two captures ran different commands"]
+    for ra, rb in zip(a["runs"], b["runs"]):
+        fa, fb = fields(ra), fields(rb)
         for key in sorted(set(fa) | set(fb)):  # compared as written: -0.0 is not 0.0, nor 1 1.0
             if key not in fa or key not in fb or json.dumps(fa[key]) != json.dumps(fb[key]):
-                moved += 1
-                print(f"{a['argv']}\n  {key}: {fa.get(key, '<absent>')!r} -> {fb.get(key, '<absent>')!r}")
-    print(f"{moved} fields differ over {len(runs[0])} runs")
-    return moved
+                out.append(f"{ra['argv']}\n  {key}: {fa.get(key, '<absent>')!r} -> {fb.get(key, '<absent>')!r}")
+    return out
+
+
+def compare(path_a, path_b):
+    """Print each run and field that differs between two captures, with both values; the count."""
+    a, b = (json.loads(Path(p).read_text(encoding="utf-8")) for p in (path_a, path_b))
+    moved = differences(a, b)
+    for line in moved:
+        print(line)
+    print(f"{len(moved)} fields differ over {len(a['runs'])} runs")
+    return len(moved)
 
 
 def main():
@@ -116,17 +150,12 @@ def main():
     if len(sys.argv) != 2:
         sys.exit("usage: python tools/capture_reports.py OUT.json | --compare A.json B.json")
     sys.dont_write_bytecode = True  # leave no cache beside the benchmark's sources
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     os.environ.pop("FRAMEKIN_LOG", None)
-    from framekin.cli import main as framekin_main
-
-    with tempfile.TemporaryDirectory() as tmp:
-        workdir = Path(tmp)
-        records = [run(framekin_main, argv, workdir) for argv in commands(workdir)]
+    records = capture()
     with open(sys.argv[1], "w", encoding="utf-8") as f:
         json.dump(records, f, indent=1, sort_keys=True)
         f.write("\n")
-    print(f"{len(records)} runs captured to {sys.argv[1]}")
+    print(f"{len(records['runs'])} runs captured to {sys.argv[1]}")
 
 
 if __name__ == "__main__":
