@@ -52,7 +52,6 @@ from .normal import (
     TubeDomainError,
     build_normal_chart,
     lab_frame_along_geodesic,
-    lab_frame_expansion,
     metric_deviation_exponent,
     normal_chart_curvature_check,
 )

@@ -17,6 +17,7 @@ against the numerically pushed fields.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,7 +122,7 @@ def z_chart(model: FriedmannModel) -> ChartMap:
     elementary:
 
         G = F - u^2 H = (W - W0)/a = t (R+1)/(W+W0),
-        H = asinh(a u G/R)/(a u)   (G/R when a u = 0),
+        H = asinh(a u G/R)/(a u)   (G/R when a u is zero or subnormal),
         F = G + u^2 H.
 
     The inverse recovers G = z = t' + u x1', then W = W0 + a z,
@@ -133,7 +134,7 @@ def z_chart(model: FriedmannModel) -> ChartMap:
     w0 = math.sqrt(1.0 + u * u)
 
     def big_h(g, r):
-        if a * u == 0.0:
+        if abs(a * u) < sys.float_info.min:  # 1 / (a u) overflows for a subnormal product
             return g / r
         return asinh(a * u * g / r) / (a * u)
 

@@ -2,8 +2,7 @@
 
 Two frames are compared through the kinematic invariants of their covariant
 derivative (acceleration, vorticity, shear, expansion), which makes the
-verdict chart-independent; a strict mode additionally compares raw
-covariant-derivative components in the shared chart.
+verdict chart-independent.
 
 ``deformed_frame`` implements the deformation of a frame by a chart
 correspondence: the deformed field has, in the image chart, the same
@@ -37,9 +36,9 @@ import numpy as np
 from .catalog import drift_speed_to_momentum, make_friedmann, z_chart
 from .frames import FrameField, kinematic_decompose, make_frame
 from .geodesics import StepControl, integrate_geodesic
-from .geometry import DIM, MetricField, SingularMetricError, as_points, covariant_derivative_field, inverse_metric
+from .geometry import DIM, MetricField, SingularMetricError, as_points, inverse_metric
 from .maps import pushed_metric_field
-from .normal import lab_frame_along_geodesic, lab_frame_expansion
+from .normal import lab_frame_along_geodesic
 from .oracles import fd_divergence
 
 PUBLISHED_COEFFICIENT = 2.0
@@ -96,15 +95,12 @@ def equivalence_verdict(
     tolerance=1e-7,
     metric_b: Optional[MetricField] = None,
     p_b=None,
-    strict_components=False,
 ) -> EquivalenceVerdict:
     """Compare two frames at a point by their kinematic invariants.
 
     The frames may live in different charts (supply ``metric_b``/``p_b``
     for the second); invariant-level comparison is what makes that
-    meaningful.  ``strict_components`` additionally compares the raw mixed
-    covariant-derivative arrays, which is only meaningful in a shared
-    chart.
+    meaningful.
     """
     metric_b = metric_b or metric_a
     p = as_points(p)
@@ -114,10 +110,6 @@ def equivalence_verdict(
     mag_a = _invariant_magnitudes(metric_a, da, p)
     mag_b = _invariant_magnitudes(metric_b, db, pb)
     deltas = {key: abs(mag_a[key] - mag_b[key]) for key in mag_a}
-    if strict_components:
-        na = covariant_derivative_field(metric_a, frame_a, p)
-        nb = covariant_derivative_field(metric_b, frame_b, pb)
-        deltas["covariant_derivative"] = float(np.max(np.abs(na - nb)))
     bad = next((k for k, d in deltas.items() if not np.isfinite(d)), None)
     if bad is not None:  # a NaN would read NotEquivalent and could be named the dominant discriminant
         raise ArithmeticError(f"{frame_a.label} vs {frame_b.label} at {p.tolist()}: {bad} delta {deltas[bad]}")
@@ -205,7 +197,9 @@ def moving_lab_expansion_pair(a_param, v_param) -> MovingLabReport:
     sliding chart, a second-order construction, reads only the epoch knot
     and its first two s-derivatives.  The comoving one is evaluated there
     and on the divergence oracle's stencil, at foot times from -``LAB_STEP``
-    to ``LAB_STEP``: the ends of its path.
+    to ``LAB_STEP``: the ends of its path.  Each lab frame checks its tube
+    where it is evaluated, so a stencil reaching past a path's ends raises
+    ``TubeDomainError``.
 
     The ratio theta_Lprime / (a v^2) is recorded and compared against the
     published coefficient 2; a reproducible mismatch is attached as a
@@ -230,9 +224,9 @@ def moving_lab_expansion_pair(a_param, v_param) -> MovingLabReport:
         paths.append(path)
     path_rest, path_move = paths
     lab_rest = lab_frame_along_geodesic(model.metric, path_rest, validity_radius=LAB_TUBE_RADIUS, label="lab")
-    theta_lab = lab_frame_expansion(model.metric, lab_rest, epoch)
+    theta_lab = kinematic_decompose(model.metric, lab_rest.frame, epoch).theta
     lab_move = lab_frame_along_geodesic(model.metric, path_move, validity_radius=LAB_TUBE_RADIUS, label="lab-moving")
-    theta_move_chart = lab_frame_expansion(model.metric, lab_move, epoch)
+    theta_move_chart = kinematic_decompose(model.metric, lab_move.frame, epoch).theta
 
     cmap = z_chart(model)
     metric_image = pushed_metric_field(cmap, model.metric, name="friedmann-drift-chart")
@@ -240,8 +234,8 @@ def moving_lab_expansion_pair(a_param, v_param) -> MovingLabReport:
     epoch_image = cmap.forward(epoch)
     theta_moving = kinematic_decompose(metric_image, moving, tuple(epoch_image)).theta
     # The oracle's stencil reaches t' = +-step about the epoch, where the deformed frame reads the
-    # comoving lab chart at foot times +-step: with step LAB_STEP, the ends of its path.  A longer
-    # step would read the path's dense output past its ends.
+    # comoving lab chart at foot times +-step: with step LAB_STEP, the ends of its path.  The lab
+    # frame refuses a longer step with TubeDomainError rather than read its dense output past them.
     theta_oracle = fd_divergence(metric_image, moving, tuple(epoch_image), step=LAB_STEP)
 
     if not (np.isfinite(theta_moving) and np.isfinite(theta_oracle)):  # else a NaN would decide `matches`

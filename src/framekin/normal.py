@@ -21,7 +21,8 @@ origin moved to that point and the parallel-transported tetrad as axes.
 The resulting time-axis field is the inertial lab frame of the curve: it
 equals the curve's velocity on the curve, is torsion-aligned there
 (transformed connection vanishes on the curve), and is in free fall only on
-the curve itself.
+the curve itself.  It exists only inside its validity tube, which the field
+checks on each chart point it solves (``TubeDomainError``).
 
 Both charts are array code over blocks, joined to the dual algebra by
 ``hyperdual.chain`` and inverted by Newton on the same arrays: the point
@@ -52,7 +53,7 @@ from .geometry import (
     christoffel_jet,
     eval_metric,
 )
-from .frames import FrameField, kinematic_decompose, make_frame
+from .frames import FrameField, make_frame
 from .hyperdual import block_values, chain, dual_newton_invert, first
 from .maps import ChartMap, pushed_metric_field
 
@@ -300,26 +301,6 @@ class GeodesicLabFrame:
     chart: ChartMap
     frame: FrameField
     path: GeodesicPath
-    validity_radius: float
-    label: str
-
-    def check_inside(self, p):
-        """Chart coordinates of a point (4,) or block (N, 4); ``TubeDomainError`` at the first sample
-        outside the tube, named by its index and coordinates when p is a block."""
-        xi = self.chart.forward(p)
-        rows = np.atleast_2d(xi)
-        r, foot = np.linalg.norm(rows[:, 1:], axis=1), rows[:, 0]
-        wide = r > self.validity_radius
-        k = first(wide | ~((self.path.s_min - 1e-12 <= foot) & (foot <= self.path.s_max + 1e-12)))
-        if k is None:
-            return xi
-        where = "" if xi.ndim == 1 else f" at sample {k} {np.asarray(p)[k].tolist()}"
-        if wide[k]:
-            raise TubeDomainError(
-                f"{self.label}: point at slice radius {r[k]:.3g} exceeds validity radius "
-                f"{self.validity_radius:.3g}{where}"
-            )
-        raise TubeDomainError(f"{self.label}: foot time {foot[k]:.3g} outside path range{where}")
 
 
 def lab_frame_along_geodesic(
@@ -336,6 +317,11 @@ def lab_frame_along_geodesic(
             the axes); nothing is evaluated until the frame is.
         validity_radius: declared tube radius (chart units); guidance is the
             inverse square root of the local curvature scale.
+
+    The frame raises ``TubeDomainError`` where it is evaluated outside the
+    tube: at a slice radius beyond ``validity_radius`` or a foot time beyond
+    the path's ends, naming the first such sample and its coordinates when
+    evaluated on a block.
     """
     if validity_radius <= 0:
         raise ValueError("validity radius must be positive")
@@ -350,17 +336,20 @@ def lab_frame_along_geodesic(
     chart = ChartMap(tube.forward_fn, tube.inverse_fn, f"lab-chart-{label}", tube.inverse_jacobian_fn)
 
     def raw_field(coords):  # column 0 of the Jacobian at the chart point, its rate through d xi / d x = J^-1
-        xi = np.column_stack(tube.forward_fn(list(block_values(coords)[0].T)))
+        x, point = block_values(coords)
+        xi = np.column_stack(tube.forward_fn(list(x.T)))
+        r, foot = np.linalg.norm(xi[:, 1:], axis=1), xi[:, 0]
+        wide = r > validity_radius
+        k = first(wide | ~((path.s_min - 1e-12 <= foot) & (foot <= path.s_max + 1e-12)))
+        if k is not None:
+            where = "" if point else f" at sample {k} {x[k].tolist()}"
+            if wide[k]:
+                raise TubeDomainError(
+                    f"{label}: point at slice radius {r[k]:.3g} exceeds validity radius {validity_radius:.3g}{where}"
+                )
+            raise TubeDomainError(f"{label}: foot time {foot[k]:.3g} outside path range{where}")
         _, jac, hess = tube._map(xi, rates=True)
         return chain(coords, jac[:, :, 0], np.einsum("nmb,nba->nma", hess[:, :, 0], np.linalg.inv(jac)))
 
     frame = make_frame(raw_field, metric, label=label)
-    return GeodesicLabFrame(chart, frame, path, validity_radius, label)
-
-
-def lab_frame_expansion(metric: MetricField, lab: GeodesicLabFrame, p) -> float | np.ndarray:
-    """Expansion rate theta of the unit lab field at p, through the kinematic decomposition: a float
-    at a point, (N,) at a block (N, 4) of points.  Every sample must lie in the validity tube."""
-    p = as_points(p)
-    lab.check_inside(p)
-    return kinematic_decompose(metric, lab.frame, p).theta
+    return GeodesicLabFrame(chart, frame, path)

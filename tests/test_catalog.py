@@ -12,6 +12,7 @@ from framekin.catalog import (
     z_chart_connection_closed,
     z_chart_metric_closed,
 )
+from framekin.hyperdual import jet
 from framekin.oracles import adaptive_simpson, invert_monotone, pushed_frame_field
 
 
@@ -133,6 +134,19 @@ def test_z_chart_continuous_at_zero_expansion(u):
         assert np.max(np.abs(tiny.forward(p) - flat.forward(p))) < 1e-12
         assert np.max(np.abs(tiny.inverse(p) - flat.inverse(p))) < 1e-12
         assert np.max(np.abs(tiny.jacobian(p) - flat.jacobian(p))) < 1e-12
+
+
+@pytest.mark.parametrize("a, u", [(1.0, 5e-324), (1e8, 5e-324), (1e8, -5e-324)])
+def test_z_chart_takes_the_no_drift_form_for_a_subnormal_drift_product(a, u):
+    # 1 / (a u) overflows for a subnormal a u, and inf times a zero gradient part was a NaN
+    # in the x1 component of the inverse map; H = G/R is exact there, as at u = 0
+    cmap, flat = fk.z_chart(fk.make_friedmann(a, u)), fk.z_chart(fk.make_friedmann(a, 0.0))
+    p = np.array([0.0, 0.3, -0.2, 0.1])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):  # an underflow is harmless
+        for fn, ref in ((cmap.forward_fn, flat.forward_fn), (cmap.inverse_fn, flat.inverse_fn)):
+            got, want = jet(fn, p, order=2), jet(ref, p, order=2)
+            assert all(np.isfinite(g).all() for g in got)
+            assert all(np.max(np.abs(g - w)) < 1e-12 for g, w in zip(got, want))
 
 
 def test_z_chart_domain_edge():

@@ -449,6 +449,43 @@ def test_plli_where_the_first_step_meets_a_singular_metric_exits_3(a, cond, caps
     assert "Traceback" not in err
 
 
+_EXTREME_RUNS = [
+    (
+        "pirf-check --frame comoving --a 1e308 --grid 1 --box-hi 0.5,0.1,-0.2,0.3",
+        3,
+        "numeric failure: comoving: acceleration or rotation not finite at [0.0, -0.5, -0.5, -0.5]",
+    ),
+    (
+        "classify --frame comoving --u 0.3 --a 1e154",
+        3,
+        "numeric failure: comoving: coframe or its derivatives not finite at [1.0, -0.5, -0.5, -0.5]",
+    ),
+    ("plli --a 2e154", 3, "numeric failure: friedmann(a=2e+154): metric numerically singular, cond=4.00e+302"),
+    (
+        "classify --frame drifting --a 2e154",
+        2,
+        "invalid configuration: drifting: components not finite at [1.0, -0.5, -0.5, -0.5]",
+    ),
+    (
+        "pirf-check --frame drifting --a 2e154",
+        3,
+        "numeric failure: friedmann(a=2e+154): singular metric, det=-inf at sample 54",
+    ),
+    # a * u is subnormal, where 1 / (a u) overflows: the drift chart takes its no-drift form H = G/R
+    ("plli --a 1 --v 5e-324", 0, None),
+    ("experiment --a 1e8 --u 5e-324", 0, None),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", _EXTREME_RUNS, ids=[run[0] for run in _EXTREME_RUNS])
+def test_extreme_runs_print_no_floating_point_warning(argv, code, message, tmp_path, capsys):
+    # numpy's overflow, invalid and divide warnings are off for a whole run: each refusal is the only word
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv.split() + ["--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == ("" if message is None else f"framekin: {message}\n")
+
+
 def test_non_finite_tolerance_exits_2(capsys):
     rc = main(["classify", "--model", "minkowski", "--tol", "nan"])
     assert rc == 2

@@ -229,7 +229,7 @@ def test_lab_frame_wedge_vanishes_on_curve():
 
 def test_lab_expansion_zero_at_epoch():
     m, lab = build_comoving_lab(1e-3)
-    assert abs(fk.lab_frame_expansion(m.metric, lab, (0.0, 0, 0, 0))) < 1e-8
+    assert abs(fk.kinematic_decompose(m.metric, lab.frame, (0.0, 0, 0, 0)).theta) < 1e-8
     # the covariant divergence of the raw (unnormalized) lab field vanishes there too
     def raw(c):  # column 0 of the chart's inverse Jacobian
         return [row[0] for row in lab.chart.inverse_jacobian_fn(lab.chart.forward_fn(c))]
@@ -248,7 +248,7 @@ def test_lab_expansion_small_time_band():
     a = 1e-3
     m, lab = build_comoving_lab(a, span=0.3)
     for t in (0.02, 0.05, 0.1):
-        theta = fk.lab_frame_expansion(m.metric, lab, (t, 0, 0, 0))
+        theta = fk.kinematic_decompose(m.metric, lab.frame, (t, 0, 0, 0)).theta
         printed = -3.0 * t * (a / (1 + a * t)) ** 2
         assert abs(theta) < 4e-7
         assert abs(theta - printed) < 4e-7
@@ -268,27 +268,27 @@ def test_lab_frame_free_fall_only_on_curve():
 def test_validity_tube_enforced():
     m, lab = build_comoving_lab(1e-2, radius=0.05)
     with pytest.raises(TubeDomainError):
-        fk.lab_frame_expansion(m.metric, lab, (0.0, 0.2, 0, 0))
+        fk.kinematic_decompose(m.metric, lab.frame, (0.0, 0.2, 0, 0)).theta
     with pytest.raises(ValueError):
         fk.lab_frame_along_geodesic(m.metric, lab.path, validity_radius=-1.0)
     # a path as long as the tube is wide, as the moving-lab pair integrates it:
     # a point on the curve beyond its end has a foot time outside the path
     m, lab = build_comoving_lab(1e-2, span=0.05, radius=0.05)
     with pytest.raises(TubeDomainError, match="foot time"):
-        fk.lab_frame_expansion(m.metric, lab, (0.06, 0, 0, 0))
-    assert abs(fk.lab_frame_expansion(m.metric, lab, (0.04, 0, 0, 0))) < 1e-12
+        fk.kinematic_decompose(m.metric, lab.frame, (0.06, 0, 0, 0)).theta
+    assert abs(fk.kinematic_decompose(m.metric, lab.frame, (0.04, 0, 0, 0)).theta) < 1e-12
 
 
 def test_validity_tube_checks_each_sample_of_a_block():
     m, lab = build_comoving_lab(1e-2, radius=0.05)
     # each row inside the tube, though the rows after the first span more than the radius together
     block = [[0, 0, 0, 0], [0.04, 0, 0, 0], [0.04, 0, 0, 0]]
-    alone = [fk.lab_frame_expansion(m.metric, lab, p) for p in block]
-    assert np.array_equal(fk.lab_frame_expansion(m.metric, lab, block), alone)
-    assert np.array_equal(fk.lab_frame_expansion(m.metric, lab, block[:2]), alone[:2])
+    alone = [fk.kinematic_decompose(m.metric, lab.frame, p).theta for p in block]
+    assert np.array_equal(fk.kinematic_decompose(m.metric, lab.frame, block).theta, alone)
+    assert np.array_equal(fk.kinematic_decompose(m.metric, lab.frame, block[:2]).theta, alone[:2])
     # the bad sample is named, and refused for its foot time, not for the slice radius
     with pytest.raises(TubeDomainError, match=r"^lab: foot time 0.3 outside path range at sample 1 \[0.3, 0.0, 0.0, 0.0\]$"):
-        fk.lab_frame_expansion(m.metric, lab, [[0, 0, 0, 0], [0.3, 0, 0, 0], [0, 0, 0, 0]])
+        fk.kinematic_decompose(m.metric, lab.frame, [[0, 0, 0, 0], [0.3, 0, 0, 0], [0, 0, 0, 0]]).theta
 
 
 def test_lab_frame_needs_transported_tetrad():
@@ -416,8 +416,9 @@ def test_raw_lab_field_gradient_is_the_inverse_jacobian_column(monkeypatch):
 
 
 def test_pair_work_counts(monkeypatch):
-    # 11 tube-chart map evaluations per pair (20 when a dual Newton target took three dual passes
-    # and the lab field evaluated the Jacobian again at the dual chart point), all on float arrays
+    # one Newton solve per lab-field evaluation (each lab chart at the epoch, the deformed frame at the
+    # epoch and on the oracle's stencil), which also gives the points its tube check reads; 9 tube-chart
+    # map evaluations in all, on float arrays
     import framekin.normal as nm
 
     maps, solves = [], []
@@ -430,5 +431,5 @@ def test_pair_work_counts(monkeypatch):
     monkeypatch.setattr(nm._TubeChart, "_map", spy_map)
     monkeypatch.setattr(nm, "dual_newton_invert", lambda *args: solves.append(args) or real_newton(*args))
     fk.moving_lab_expansion_pair(1e-3, 0.2)
-    assert (len(maps), len(solves)) == (11, 6)
+    assert (len(maps), len(solves)) == (9, 4)
     assert all(type(xi) is np.ndarray and xi.dtype == np.float64 and xi.ndim == 2 for xi in maps)

@@ -45,6 +45,8 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy
+
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (7, 271828)
 PLLI_A = (1e-5, 3e-5, 1e-4, 1e-3, 1e-2)
@@ -104,8 +106,6 @@ def fields(record, prefix=""):
 
 def versions():
     """The Python and numpy versions a capture is made with: the float text of a report can depend on them."""
-    import numpy
-
     return {"python": platform.python_version(), "numpy": numpy.__version__}
 
 
