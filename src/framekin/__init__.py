@@ -17,7 +17,6 @@ from .geometry import (
     SingularMetricError,
     christoffel,
     christoffel_jet,
-    covariant_derivative_field,
     eval_metric,
     inverse_metric,
     minkowski_metric,
@@ -31,7 +30,6 @@ from .frames import (
     SynchronizabilityClass,
     SynchronizabilityResult,
     classify_synchronizability,
-    coframe,
     grid_samples,
     is_pirf,
     kinematic_decompose,
@@ -46,7 +44,6 @@ from .geodesics import (
 )
 from .maps import ChartMap, pushed_metric_field
 from .normal import (
-    GeodesicLabFrame,
     NonFiniteConnectionError,
     NormalChart,
     TubeDomainError,
@@ -71,7 +68,6 @@ from .equivalence import (
     deformed_frame,
     equivalence_verdict,
     moving_lab_expansion_pair,
-    moving_lab_theta_closed_form,
 )
 from .cli import run_scenario
 

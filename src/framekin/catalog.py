@@ -9,9 +9,9 @@ whose metric speed at t = 0 is v = u (1 + u^2)^(-1/2).
 ``z_chart`` builds the coordinate chart adapted to the drifting frame.  For
 the linear scale factor its time integrals and their inverse are
 elementary, so the chart and its inverse are closed forms in plain dual
-arithmetic, written to stay stable as a -> 0 and u -> 0.  Closed forms for
-the chart-expressed metric and connection are provided for regression
-against the numerically pushed fields.
+arithmetic, written to stay stable as a -> 0 and u -> 0.  The closed forms of
+the chart-expressed metric, connection and expansions that the tests compare
+the pushed fields against live with the tests, in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import FrameField, make_frame
-from .geometry import DIM, ChartDomainError, MetricField, as_points, minkowski_metric
+from .geometry import ChartDomainError, MetricField, minkowski_metric
 from .hyperdual import asinh, first, sqrt
 from .maps import ChartMap
 
@@ -217,109 +217,3 @@ def boosted_inertial_frame(speed, metric=None):
     metric = metric or minkowski_metric()
     gam = 1.0 / np.sqrt(1.0 - speed * speed)
     return make_frame((gam, gam * speed, 0.0, 0.0), metric, label="boosted")
-
-
-# -- closed forms used as regression targets ---------------------------------
-
-
-def friedmann_connection_closed(scale: ScaleFactor, point) -> np.ndarray:
-    """Connection of the expanding metric in comoving coordinates.
-
-    Nonzero families: Gamma^0_{kk} = R Rdot and Gamma^k_{0k} = Rdot/R.
-    """
-    t = as_points(point)[0]
-    r, rd = scale.value(t), scale.rate(t)
-    gam = np.zeros((DIM, DIM, DIM))
-    for k in (1, 2, 3):
-        gam[0, k, k] = r * rd
-        gam[k, 0, k] = gam[k, k, 0] = rd / r
-    return gam
-
-
-def z_chart_metric_closed(model: FriedmannModel, cmap: ChartMap, primed_point) -> np.ndarray:
-    """Chart-adapted metric through the printed coefficient form.
-
-    diag(1, -Rb^2 [1 - v^2 (1 - Rb^-2)] / (1 - v^2), -Rb^2, -Rb^2) with Rb
-    the scale factor at the time recovered by the full inverse map; the x^1
-    coefficient simplifies to Rb^2 + u^2.
-    """
-    back = cmap.inverse(primed_point)
-    rb = model.scale.value(back[0])
-    v2 = model.v**2
-    coef = rb * rb * (1.0 - v2 * (1.0 - rb**-2)) / (1.0 - v2)
-    return np.diag([1.0, -coef, -rb * rb, -rb * rb])
-
-
-def z_chart_connection_closed(model: FriedmannModel, cmap: ChartMap, primed_point) -> np.ndarray:
-    """Connection of the chart-adapted metric, derived closed forms.
-
-    With Rb and Rdot the scale value and rate at the recovered time and
-    W = (Rb^2 + u^2)^(1/2):
-
-        Gamma^0_{kk}          =  Rdot W
-        Gamma^1_{01}          =  Rdot / W
-        Gamma^1_{11}          =  u Rdot / W
-        Gamma^1_{22} = ^1_{33} = -u Rdot / W
-        Gamma^2_{02} = ^3_{03} =  Rdot W / Rb^2
-        Gamma^2_{12} = ^3_{13} =  u Rdot W / Rb^2
-
-    The u-proportional spatial families come from the drift of the
-    recovered time along x1'.
-    """
-    u = model.u
-    back = cmap.inverse(primed_point)
-    rb = model.scale.value(back[0])
-    rd = model.scale.rate(back[0])
-    w = np.sqrt(rb * rb + u * u)
-    gam = np.zeros((DIM, DIM, DIM))
-    for k in (1, 2, 3):
-        gam[0, k, k] = rd * w
-    gam[1, 0, 1] = gam[1, 1, 0] = rd / w
-    gam[1, 1, 1] = u * rd / w
-    gam[1, 2, 2] = gam[1, 3, 3] = -u * rd / w
-    for k in (2, 3):
-        gam[k, 0, k] = gam[k, k, 0] = rd * w / rb**2
-        gam[k, 1, k] = gam[k, k, 1] = u * rd * w / rb**2
-    return gam
-
-
-def theta_comoving_closed(scale: ScaleFactor, t) -> float:
-    """Expansion of the comoving frame: 3 Rdot / R."""
-    return 3.0 * scale.rate(t) / scale.value(t)
-
-
-def theta_drifting_closed(scale: ScaleFactor, u, t) -> float:
-    """Expansion of the drifting frame, derived directly.
-
-    Rdot (3 R^2 + 2 u^2) / (R^2 (R^2 + u^2)^(1/2)); at t = 0 this is
-    3a + a v^2 / 2 + O(v^4).
-    """
-    r, rd = scale.value(t), scale.rate(t)
-    return rd * (3.0 * r * r + 2.0 * u * u) / (r * r * np.sqrt(r * r + u * u))
-
-
-def theta_drifting_as_printed(scale: ScaleFactor, u, t) -> float:
-    """Expansion of the drifting frame in the form printed in the source
-    derivation, emitted for the record only: it disagrees with the direct
-    computation at order v^2 and is not used as an oracle anywhere.
-    """
-    r, rd = scale.value(t), scale.rate(t)
-    w = np.sqrt(r * r + u * u)
-    return (r * rd + 2.0 * rd * w) / (r * r * w)
-
-
-def experiment_accelerations_closed(model: FriedmannModel, v_probe):
-    """Initial proper-time accelerations of the two launch cases.
-
-    Assembled from the closed-form chart-adapted connection at the origin;
-    serves as the independent target for the integrated experiment.
-    Returns ((a1_case_a, a2_case_a), (a1_case_b, a2_case_b)).
-    """
-    a, u, v = model.a, model.u, v_probe
-    w = np.sqrt(1.0 + u * u)
-    g101, g111, g122, g202 = a / w, u * a / w, -u * a / w, a * w
-    dt_ds2_a = 1.0 / (1.0 - (1.0 + u * u) * v * v)
-    dt_ds2_b = 1.0 / (1.0 - v * v)
-    acc_a = (-(2.0 * g101 * v + g111 * v * v) * dt_ds2_a, 0.0)
-    acc_b = (-(g122 * v * v) * dt_ds2_b, -(2.0 * g202 * v) * dt_ds2_b)
-    return acc_a, acc_b

@@ -224,13 +224,13 @@ def moving_lab_expansion_pair(a_param, v_param) -> MovingLabReport:
         paths.append(path)
     path_rest, path_move = paths
     lab_rest = lab_frame_along_geodesic(model.metric, path_rest, validity_radius=LAB_TUBE_RADIUS, label="lab")
-    theta_lab = kinematic_decompose(model.metric, lab_rest.frame, epoch).theta
+    theta_lab = kinematic_decompose(model.metric, lab_rest, epoch).theta
     lab_move = lab_frame_along_geodesic(model.metric, path_move, validity_radius=LAB_TUBE_RADIUS, label="lab-moving")
-    theta_move_chart = kinematic_decompose(model.metric, lab_move.frame, epoch).theta
+    theta_move_chart = kinematic_decompose(model.metric, lab_move, epoch).theta
 
     cmap = z_chart(model)
     metric_image = pushed_metric_field(cmap, model.metric, name="friedmann-drift-chart")
-    moving = deformed_frame(lab_rest.frame, metric_image)
+    moving = deformed_frame(lab_rest, metric_image)
     epoch_image = cmap.forward(epoch)
     theta_moving = kinematic_decompose(metric_image, moving, tuple(epoch_image)).theta
     # The oracle's stencil reaches t' = +-step about the epoch, where the deformed frame reads the
@@ -279,13 +279,3 @@ def moving_lab_expansion_pair(a_param, v_param) -> MovingLabReport:
         theta_comoving=theta_v,
         theta_drifting=theta_z,
     )
-
-
-def moving_lab_theta_closed_form(a_param, v_param):
-    """Closed form of the deformed-lab expansion at the epoch point.
-
-    a ((3 - v^2) / s - 3) with s = sqrt(1 - v^2), written as a v^2 (2 - s) / ((1 + s) s), which
-    does not cancel as v -> 0.
-    """
-    s = np.sqrt(1.0 - v_param**2)
-    return a_param * v_param**2 * (2.0 - s) / ((1.0 + s) * s)

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import DIM, MetricField, as_points, eval_metric, metric_jet, _gamma_from_jets
+from .geometry import DIM, MetricField, as_points, metric_jet, _gamma_from_jets
 from .hyperdual import block_values, first, jet, sqrt, value
 
 log = logging.getLogger(__name__)
@@ -89,14 +89,6 @@ def make_frame(components, metric: MetricField, label="Q") -> FrameField:
         return [qi * inv for qi in q]
 
     return FrameField(normalized_fn, label, metric)
-
-
-def coframe(metric: MetricField, frame: FrameField, p) -> np.ndarray:
-    """Metric dual alpha_mu = g_{mu nu} Q^nu of a frame at a point."""
-    p = as_points(p)
-    g = eval_metric(metric, p)
-    (q,) = jet(frame.component_fn, p, order=0)
-    return g @ q
 
 
 @dataclass
@@ -275,8 +267,8 @@ def _refuse_non_finite(frame, block, what, *evidence):
 
 
 def _blocks(sample_points, what, jets_per_block):
-    """Sample points as (N, 4) blocks of at most _BLOCK rows, logged at DEBUG."""
-    samples = np.asarray(list(sample_points), dtype=float)
+    """(N, 4) blocks of at most _BLOCK rows from an (N, 4) array or a sequence of points, logged at DEBUG."""
+    samples = np.asarray(sample_points, dtype=float)
     if len(samples) == 0:
         raise ValueError(f"{what} needs at least one sample point")
     blocks = [samples[k : k + _BLOCK] for k in range(0, len(samples), _BLOCK)]
@@ -286,9 +278,8 @@ def _blocks(sample_points, what, jets_per_block):
 
 
 def grid_samples(lo, hi, n=3):
-    """An n^4 coordinate grid over a box, the default sampling pattern."""
+    """An n^4 coordinate grid over a box as an (n^4, 4) float array, the default sampling pattern."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     axes = [np.linspace(lo[i], hi[i], n) for i in range(DIM)]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, DIM)
-    return [tuple(p) for p in pts]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, DIM)

@@ -202,11 +202,10 @@ def _sweep(metric, origin, target, control, counts):
     knots = [origin]
     s, y, k1, _ = origin
     sgn = 1.0 if target >= 0 else -1.0
-    step = abs(control.step)
     while sgn * (target - s) > 1e-15:
         if len(knots) - 1 >= control.max_steps:
             return knots, ValueError(f"step limit: max_steps={control.max_steps} reached at s={s!r}")
-        dt = sgn * min(step, abs(target - s))
+        dt = sgn * min(control.step, abs(target - s))
         try:
             counts["stage"] += 1
             k2, _ = _rhs(metric, y + dt * 0.5 * k1)
@@ -236,11 +235,17 @@ def integrate_geodesic(
     text as ``stats['reason']``.
 
     Args:
+        s_max, s_min: finite, with s_max > s_min (``ValueError`` otherwise).
+        control: its ``step`` must be > 0 (``ValueError`` otherwise).
         tetrad: optional 4x4 array, rows e_a^mu at p0, orthonormal with e_0
             equal to v0 (``ValueError`` otherwise).  It is parallel-transported
             in the same pass and returned as the path's ``tetrad``.
     """
     control = control or StepControl()
+    if not control.step > 0:
+        raise ValueError(f"need step > 0, got {control.step!r}")
+    if not (math.isfinite(s_min) and math.isfinite(s_max)):
+        raise ValueError(f"need finite s_min and s_max, got {s_min!r} and {s_max!r}")
     if s_max <= s_min:
         raise ValueError("need s_max > s_min")
     y0 = _initial_state(metric, p0, v0, tetrad)

@@ -270,18 +270,6 @@ def riemann(metric: MetricField, p) -> CurvatureTensor:
     return CurvatureTensor(rm, ric, scalar, einstein, p)
 
 
-def covariant_derivative_field(metric: MetricField, frame, p) -> np.ndarray:
-    """Mixed covariant derivative of a vector field.
-
-    Returns nabla[mu, nu] = Q^mu_{;nu} = d_nu Q^mu + Gamma^mu_{nu rho} Q^rho.
-    ``frame`` is anything with a dual-capable ``component_fn``.
-    """
-    p = as_points(p)
-    q, dq = jet(frame.component_fn, p)
-    gamma = christoffel(metric, p)
-    return dq.T + np.einsum("mnr,r->mn", gamma, q)
-
-
 def minkowski_metric(name="minkowski") -> MetricField:
     """The constant flat metric diag(1, -1, -1, -1)."""
 

@@ -4,9 +4,9 @@ Every field in this package (metric components, frame components, chart
 maps) is written as ordinary arithmetic over scalars.  Feeding seeded
 ``HyperDual`` values through that arithmetic yields the exact gradient and
 Hessian of each output with respect to the four chart coordinates, with no
-step-size error.  A central-difference evaluator exists in
-``framekin.oracles`` purely as an independent cross-check; it is never the
-production path.
+step-size error.  Central differences serve only as independent
+cross-checks (``framekin.oracles.fd_divergence`` and the test references);
+they are never the production path.
 
 A ``HyperDual`` holds one point (``val`` a float, ``grad`` (4,), ``hess``
 (4, 4)) or a block of N points (``val`` (N,), ``grad`` (4, N), ``hess``
@@ -17,8 +17,8 @@ value comparisons give one bool per sample (``first`` finds the first
 true one).  A map already known as arrays of values and first (and
 optionally second) derivatives joins the algebra through ``chain``; its
 Newton inverse iterates on those arrays and joins by the inverse function
-theorem.  It and the 4x4 matrix inverse work on whole blocks, each sample
-with its own pivots and its own iteration count.
+theorem.  It works on whole blocks, each sample with its own pivots and
+its own iteration count.
 Arithmetic and ``sqrt`` are elementwise IEEE operations, so a block equals
 its points bit for bit; ``exp``, ``log``, ``asinh``, ``sin``, ``cos`` and
 powers use numpy's vectorised kernels on a block and ``math`` on a point,
@@ -321,29 +321,3 @@ def dual_newton_invert(map_arrays, target, seed_guess):
     jinv = np.linalg.inv(jac)
     second = hess and all(c.hess is not None for c in duals)
     return chain(target, x, jinv, -np.einsum("nmc,ncab,naj,nbk->nmjk", jinv, hess[0], jinv, jinv) if second else None)
-
-
-def _matmul(a, b):
-    """Product of two 4x4 matrices of scalars, summed in index order."""
-    return [[sum((a[i][k] * b[k][j] for k in range(1, DIM)), a[i][0] * b[0][j]) for j in range(DIM)]
-            for i in range(DIM)]
-
-
-def dual_matrix_inverse(rows):
-    """Invert a 4x4 matrix of scalars (floats, blocks or HyperDuals).
-
-    numpy inverts the value parts, each sample of a block on its own; two
-    Newton-Schulz steps X <- X (2I - A X) in the dual algebra then make the
-    gradient and Hessian exact.  A singular value part raises
-    ``ZeroDivisionError``.
-    """
-    a0 = np.array(np.broadcast_arrays(*[value(c) for row in rows for c in row]), dtype=float)
-    try:
-        x0 = np.linalg.inv(np.moveaxis(a0.reshape((DIM, DIM) + a0.shape[1:]), (0, 1), (-2, -1)))
-    except np.linalg.LinAlgError:
-        raise ZeroDivisionError("singular matrix in dual inversion") from None
-    x = np.moveaxis(x0, (-2, -1), (0, 1))
-    for _ in range(2):
-        ax = _matmul(rows, x)
-        x = _matmul(x, [[(2.0 if i == j else 0.0) - ax[i][j] for j in range(DIM)] for i in range(DIM)])
-    return x

@@ -2,9 +2,10 @@
 
 A ``ChartMap`` is a diffeomorphism between chart domains given by forward
 and inverse point maps and the inverse map's Jacobian.  All three are
-dual-capable, so derivatives come from the exact derivative engine.
-``pushed_metric_field`` expresses a metric in the image chart as a field of
-its own, with one inverse-Jacobian factor per covariant index.
+dual-capable, so any derivative of them is one ``hyperdual.jet`` call;
+``forward`` gives the image of a point.  ``pushed_metric_field`` expresses a
+metric in the image chart as a field of its own, with one inverse-Jacobian
+factor per covariant index.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ class ChartMap:
     ``forward_fn`` and ``inverse_fn`` map four scalars to four scalars and
     must accept HyperDual input.  ``inverse_jacobian_fn`` gives
     d x^alpha / d x'^mu as a dual-capable 4x4 function of the image
-    coordinates (rows alpha, columns mu); pushing a metric or a frame
-    through the map reads it directly.
+    coordinates (rows alpha, columns mu); pushing a metric through the map
+    reads it directly.
     """
 
     forward_fn: Callable
@@ -33,19 +34,8 @@ class ChartMap:
     inverse_jacobian_fn: Callable
 
     def forward(self, p):
+        """The image coordinates x' of a point p."""
         return jet(self.forward_fn, as_points(p), order=0)[0]
-
-    def inverse(self, p):
-        return jet(self.inverse_fn, as_points(p), order=0)[0]
-
-    def jacobian(self, p):
-        """Lambda[mu, alpha] = d x'^mu / d x^alpha at the source point p."""
-        _, dJ = jet(self.forward_fn, as_points(p))
-        return dJ.T
-
-    def inverse_jacobian(self, p_image):
-        """d x^alpha / d x'^mu at the image point."""
-        return jet(self.inverse_jacobian_fn, as_points(p_image), order=0)[0]
 
 
 def pushed_metric_field(cmap: ChartMap, metric: MetricField, name=None) -> MetricField:

@@ -272,13 +272,6 @@ class _TubeChart:
         hess[:, :, 0, 0] += acc
         return x, jac, hess
 
-    def inverse_fn(self, xi):
-        return chain(xi, *self._map(block_values(xi)[0], rates=False))
-
-    def inverse_jacobian_fn(self, xi):
-        """Rows [mu][a] of d x^mu / d xi^a; column 0 is the raw lab-frame field."""
-        return chain(xi, *self._map(block_values(xi)[0], rates=True)[1:])
-
     def forward_fn(self, coords):
         """Chart coordinates of a point or block, by Newton from the nearest knot's slice."""
         target, _ = block_values(coords)
@@ -289,27 +282,17 @@ class _TubeChart:
         return dual_newton_invert(lambda xi: self._map(xi, rates=False), coords, guess)
 
 
-@dataclass
-class GeodesicLabFrame:
-    """Inertial lab frame of a geodesic: sliding normal chart plus field.
-
-    ``chart`` is the sliding chart's map.  ``frame`` is the unit-normalized
-    time-axis field of the chart expressed back in the base chart: column 0
-    of the chart's inverse Jacobian, normalized where it is evaluated.
-    """
-
-    chart: ChartMap
-    frame: FrameField
-    path: GeodesicPath
-
-
 def lab_frame_along_geodesic(
     metric: MetricField,
     path: GeodesicPath,
     validity_radius=0.05,
     label="lab",
-) -> GeodesicLabFrame:
-    """Build the inertial lab frame carried by a geodesic.
+) -> FrameField:
+    """The inertial lab frame carried by a geodesic.
+
+    It is the unit-normalized time-axis field of the geodesic's sliding
+    normal chart, expressed back in the base chart: column 0 of the map's
+    Jacobian at the solved chart point, normalized where it is evaluated.
 
     Args:
         path: geodesic from the integrator, integrated with a tetrad (its
@@ -323,8 +306,8 @@ def lab_frame_along_geodesic(
     the path's ends, naming the first such sample and its coordinates when
     evaluated on a block.
     """
-    if validity_radius <= 0:
-        raise ValueError("validity radius must be positive")
+    if not validity_radius > 0:
+        raise ValueError(f"validity radius must be positive, got {validity_radius!r}")
     if path.tetrads is None:
         raise ValueError("the path carries no tetrad; integrate it with integrate_geodesic(..., tetrad=...)")
     if len(path.s) < 2:
@@ -333,7 +316,6 @@ def lab_frame_along_geodesic(
             f"(truncated: {path.stats.get('reason')})"
         )
     tube = _TubeChart(metric, path)
-    chart = ChartMap(tube.forward_fn, tube.inverse_fn, f"lab-chart-{label}", tube.inverse_jacobian_fn)
 
     def raw_field(coords):  # column 0 of the Jacobian at the chart point, its rate through d xi / d x = J^-1
         x, point = block_values(coords)
@@ -351,5 +333,4 @@ def lab_frame_along_geodesic(
         _, jac, hess = tube._map(xi, rates=True)
         return chain(coords, jac[:, :, 0], np.einsum("nmb,nba->nma", hess[:, :, 0], np.linalg.inv(jac)))
 
-    frame = make_frame(raw_field, metric, label=label)
-    return GeodesicLabFrame(chart, frame, path)
+    return make_frame(raw_field, metric, label=label)

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import settings
 
 import framekin as fk
+from framekin.hyperdual import block_values, chain
+from framekin.normal import _TubeChart
 
 # Every hypothesis test draws the same examples on every run, so a failure it finds comes back.
 settings.register_profile("derandomized", derandomize=True)
@@ -55,3 +57,19 @@ def boosted_tetrad(model, t, v=0.4):
     """Orthonormal axes at time t of the expanding model, boosted along x^1 and not diagonal."""
     r, gam = model.scale.value(t), 1.0 / np.sqrt(1.0 - v * v)
     return np.array([[gam, gam * v / r, 0, 0], [gam * v, gam / r, 0, 0], [0, 0, 1 / r, 0], [0, 0, 0, 1 / r]])
+
+
+def tube_map_fn(tube):
+    """The sliding chart's map x(xi) out of the chart, dual-capable, from its arrays."""
+    return lambda xi: chain(xi, *tube._map(block_values(xi)[0], rates=False))
+
+
+def tube_jacobian_fn(tube):
+    """Rows [mu][a] of d x^mu / d xi^a of the sliding chart's map, dual-capable; column 0 is the raw lab field."""
+    return lambda xi: chain(xi, *tube._map(block_values(xi)[0], rates=True)[1:])
+
+
+def lab_chart(metric, path):
+    """The sliding lab chart of a geodesic as a ChartMap: Newton inverse forward, the tube's map back."""
+    tube = _TubeChart(metric, path)
+    return fk.ChartMap(tube.forward_fn, tube_map_fn(tube), "lab-chart", tube_jacobian_fn(tube))

@@ -11,18 +11,19 @@ import numpy as np
 import pytest
 
 import framekin as fk
-from framekin.catalog import (
+from framekin.oracles import fd_divergence
+
+from reference import (
+    drift_position_closed,
+    drift_velocity_closed,
     friedmann_connection_closed,
+    moving_lab_theta_closed_form,
     theta_comoving_closed,
     theta_drifting_as_printed,
     theta_drifting_closed,
     z_chart_connection_closed,
     z_chart_metric_closed,
 )
-from framekin.equivalence import moving_lab_theta_closed_form
-from framekin.oracles import fd_divergence
-
-from test_geodesics import drift_position_closed, drift_velocity_closed
 
 
 def _report(name):
@@ -232,9 +233,9 @@ def test_equivalence_verdicts():
     lab = fk.lab_frame_along_geodesic(m2.metric, path)
     cmap = fk.z_chart(m2)
     gz = fk.pushed_metric_field(cmap, m2.metric)
-    moving = fk.deformed_frame(lab.frame, gz)
+    moving = fk.deformed_frame(lab, gz)
     v_ll = fk.equivalence_verdict(
-        m2.metric, lab.frame, moving, (0, 0, 0, 0), metric_b=gz, p_b=(0, 0, 0, 0)
+        m2.metric, lab, moving, (0, 0, 0, 0), metric_b=gz, p_b=(0, 0, 0, 0)
     )
     assert v_ll.verdict == "NotEquivalent"
 

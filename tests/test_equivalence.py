@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import framekin as fk
-from framekin.equivalence import LAB_STEP, moving_lab_theta_closed_form
+from framekin.equivalence import LAB_STEP
 from framekin.normal import TubeDomainError
+
+from reference import moving_lab_theta_closed_form
 
 
 def test_verdict_comoving_vs_drifting_not_equivalent(friedmann_small):
@@ -155,9 +157,9 @@ def test_lab_frames_not_equivalent_at_epoch():
     lab = fk.lab_frame_along_geodesic(m.metric, path)
     cmap = fk.z_chart(m)
     gz = fk.pushed_metric_field(cmap, m.metric)
-    moving = fk.deformed_frame(lab.frame, gz)
+    moving = fk.deformed_frame(lab, gz)
     verdict = fk.equivalence_verdict(
-        m.metric, lab.frame, moving, (0, 0, 0, 0), metric_b=gz, p_b=(0, 0, 0, 0)
+        m.metric, lab, moving, (0, 0, 0, 0), metric_b=gz, p_b=(0, 0, 0, 0)
     )
     assert verdict.verdict == "NotEquivalent"
     assert verdict.deltas["expansion"] > 10 * verdict.tolerance

@@ -12,13 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import framekin as fk
-from framekin.catalog import theta_comoving_closed, theta_drifting_closed
 from framekin.frames import FrameCausalityError, SynchronizabilityClass, curl_and_wedge
 from framekin.geometry import ChartDomainError, SingularMetricError
 from framekin.hyperdual import jet
-from framekin.oracles import fd_divergence, pushed_frame_field
+from framekin.oracles import fd_divergence
 
 from conftest import random_points, survey_frames
+from reference import covariant_derivative_field, pushed_frame_field, theta_comoving_closed, theta_drifting_closed
 
 
 # -- construction -------------------------------------------------------------
@@ -85,7 +85,7 @@ def test_building_a_frame_evaluates_nothing(monkeypatch):
     calls.clear()
     lab = fk.lab_frame_along_geodesic(m.metric, path)
     cmap = fk.z_chart(m)
-    moved = fk.deformed_frame(lab.frame, fk.pushed_metric_field(cmap, m.metric))
+    moved = fk.deformed_frame(lab, fk.pushed_metric_field(cmap, m.metric))
     assert calls == []
     # the fields are counted where they are evaluated
     fk.kinematic_decompose(m.metric, m.frame_drifting, (0.0, 0, 0, 0))
@@ -97,8 +97,8 @@ def test_building_a_frame_evaluates_nothing(monkeypatch):
 
 def test_coframe_pairs_to_one(friedmann_small):
     p = (0.5, 0.1, 0.2, 0.3)
-    alpha = fk.coframe(friedmann_small.metric, friedmann_small.frame_drifting, p)
     q = np.array([float(c) for c in friedmann_small.frame_drifting.component_fn(list(p))])
+    alpha = fk.eval_metric(friedmann_small.metric, p) @ q
     assert abs(alpha @ q - 1.0) < 1e-10
 
 
@@ -146,7 +146,7 @@ def _decomposition_invariants(metric, frame, p, tol=1e-10):
     for arr in (dec.vorticity, dec.shear, dec.projection):
         assert np.max(np.abs(arr @ q)) < tol
     # reassembly reproduces the full covariant derivative
-    nabla_lo = g @ fk.covariant_derivative_field(metric, frame, p)
+    nabla_lo = g @ covariant_derivative_field(metric, frame, p)
     rebuilt = (
         np.outer(dec.accel, q_lo)
         + dec.vorticity
@@ -290,6 +290,16 @@ def test_classify_empty_samples_error(friedmann_small):
         fk.classify_synchronizability(friedmann_small.metric, friedmann_small.frame_comoving, [])
 
 
+def test_grid_samples_is_the_float_array_the_blocks_read(friedmann_small):
+    grid = fk.grid_samples((0, -0.5, -0.5, -0.5), (1, 0.5, 0.5, 0.5), 3)
+    assert type(grid) is np.ndarray and grid.dtype == np.float64 and grid.shape == (81, 4)
+    assert grid[:2].tolist() == [[0.0, -0.5, -0.5, -0.5], [0.0, -0.5, -0.5, 0.0]]  # the last axis varies fastest
+    assert grid[-1].tolist() == [1.0, 0.5, 0.5, 0.5]
+    empty = fk.grid_samples((0, 0, 0, 0), (1, 1, 1, 1), 0)
+    with pytest.raises(ValueError, match="^pseudo-inertial test needs at least one sample point$"):
+        fk.is_pirf(friedmann_small.metric, friedmann_small.frame_comoving, empty)
+
+
 # -- pseudo-inertial test -------------------------------------------------------
 
 
@@ -316,9 +326,9 @@ def test_is_pirf_lab_frame_off_curve_fails():
     ctrl = fk.StepControl(step=2e-3)
     path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), 0.3, ctrl, s_min=-0.3, tetrad=np.eye(4))
     lab = fk.lab_frame_along_geodesic(m.metric, path, validity_radius=1.0)
-    on_curve = fk.is_pirf(m.metric, lab.frame, [(0.0, 0, 0, 0), (0.1, 0, 0, 0)])
+    on_curve = fk.is_pirf(m.metric, lab, [(0.0, 0, 0, 0), (0.1, 0, 0, 0)])
     assert on_curve.is_pirf
-    off = fk.is_pirf(m.metric, lab.frame, [(0.0, 0.4, 0.0, 0.0)])
+    off = fk.is_pirf(m.metric, lab, [(0.0, 0.4, 0.0, 0.0)])
     assert not off.is_pirf
     assert off.max_accel > 1e-4
 
@@ -386,7 +396,7 @@ def test_block_pushed_and_lab_frames_match_per_point_loop(friedmann_small):
     ctrl = fk.StepControl(step=2e-3)
     path = fk.integrate_geodesic(model.metric, (0, 0, 0, 0), (1, 0, 0, 0), 0.3, ctrl, s_min=-0.3, tetrad=np.eye(4))
     lab = fk.lab_frame_along_geodesic(model.metric, path, validity_radius=1.0)
-    _assert_block_results_match_reference(model.metric, lab.frame, [(0.0, 0, 0, 0), (0.1, 0.2, 0, 0), (0.0, 0.4, 0.0, 0.0)])
+    _assert_block_results_match_reference(model.metric, lab, [(0.0, 0, 0, 0), (0.1, 0.2, 0, 0), (0.0, 0.4, 0.0, 0.0)])
 
 
 def test_block_failure_names_first_failing_sample():

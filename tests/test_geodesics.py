@@ -1,6 +1,6 @@
 """Integrator, transport and free-particle experiment tests.
 
-Closed-form oracles: the drifting geodesic of the expanding model has
+Closed-form oracles (in reference.py): the drifting geodesic of the expanding model has
 coordinate velocity dx1/dt = u / (R (R^2+u^2)^(1/2)) and trajectory
 x1(t) = u * integral_0^t dr / (R (R^2+u^2)^(1/2)); the experiment's initial
 accelerations are assembled independently from the closed-form chart
@@ -13,18 +13,10 @@ import numpy as np
 import pytest
 
 import framekin as fk
-from framekin.catalog import experiment_accelerations_closed, z_chart
+from framekin.catalog import z_chart
 from framekin.maps import pushed_metric_field
-from framekin.oracles import adaptive_simpson
 
-
-def drift_velocity_closed(a, u, t):
-    r = 1.0 + a * t
-    return u / (r * np.sqrt(r * r + u * u))
-
-
-def drift_position_closed(a, u, t):
-    return u * adaptive_simpson(lambda r: 1.0 / ((1 + a * r) * np.sqrt((1 + a * r) ** 2 + u * u)), 0.0, t)
+from reference import drift_position_closed, drift_velocity_closed, experiment_accelerations_closed
 
 
 def test_minkowski_straight_line(minkowski):
@@ -105,6 +97,35 @@ def test_rejects_non_unit_velocity():
     m = fk.make_friedmann(0.001)
     with pytest.raises(ValueError):
         fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (2.0, 0, 0, 0), 1.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def counted_metric(calls):
+    """The a = 1e-3 expanding metric, recording each evaluation of its components in ``calls``."""
+    metric = fk.make_friedmann(1e-3).metric
+    return fk.MetricField(lambda c: calls.append(1) or metric.component_fn(c), name="counted")
+
+
+@pytest.mark.parametrize("step", [0.0, -0.01, NAN])
+def test_rejects_a_step_that_is_not_positive(step):
+    # a zero step would run max_steps steps of length zero; the refusal comes before any evaluation
+    calls = []
+    with pytest.raises(ValueError, match=r"^need step > 0, got "):
+        fk.integrate_geodesic(counted_metric(calls), (0, 0, 0, 0), (1, 0, 0, 0), 1.0, fk.StepControl(step, 10))
+    assert calls == []
+
+
+@pytest.mark.parametrize("s_max, s_min", [(NAN, 0.0), (INF, 0.0), (1.0, -INF), (1.0, NAN)])
+def test_rejects_proper_time_bounds_that_are_not_finite(s_max, s_min):
+    # a NaN bound would return a one-knot path marked complete; the refusal comes before any evaluation
+    calls = []
+    with pytest.raises(ValueError, match=r"^need finite s_min and s_max, got "):
+        fk.integrate_geodesic(
+            counted_metric(calls), (0, 0, 0, 0), (1, 0, 0, 0), s_max, fk.StepControl(0.01, 10), s_min=s_min
+        )
+    assert calls == []
 
 
 def test_dense_output_consistency():

@@ -9,7 +9,8 @@ import framekin as fk
 from framekin.hyperdual import jet, value
 from framekin.normal import TubeDomainError
 
-from conftest import boosted_tetrad
+from conftest import boosted_tetrad, lab_chart, tube_jacobian_fn, tube_map_fn
+from reference import covariant_derivative_field
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -25,7 +26,7 @@ def test_minkowski_chart_is_identity(minkowski):
     offs = np.array([0.01, -0.02, 0.005, 0.015])
     xi = chart.forward(tuple(p + offs))
     assert np.max(np.abs(xi - offs)) < 1e-14
-    back = chart.inverse(tuple(xi))
+    back = jet(chart.inverse_fn, tuple(xi), order=0)[0]
     assert np.max(np.abs(back - (p + offs))) < 1e-14
 
 
@@ -54,7 +55,7 @@ def test_curvature_derivative_relation(friedmann_a03):
 @pytest.mark.parametrize("p0", [(0.0, 0.0, 0.0, 0.0), (0.5, 0.1, -0.2, 0.3)])
 def test_exact_connection_derivative_matches_the_richardson_stencil(a, p0):
     # the check reads d Gamma of the chart-expressed metric from its jet; the stencil is the reference
-    from framekin.oracles import fd_connection_derivatives
+    from reference import fd_connection_derivatives
 
     m = fk.make_friedmann(a)
     chart = fk.build_normal_chart(m.metric, p0, comoving_tetrad(m, p0[0]))
@@ -81,7 +82,7 @@ def test_roundtrip_second_order_inverse(friedmann_a03):
     worst = 0.0
     for _ in range(20):
         x = p0 + rng.uniform(-0.01, 0.01, 4)
-        back = chart.inverse(tuple(chart.forward(tuple(x))))
+        back = jet(chart.inverse_fn, tuple(chart.forward(tuple(x))), order=0)[0]
         worst = max(worst, float(np.max(np.abs(back - x))))
     assert worst < 1e-5  # Newton inversion makes the pair exact, well under the bound
 
@@ -185,7 +186,7 @@ def build_comoving_lab(a, span=0.25, step=2e-3, radius=0.05):
     ctrl = fk.StepControl(step=step)
     path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), span, ctrl, s_min=-span, tetrad=np.eye(4))
     lab = fk.lab_frame_along_geodesic(m.metric, path, validity_radius=radius)
-    return m, lab
+    return m, lab, path
 
 
 def test_flat_lab_frame_is_constant(minkowski):
@@ -194,23 +195,23 @@ def test_flat_lab_frame_is_constant(minkowski):
     )
     lab = fk.lab_frame_along_geodesic(minkowski, path, validity_radius=1.0)
     for p in ((0.0, 0, 0, 0), (0.2, 0.3, -0.1, 0.2)):
-        q = [value(c) for c in lab.frame.component_fn(list(p))]
+        q = [value(c) for c in lab.component_fn(list(p))]
         assert np.max(np.abs(np.array(q) - [1, 0, 0, 0])) < 1e-12
-    dec = fk.kinematic_decompose(minkowski, lab.frame, (0.1, 0.2, 0.1, -0.1))
+    dec = fk.kinematic_decompose(minkowski, lab, (0.1, 0.2, 0.1, -0.1))
     assert abs(dec.theta) < 1e-12
 
 
 def test_lab_frame_matches_velocity_on_curve():
-    m, lab = build_comoving_lab(1e-2)
+    m, lab, path = build_comoving_lab(1e-2)
     for t in (-0.2, 0.0, 0.1, 0.2):
-        q = np.array([value(c) for c in lab.frame.component_fn([t, 0, 0, 0])])
-        v = np.array([value(c) for c in lab.path.state(t, 1)[0]])
+        q = np.array([value(c) for c in lab.component_fn([t, 0, 0, 0])])
+        v = np.array([value(c) for c in path.state(t, 1)[0]])
         assert np.max(np.abs(q - v)) < 1e-8
 
 
 def test_lab_frame_chart_conditions_on_curve():
-    m, lab = build_comoving_lab(1e-2)
-    pushed = fk.pushed_metric_field(lab.chart, m.metric)
+    m, _, path = build_comoving_lab(1e-2)
+    pushed = fk.pushed_metric_field(lab_chart(m.metric, path), m.metric)
     for s in (0.0, 0.1, -0.15):
         g = fk.eval_metric(pushed, (s, 0, 0, 0))
         assert np.max(np.abs(g - ETA)) < 1e-8
@@ -221,21 +222,23 @@ def test_lab_frame_chart_conditions_on_curve():
 def test_lab_frame_wedge_vanishes_on_curve():
     from framekin.frames import curl_and_wedge
 
-    m, lab = build_comoving_lab(1e-2)
+    m, lab, _ = build_comoving_lab(1e-2)
     for t in (0.0, 0.1):
-        _, _, wedge = curl_and_wedge(m.metric, lab.frame, (t, 0, 0, 0))
+        _, _, wedge = curl_and_wedge(m.metric, lab, (t, 0, 0, 0))
         assert np.max(np.abs(wedge)) < 1e-8
 
 
 def test_lab_expansion_zero_at_epoch():
-    m, lab = build_comoving_lab(1e-3)
-    assert abs(fk.kinematic_decompose(m.metric, lab.frame, (0.0, 0, 0, 0)).theta) < 1e-8
+    m, lab, path = build_comoving_lab(1e-3)
+    assert abs(fk.kinematic_decompose(m.metric, lab, (0.0, 0, 0, 0)).theta) < 1e-8
     # the covariant divergence of the raw (unnormalized) lab field vanishes there too
+    chart = lab_chart(m.metric, path)
+
     def raw(c):  # column 0 of the chart's inverse Jacobian
-        return [row[0] for row in lab.chart.inverse_jacobian_fn(lab.chart.forward_fn(c))]
+        return [row[0] for row in chart.inverse_jacobian_fn(chart.forward_fn(c))]
 
     raw_field = SimpleNamespace(component_fn=raw)
-    assert abs(np.trace(fk.covariant_derivative_field(m.metric, raw_field, (0.0, 0, 0, 0)))) < 1e-8
+    assert abs(np.trace(covariant_derivative_field(m.metric, raw_field, (0.0, 0, 0, 0)))) < 1e-8
     # while the comoving congruence expands at the same event
     theta_v = fk.kinematic_decompose(m.metric, m.frame_comoving, (0.0, 0, 0, 0)).theta
     assert theta_v == pytest.approx(3e-3, abs=1e-12)
@@ -246,9 +249,9 @@ def test_lab_expansion_small_time_band():
     # by zero and the reference profile -3 t (Rdot/R)^2; over this range the
     # band is below 4e-7 and both comparisons are asserted
     a = 1e-3
-    m, lab = build_comoving_lab(a, span=0.3)
+    m, lab, _ = build_comoving_lab(a, span=0.3)
     for t in (0.02, 0.05, 0.1):
-        theta = fk.kinematic_decompose(m.metric, lab.frame, (t, 0, 0, 0)).theta
+        theta = fk.kinematic_decompose(m.metric, lab, (t, 0, 0, 0)).theta
         printed = -3.0 * t * (a / (1 + a * t)) ** 2
         assert abs(theta) < 4e-7
         assert abs(theta - printed) < 4e-7
@@ -259,36 +262,44 @@ def test_lab_frame_free_fall_only_on_curve():
     ctrl = fk.StepControl(step=2e-3)
     path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), 0.3, ctrl, s_min=-0.3, tetrad=np.eye(4))
     lab = fk.lab_frame_along_geodesic(m.metric, path, validity_radius=1.0)
-    on = fk.kinematic_decompose(m.metric, lab.frame, (0.0, 0, 0, 0))
+    on = fk.kinematic_decompose(m.metric, lab, (0.0, 0, 0, 0))
     assert np.max(np.abs(on.accel)) < 1e-8
-    off = fk.kinematic_decompose(m.metric, lab.frame, (0.0, 0.4, 0, 0))
+    off = fk.kinematic_decompose(m.metric, lab, (0.0, 0.4, 0, 0))
     assert np.max(np.abs(off.accel)) > 10 * 1e-8
 
 
 def test_validity_tube_enforced():
-    m, lab = build_comoving_lab(1e-2, radius=0.05)
+    m, lab, path = build_comoving_lab(1e-2, radius=0.05)
     with pytest.raises(TubeDomainError):
-        fk.kinematic_decompose(m.metric, lab.frame, (0.0, 0.2, 0, 0)).theta
+        fk.kinematic_decompose(m.metric, lab, (0.0, 0.2, 0, 0)).theta
     with pytest.raises(ValueError):
-        fk.lab_frame_along_geodesic(m.metric, lab.path, validity_radius=-1.0)
+        fk.lab_frame_along_geodesic(m.metric, path, validity_radius=-1.0)
     # a path as long as the tube is wide, as the moving-lab pair integrates it:
     # a point on the curve beyond its end has a foot time outside the path
-    m, lab = build_comoving_lab(1e-2, span=0.05, radius=0.05)
+    m, lab, _ = build_comoving_lab(1e-2, span=0.05, radius=0.05)
     with pytest.raises(TubeDomainError, match="foot time"):
-        fk.kinematic_decompose(m.metric, lab.frame, (0.06, 0, 0, 0)).theta
-    assert abs(fk.kinematic_decompose(m.metric, lab.frame, (0.04, 0, 0, 0)).theta) < 1e-12
+        fk.kinematic_decompose(m.metric, lab, (0.06, 0, 0, 0)).theta
+    assert abs(fk.kinematic_decompose(m.metric, lab, (0.04, 0, 0, 0)).theta) < 1e-12
+
+
+@pytest.mark.parametrize("radius", [0.0, float("nan")])
+def test_lab_frame_refuses_a_radius_that_is_not_positive(radius):
+    # under a NaN radius no slice radius would ever count as too wide: r > nan is false
+    m, _, path = build_comoving_lab(1e-2)
+    with pytest.raises(ValueError, match="^validity radius must be positive, got "):
+        fk.lab_frame_along_geodesic(m.metric, path, validity_radius=radius)
 
 
 def test_validity_tube_checks_each_sample_of_a_block():
-    m, lab = build_comoving_lab(1e-2, radius=0.05)
+    m, lab, _ = build_comoving_lab(1e-2, radius=0.05)
     # each row inside the tube, though the rows after the first span more than the radius together
     block = [[0, 0, 0, 0], [0.04, 0, 0, 0], [0.04, 0, 0, 0]]
-    alone = [fk.kinematic_decompose(m.metric, lab.frame, p).theta for p in block]
-    assert np.array_equal(fk.kinematic_decompose(m.metric, lab.frame, block).theta, alone)
-    assert np.array_equal(fk.kinematic_decompose(m.metric, lab.frame, block[:2]).theta, alone[:2])
+    alone = [fk.kinematic_decompose(m.metric, lab, p).theta for p in block]
+    assert np.array_equal(fk.kinematic_decompose(m.metric, lab, block).theta, alone)
+    assert np.array_equal(fk.kinematic_decompose(m.metric, lab, block[:2]).theta, alone[:2])
     # the bad sample is named, and refused for its foot time, not for the slice radius
     with pytest.raises(TubeDomainError, match=r"^lab: foot time 0.3 outside path range at sample 1 \[0.3, 0.0, 0.0, 0.0\]$"):
-        fk.kinematic_decompose(m.metric, lab.frame, [[0, 0, 0, 0], [0.3, 0, 0, 0], [0, 0, 0, 0]]).theta
+        fk.kinematic_decompose(m.metric, lab, [[0, 0, 0, 0], [0.3, 0, 0, 0], [0, 0, 0, 0]]).theta
 
 
 def test_lab_frame_needs_transported_tetrad():
@@ -317,8 +328,8 @@ def test_tube_chart_evaluates_each_foot_point_once(monkeypatch):
 def test_tube_chart_jet_cache_is_bounded(monkeypatch):
     import framekin.normal as nm
 
-    m, lab = build_comoving_lab(1e-2)
-    tube = nm._TubeChart(m.metric, lab.path)
+    m, _, path = build_comoving_lab(1e-2)
+    tube = nm._TubeChart(m.metric, path)
     tube._JET_CACHE_SIZE = 2
     feet = [(0.0, 0, 0, 0), (0.01, 0, 0, 0), (0.0, 0, 0, 0), (-0.0, 0, 0, 0), (0.0, 0, 0, 0)]
     calls = []
@@ -367,14 +378,14 @@ def richardson(fn, xi, h=1e-4):
 
 def test_tube_chart_jacobian_is_the_jet_of_its_map():
     tube = drifting_tube()
-    _, dx = jet(tube.inverse_fn, OFF_CURVE)  # [n, a, mu]
-    jac = np.array(tube.inverse_jacobian_fn(list(OFF_CURVE.T)))  # [mu, a, n]
+    _, dx = jet(tube_map_fn(tube), OFF_CURVE)  # [n, a, mu]
+    jac = np.array(tube_jacobian_fn(tube)(list(OFF_CURVE.T)))  # [mu, a, n]
     assert np.max(np.abs(np.moveaxis(jac, -1, 0) - np.swapaxes(dx, 1, 2))) < 1e-12
     for k, xi in enumerate(OFF_CURVE):
-        point = np.array(tube.inverse_jacobian_fn(list(xi)))
+        point = np.array(tube_jacobian_fn(tube)(list(xi)))
         assert np.array_equal(point, jac[..., k])  # a block equals its points
         # the map's own Jacobian is exact: no term of it is held constant
-        measured = richardson(lambda p: np.array(tube.inverse_fn(list(p))), xi)
+        measured = richardson(lambda p: np.array(tube_map_fn(tube)(list(p))), xi)
         assert np.max(np.abs(dx[k] - measured)) < 1e-10
 
 
@@ -382,7 +393,7 @@ def test_raw_lab_field_rate_matches_central_differences():
     tube = drifting_tube()
 
     def raw(xi):  # column 0 of the Jacobian: the raw lab field
-        return [row[0] for row in tube.inverse_jacobian_fn(xi)]
+        return [row[0] for row in tube_jacobian_fn(tube)(xi)]
 
     _, exact = jet(raw, OFF_CURVE)  # [n, b, mu]
     for k, xi in enumerate(OFF_CURVE):
@@ -391,22 +402,23 @@ def test_raw_lab_field_rate_matches_central_differences():
 
 
 def drifting_lab(monkeypatch, a=1e-2, u=0.3):
-    """A drifting geodesic's lab frame and its raw (unnormalized) field, caught on its way to make_frame."""
+    """A drifting geodesic's lab chart, and its lab frame's raw (unnormalized) field caught on its way to make_frame."""
     import framekin.normal as nm
 
     raw = []
     real = nm.make_frame
     monkeypatch.setattr(nm, "make_frame", lambda fn, *args, **kw: raw.append(fn) or real(fn, *args, **kw))
     tube = drifting_tube(a, u)
-    return fk.lab_frame_along_geodesic(tube.metric, tube.path), raw[0]
+    fk.lab_frame_along_geodesic(tube.metric, tube.path)
+    return lab_chart(tube.metric, tube.path), raw[0]
 
 
 def test_raw_lab_field_gradient_is_the_inverse_jacobian_column(monkeypatch):
     # one map evaluation at the solved chart point gives the field and, through J^-1, its rate
-    lab, raw = drifting_lab(monkeypatch)
+    chart, raw = drifting_lab(monkeypatch)
 
     def reference(c):  # column 0 of the inverse Jacobian at the dual chart point
-        return [row[0] for row in lab.chart.inverse_jacobian_fn(lab.chart.forward_fn(c))]
+        return [row[0] for row in chart.inverse_jacobian_fn(chart.forward_fn(c))]
 
     points = np.array([[0.0, 0.0, 0.0, 0.0], [0.05, 0.03, -0.01, 0.02], [-0.1, 0.0, 0.03, -0.02]])
     for p in (points[0], points):

@@ -23,6 +23,12 @@ files with ``cmp``, or list what differs:
 prints each run and field (a report field by its dotted path) whose values
 differ, with both values, and exits 1 when any differ, else 0.
 
+    python tools/capture_reports.py --unreached
+
+runs the same commands under a ``sys.setprofile`` call hook and prints each
+function defined in ``src/framekin`` (nested functions too, but not lambdas
+or generator expressions) that no run enters, as ``file:line qualname``.
+
 ``tests/data/reports_golden.json`` is one such capture; ``tests/test_reports.py``
 recaptures in-process and compares with it.  A change that moves a report on
 purpose regenerates it:
@@ -42,6 +48,7 @@ import re
 import shlex
 import sys
 import tempfile
+import types
 import warnings
 from pathlib import Path
 
@@ -121,6 +128,39 @@ def capture():
         return {**versions(), "runs": [run(framekin_main, argv, workdir) for argv in commands(workdir)]}
 
 
+def _functions(code, rel):
+    """(file, first line, qualname) of each named function compiled into a code object, nested ones too."""
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            if not const.co_name.startswith("<"):
+                yield rel, const.co_firstlineno, const.co_qualname
+            yield from _functions(const, rel)
+
+
+def unreached():
+    """Each function in src/framekin that no capture run enters, in file and line order."""
+    src = ROOT / "src"
+    package = src / "framekin"
+    defined = set()
+    for path in sorted(package.glob("*.py")):
+        rel = str(path.relative_to(src))
+        defined.update(_functions(compile(path.read_text(encoding="utf-8"), rel, "exec"), rel))
+    entered = set()
+    prefix = str(package) + os.sep
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(prefix):
+            entered.add((str(Path(code.co_filename).relative_to(src)), code.co_firstlineno, code.co_qualname))
+
+    sys.setprofile(hook)
+    try:
+        capture()
+    finally:
+        sys.setprofile(None)
+    return sorted(defined - entered)
+
+
 def differences(a, b):
     """The versions and each run's dotted fields that differ between two captures, as lines naming both values."""
     out = [f"{key}: {a[key]} -> {b[key]}" for key in ("python", "numpy") if a[key] != b[key]]
@@ -148,9 +188,15 @@ def main():
     if len(sys.argv) == 4 and sys.argv[1] == "--compare":
         sys.exit(1 if compare(*sys.argv[2:]) else 0)
     if len(sys.argv) != 2:
-        sys.exit("usage: python tools/capture_reports.py OUT.json | --compare A.json B.json")
+        sys.exit("usage: python tools/capture_reports.py OUT.json | --compare A.json B.json | --unreached")
     sys.dont_write_bytecode = True  # leave no cache beside the benchmark's sources
     os.environ.pop("FRAMEKIN_LOG", None)
+    if sys.argv[1] == "--unreached":
+        missed = unreached()
+        for rel, line, name in missed:
+            print(f"{rel}:{line} {name}")
+        print(f"{len(missed)} functions in src/framekin entered by no capture run")
+        return
     records = capture()
     with open(sys.argv[1], "w", encoding="utf-8") as f:
         json.dump(records, f, indent=1, sort_keys=True)
