@@ -26,8 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import DIM, MetricField, as_points, metric_jet, _gamma_from_jets
-from .hyperdual import block_values, first, jet, sqrt, value
+from .geometry import DIM, MetricField, _gamma_from_jets
+from .hyperdual import as_jet, block_values, first, seed, sqrt, value
 
 log = logging.getLogger(__name__)
 
@@ -42,7 +42,8 @@ class FrameCausalityError(ValueError):
 
 @dataclass
 class FrameField:
-    """A unit timelike vector field expressed in a chart; ``component_fn`` returns the normalized components."""
+    """A unit timelike vector field in a chart; ``component_fn(coords[, g])`` returns the components normalized against
+    ``metric``, reading its components at coords from ``g`` when the caller already evaluated them."""
 
     component_fn: Callable
     label: str
@@ -70,11 +71,12 @@ def make_frame(components, metric: MetricField, label="Q") -> FrameField:
         def raw_fn(coords, _c=const):
             return list(_c)
 
-    def normalized_fn(coords):
-        """q / g(q, q)^(1/2), raising at the first point where q is not timelike future pointing."""
+    def normalized_fn(coords, g=None):
+        """q / g(q, q)^(1/2) skipping literal 0.0 components of g, raising at the first point where q is not timelike
+        future pointing."""
         q = list(raw_fn(coords))
-        g = metric.component_fn(coords)
-        norm2 = sum(g[i][j] * q[i] * q[j] for i in range(DIM) for j in range(DIM))
+        g = metric.component_fn(coords) if g is None else g
+        norm2 = sum(g[i][j] * q[i] * q[j] for i, j in np.ndindex(DIM, DIM) if not isinstance(g[i][j], float) or g[i][j])
         n2 = value(norm2)
         checks = (
             (first(~np.isfinite(n2)), "finite"),
@@ -119,12 +121,21 @@ def kinematic_decompose(metric: MetricField, frame: FrameField, p) -> KinematicD
     return _decompose(metric, frame, p)[0]
 
 
+def _jets(metric, frame, p, connection=False):
+    """(p, g, dg, gamma, q, dq): order-1 metric and frame jets at a point or block, with the connection (refusing a
+    singular metric before the frame is evaluated) or None; a frame normalized against metric reads its components."""
+    p = metric.check_domain(p)
+    coords = seed(p, 1)
+    comps = metric.component_fn(coords)
+    g, dg = as_jet(comps, 1, p.shape[:-1])
+    gamma = _gamma_from_jets(g, dg, metric.name) if connection else None
+    q, dq = as_jet(frame.component_fn(coords, *[comps] if frame.metric is metric else []), 1, p.shape[:-1])
+    return p, g, dg, gamma, q, dq
+
+
 def _decompose(metric, frame, p):
     """(decomposition, (g, dg, q, dq)): ``kinematic_decompose`` and the metric and frame jets it used."""
-    p = as_points(p)
-    g, dg = metric_jet(metric, p, order=1)
-    gamma = _gamma_from_jets(g, dg, metric.name)
-    q, dq = jet(frame.component_fn, p)
+    p, g, dg, gamma, q, dq = _jets(metric, frame, p, connection=True)
 
     nabla = np.swapaxes(dq, -1, -2) + np.einsum("...mnr,...r->...mn", gamma, q)  # Q^mu_{;nu}
     nabla_lo = g @ nabla  # Q_{mu;nu}
@@ -148,8 +159,8 @@ def curl_and_wedge(metric: MetricField, frame: FrameField, p):
     alpha_mu (d alpha)_{nu rho} - alpha_nu (d alpha)_{mu rho}
     + alpha_rho (d alpha)_{mu nu}.
     """
-    p = as_points(p)
-    return _forms(*metric_jet(metric, p, order=1), *jet(frame.component_fn, p))
+    _, g, dg, _, q, dq = _jets(metric, frame, p)
+    return _forms(g, dg, q, dq)
 
 
 def _forms(g, dg, q, dq):

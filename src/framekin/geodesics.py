@@ -10,8 +10,8 @@ Every step starts from the derivative stored at the knot it leaves.
 each a plain loop of point connection calls.  A path carries one
 piecewise-quintic dense output, built from exact knot jets, of its position
 and, when one was carried, its tetrad: ``GeodesicPath.state`` evaluates both,
-or their first or second s-derivatives, anywhere along the path, at one
-proper time or a block.
+or their first or second s-derivatives, several orders from one lookup,
+anywhere along the path, at one proper time or a block.
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ from .geometry import (
     christoffel,
     christoffel_jet,
     eval_metric,
+    metric_jet,
+    _check_lorentzian,
+    _gamma_from_jets,
 )
 
 log = logging.getLogger(__name__)
@@ -99,16 +102,17 @@ class QuinticDense:
         c345 = np.linalg.solve(m[which], residuals)
         self.coeffs = np.concatenate([np.stack([c0, c1, c2], axis=1), c345], axis=1)
 
-    def eval(self, s, derivative=0):
-        """Derivative of the given order at proper time s: (width,) at a float, (N, width) at a block (N,)."""
+    def eval(self, s, orders):
+        """Derivatives of the given orders at proper time s, one lookup: (width,) at a float, (N, width) at a block."""
         s = np.asarray(s, dtype=float)
         k = np.clip(np.searchsorted(self.s, s, side="right") - 1, 0, len(self.s) - 2)
         tau = (s - self.s[k])[..., None]
         c = self.coeffs[k]
-        out = 0.0
-        for j in range(5, derivative - 1, -1):  # Horner
-            out = out * tau + math.perm(j, derivative) * c[..., j, :]
-        return out
+        for d in orders:
+            out = 0.0
+            for j in range(5, d - 1, -1):  # Horner
+                out = out * tau + math.perm(j, d) * c[..., j, :]
+            yield out
 
 
 @dataclass
@@ -144,11 +148,12 @@ class GeodesicPath:
 
         x is (4,) at a float and (N, 4) at a block (N,); e[..., a, mu] is the
         tetrad part, (4, 4) or (N, 4, 4), or None when no tetrad was carried.
+        A tuple of orders gives a list of such pairs from one interval lookup.
         """
-        out = self._dense.eval(s, derivative)
-        if self.tetrads is None:
-            return out, None
-        return out[..., :DIM], out[..., DIM:].reshape(out.shape[:-1] + (DIM, DIM))
+        outs = self._dense.eval(s, derivative if isinstance(derivative, tuple) else (derivative,))
+        split = self.tetrads is not None
+        pairs = [(o[..., :DIM], o[..., DIM:].reshape(o.shape[:-1] + (DIM, DIM))) if split else (o, None) for o in outs]
+        return pairs if isinstance(derivative, tuple) else pairs[0]
 
     def orthonormality_drift(self, metric: MetricField) -> float:
         """max |g(e_a, e_b) - eta_ab| over about 64 knots, from one block metric evaluation."""
@@ -343,8 +348,9 @@ def free_particle_experiment(a_param, u_param, v_probe):
     model = make_friedmann(a_param, u_param)
     gz = pushed_metric_field(z_chart(model), model.metric, name="friedmann-drift-chart")
     origin = np.zeros(DIM)
-    g = eval_metric(gz, origin)
-    gamma = christoffel(gz, origin)
+    g, dg = metric_jet(gz, origin, order=1)  # one evaluation: checked as eval_metric, then solved as christoffel
+    _check_lorentzian(gz, g, origin)
+    gamma = _gamma_from_jets(g, dg, gz.name)
 
     def one_case(label, v1, v2):
         w = np.array([1.0, v1, v2, 0.0])

@@ -12,7 +12,8 @@ A ``HyperDual`` holds one point (``val`` a float, ``grad`` (4,), ``hess``
 (4, 4)) or a block of N points (``val`` (N,), ``grad`` (4, N), ``hess``
 (4, 4, N)): batch axis last, so the same arithmetic serves both.
 ``jet(fn, points, order)`` is the one entry point; it takes a point (4,)
-or a block (N, 4) and returns dense arrays, batch axis first.  On a block,
+or a block (N, 4) and returns dense arrays, batch axis first (``as_jet``
+when ``fn`` was already called on the ``seed``).  On a block,
 value comparisons give one bool per sample (``first`` finds the first
 true one).  A map already known as arrays of values and first (and
 optionally second) derivatives joins the algebra through ``chain``; its
@@ -212,8 +213,11 @@ def jet(fn, points, order=1):
     a block prepends its batch axis to every array.
     """
     pts = np.asarray(points, dtype=float)
-    batch = pts.shape[:-1]
-    out = fn(seed(pts, order))
+    return as_jet(fn(seed(pts, order)), order, pts.shape[:-1])
+
+
+def as_jet(out, order, batch):
+    """``jet``'s arrays from ``out``, the components on ``seed(points, order)``; batch is points.shape[:-1]."""
     matrix = isinstance(out[0], (list, tuple))
     flat = [c for row in out for c in row] if matrix else list(out)
     shape = (len(out), len(out[0])) if matrix else (len(out),)

@@ -28,8 +28,8 @@ Both charts are array code over blocks, joined to the dual algebra by
 ``hyperdual.chain`` and inverted by Newton on the same arrays: the point
 chart's map is a cubic polynomial, so its Jacobian and that Jacobian's
 derivatives are closed forms; in the sliding chart one Newton solve, one
-connection-jet lookup and one dense-output evaluation per derivative order
-serve a whole block, and one map evaluation gives the lab field and its rate.
+connection-jet lookup and one dense-output read serve a whole block, and one
+map evaluation gives the lab field and its rate (none on float coordinates).
 
 Off the curve the chart is second-order accurate; derivative propagation
 through the chart drops remainder terms of the same order as the truncation
@@ -54,7 +54,7 @@ from .geometry import (
     eval_metric,
 )
 from .frames import FrameField, make_frame
-from .hyperdual import block_values, chain, dual_newton_invert, first
+from .hyperdual import HyperDual, block_values, chain, dual_newton_invert, first
 from .maps import ChartMap, pushed_metric_field
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -196,6 +196,16 @@ def metric_deviation_exponent(chart: NormalChart, pushed: MetricField):
     return float(slope), ladder
 
 
+def _keep(cache, key, arrays, size):
+    """Store arrays under key, read-only, in a cache of at most size entries (oldest evicted first); return them."""
+    if len(cache) >= size:
+        del cache[next(iter(cache))]
+    for a in arrays:  # shared by every later caller
+        a.flags.writeable = False
+    cache[key] = arrays
+    return arrays
+
+
 class _TubeChart:
     """Normal map with origin and axes sliding along a geodesic, on points or blocks.
 
@@ -212,7 +222,7 @@ class _TubeChart:
     as the quadratic truncation error and vanishes identically on the curve.
     """
 
-    # jets kept per chart: a plli evaluates 8 or 9 foot points of its comoving lab chart and 1 of its drifting one
+    # per plli: 8 or 9 foot-point jets on the comoving lab chart, 1 on the drifting one; each lab frame keeps 1 block
     _JET_CACHE_SIZE = 64
 
     def __init__(self, metric: MetricField, path: GeodesicPath):
@@ -230,11 +240,7 @@ class _TubeChart:
             pts = np.frombuffer(b"".join(new)).reshape(-1, DIM)
             got = christoffel_jet(self.metric, pts[0] if len(new) == 1 else pts)
             for k, jet in zip(new, [got] if len(new) == 1 else zip(*got)):
-                if len(self._jets) >= self._JET_CACHE_SIZE:
-                    del self._jets[next(iter(self._jets))]
-                for a in jet:  # shared by every later caller
-                    a.flags.writeable = False
-                jets[k] = self._jets[k] = jet
+                jets[k] = _keep(self._jets, k, jet, self._JET_CACHE_SIZE)
         if feet.ndim == 1:
             return jets[keys[0]]
         return tuple(np.array(a) for a in zip(*(jets[k] for k in keys)))
@@ -244,7 +250,7 @@ class _TubeChart:
         d x^mu / d xi^a (column 0 is the raw lab field) and, with ``rates``, H[n, mu, a, b] =
         d J[n, mu, a] / d xi^b."""
         s, q = xi[:, 0], xi[:, 1:]
-        (c, e), (v, e1) = self.path.state(s), self.path.state(s, 1)
+        (c, e), (v, e1), *second = self.path.state(s, (0, 1, 2) if rates else (0, 1))
         gamma, dgamma = self._connection_jet(c)
 
         def spatial(t):  # xi^i t_i for a tetrad or its s-derivative t
@@ -260,7 +266,7 @@ class _TubeChart:
         jac[:, :, 0] += v - 0.5 * np.einsum("nma,na->nm", wy, y)
         if not rates:
             return x, jac
-        acc, e2 = self.path.state(s, 2)
+        ((acc, e2),) = second
         cc = np.zeros((len(xi), DIM, DIM, DIM))  # C[n, a, b] = d B[n, a] / d xi^b
         cc[:, 0, 0] = spatial(e2)
         cc[:, 0, 1:] = cc[:, 1:, 0] = e1[:, 1:]
@@ -316,9 +322,12 @@ def lab_frame_along_geodesic(
             f"(truncated: {path.stats.get('reason')})"
         )
     tube = _TubeChart(metric, path)
+    fields = {}  # exact query block -> (field, rate), kept once inside the tube: a repeated block is not solved again
 
     def raw_field(coords):  # column 0 of the Jacobian at the chart point, its rate through d xi / d x = J^-1
         x, point = block_values(coords)
+        if x.tobytes() in fields:
+            return chain(coords, *fields[x.tobytes()])
         xi = np.column_stack(tube.forward_fn(list(x.T)))
         r, foot = np.linalg.norm(xi[:, 1:], axis=1), xi[:, 0]
         wide = r > validity_radius
@@ -330,7 +339,10 @@ def lab_frame_along_geodesic(
                     f"{label}: point at slice radius {r[k]:.3g} exceeds validity radius {validity_radius:.3g}{where}"
                 )
             raise TubeDomainError(f"{label}: foot time {foot[k]:.3g} outside path range{where}")
+        if not any(isinstance(c, HyperDual) for c in coords):  # values only: no rates to carry
+            return chain(coords, tube._map(xi, rates=False)[1][:, :, 0], None)
         _, jac, hess = tube._map(xi, rates=True)
-        return chain(coords, jac[:, :, 0], np.einsum("nmb,nba->nma", hess[:, :, 0], np.linalg.inv(jac)))
+        field = jac[:, :, 0], np.einsum("nmb,nba->nma", hess[:, :, 0], np.linalg.inv(jac))
+        return chain(coords, *_keep(fields, x.tobytes(), field, tube._JET_CACHE_SIZE))
 
     return make_frame(raw_field, metric, label=label)

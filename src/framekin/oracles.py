@@ -23,12 +23,14 @@ def fd_divergence(metric: MetricField, frame, p, step=1e-4) -> float:
     no exact-derivative engine, only metric determinants and central
     differences of the frame components, Richardson refined.  The 16
     stencil points and p go to the metric as one block, and the stencil
-    points to the frame as one block.
+    points to the frame as one block with their metric components.
     """
     hs = (step, -step, step / 2.0, -step / 2.0)
     pts = as_points(p) + np.concatenate([np.diag(np.full(DIM, h)) for h in hs] + [np.zeros((1, DIM))])
-    root_det = np.sqrt(np.abs(np.linalg.det(eval_metric(metric, pts))))
-    q, _ = block_values(frame.component_fn(list(pts[:-1].T)))
+    g = eval_metric(metric, pts)
+    root_det = np.sqrt(np.abs(np.linalg.det(g)))
+    shared = [np.moveaxis(g[:-1], 0, -1)] if frame.metric is metric else []  # g[mu][nu] (16,)
+    q, _ = block_values(frame.component_fn(list(pts[:-1].T), *shared))
     # dens[h, mu] = sqrt|g| Q^mu at the point moved by h along axis mu
     dens = root_det[:-1].reshape(4, DIM) * np.diagonal(q.reshape(4, DIM, DIM), axis1=1, axis2=2)
 

@@ -65,10 +65,10 @@ def test_building_a_frame_evaluates_nothing(monkeypatch):
 
     calls = []
 
-    def counting(cls):  # the field class, counting each call of a field's components
+    def counting(cls):  # the field class, counting each call of a field's components (and passing a frame's metric on)
         class Counting(cls):
             def __init__(self, component_fn, *args, **kwargs):
-                super().__init__(lambda c: calls.append(cls.__name__) or component_fn(c), *args, **kwargs)
+                super().__init__(lambda c, *g: calls.append(cls.__name__) or component_fn(c, *g), *args, **kwargs)
 
         return Counting
 
@@ -446,7 +446,7 @@ def test_debug_log_reports_samples_blocks_and_jets(monkeypatch, caplog):
     ]
 
 
-def test_metric_evaluated_twice_per_block(monkeypatch):
+def test_metric_evaluated_once_per_block(monkeypatch):
     import framekin.frames as frames
 
     monkeypatch.setattr(frames, "_BLOCK", 50)
@@ -455,9 +455,33 @@ def test_metric_evaluated_twice_per_block(monkeypatch):
     expected = fk.is_pirf(m.metric, m.frame_drifting, grid), fk.classify_synchronizability(m.metric, m.frame_drifting, grid)
     calls = []
     component_fn = m.metric.component_fn
-    m.metric.component_fn = lambda c: calls.append(1) or component_fn(c)  # the frame's normalization reads it too
+    m.metric.component_fn = lambda c: calls.append(1) or component_fn(c)
     assert fk.is_pirf(m.metric, m.frame_drifting, grid) == expected[0]
-    assert len(calls) == 4  # the metric jet, and the frame jet's normalization
+    assert len(calls) == 2  # one per block: the frame jet's normalization reads the metric jet's components
     calls.clear()
     assert fk.classify_synchronizability(m.metric, m.frame_drifting, grid) == expected[1]
-    assert len(calls) == 4
+    assert len(calls) == 2
+
+
+def test_a_frame_normalized_against_another_metric_evaluates_its_own(monkeypatch):
+    # the frame's normalization reads the decomposition's metric components only when its metric is that
+    # same MetricField object; the rotating frame's light-cylinder metric is not plain minkowski
+    rot = fk.rotating_minkowski_frame(0.1, 1.0)
+    mink = fk.minkowski_metric()
+    p = np.array([[0.0, 0.3, -0.2, 0.1], [0.5, -0.1, 0.4, 0.0]])
+    calls = []
+    for metric in (rot.metric, mink):
+        monkeypatch.setattr(metric, "component_fn", lambda c, fn=metric.component_fn, n=metric.name: calls.append(n) or fn(c))
+    own, plain = rot.metric.name, mink.name
+    runs = (
+        lambda metric: fk.kinematic_decompose(metric, rot, p).accel,
+        lambda metric: curl_and_wedge(metric, rot, p)[2],
+        lambda metric: fd_divergence(metric, rot, p[0]),
+    )
+    for run in runs:
+        calls.clear()
+        shared = run(rot.metric)
+        assert calls == [own]
+        calls.clear()
+        assert np.array_equal(run(mink), shared)  # the two metrics have the same components
+        assert calls == [plain, own]

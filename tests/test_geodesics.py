@@ -428,6 +428,22 @@ def test_adaptive_steps_independent_of_tetrad():
         assert np.array_equal(bare.state(midpoints, k)[0], carried.state(midpoints, k)[0])
 
 
+def test_state_reads_several_orders_as_it_reads_each():
+    m = fk.make_friedmann(0.05)
+    e = np.eye(4)
+    ctrl = fk.StepControl(step=0.03)
+    for tetrad in (None, e):
+        path = fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), 0.3, ctrl, s_min=-0.3, tetrad=tetrad)
+        for s in (0.1234, np.array([-0.29, -0.01, 0.0, 0.05, 0.3])):
+            for orders in ((0, 1, 2), (2, 0), (1,)):
+                got = path.state(s, orders)
+                assert len(got) == len(orders)
+                for (x, t), k in zip(got, orders):
+                    want_x, want_t = path.state(s, k)
+                    assert np.array_equal(x, want_x)
+                    assert (t is None) == (tetrad is None) and (t is None or np.array_equal(t, want_t))
+
+
 def test_debug_log_reports_work_and_drift(caplog):
     m = fk.make_friedmann(0.05)
     with caplog.at_level(logging.DEBUG, logger="framekin.geodesics"):
@@ -521,6 +537,24 @@ def test_experiment_initial_acceleration_matches_second_differences():
     rep_a, _ = fk.free_particle_experiment(a, u, v)
     assert abs(second[1] - rep_a.accel_x1) < 1e-6
     assert abs(second[2] - rep_a.accel_x2) < 1e-6
+
+
+def test_experiment_evaluates_the_drift_chart_metric_once(monkeypatch):
+    import framekin.maps as maps
+
+    calls = []
+    real = maps.pushed_metric_field
+
+    def pushed(*args, **kwargs):
+        field = real(*args, **kwargs)
+        comps = field.component_fn
+        field.component_fn = lambda c: calls.append(c) or comps(c)
+        return field
+
+    expected = fk.free_particle_experiment(1e-3, 0.1005, 0.01)
+    monkeypatch.setattr(maps, "pushed_metric_field", pushed)
+    assert fk.free_particle_experiment(1e-3, 0.1005, 0.01) == expected
+    assert len(calls) == 1  # one order-1 jet at the origin gives g, its checks and the connection
 
 
 def test_experiment_rejects_bad_parameters():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import framekin as fk
-from framekin.hyperdual import jet, value
+from framekin.geodesics import QuinticDense
+from framekin.hyperdual import HyperDual, jet, value
 from framekin.normal import TubeDomainError
 
 from conftest import boosted_tetrad, lab_chart, tube_jacobian_fn, tube_map_fn
@@ -428,9 +429,9 @@ def test_raw_lab_field_gradient_is_the_inverse_jacobian_column(monkeypatch):
 
 
 def test_pair_work_counts(monkeypatch):
-    # one Newton solve per lab-field evaluation (each lab chart at the epoch, the deformed frame at the
-    # epoch and on the oracle's stencil), which also gives the points its tube check reads; 9 tube-chart
-    # map evaluations in all, on float arrays
+    # one Newton solve per query block of a lab field (each lab chart at the epoch, the comoving one also
+    # on the oracle's stencil: the deformed frame at the epoch reuses theta_L's), which also gives the points
+    # its tube check reads; 7 tube-chart map evaluations in all, on float arrays
     import framekin.normal as nm
 
     maps, solves = [], []
@@ -442,6 +443,67 @@ def test_pair_work_counts(monkeypatch):
 
     monkeypatch.setattr(nm._TubeChart, "_map", spy_map)
     monkeypatch.setattr(nm, "dual_newton_invert", lambda *args: solves.append(args) or real_newton(*args))
+    reads = []
+    real_eval = QuinticDense.eval
+    monkeypatch.setattr(QuinticDense, "eval", lambda dense, s, orders: reads.append(orders) or real_eval(dense, s, orders))
     fk.moving_lab_expansion_pair(1e-3, 0.2)
-    assert (len(maps), len(solves)) == (9, 4)
+    assert (len(maps), len(solves)) == (7, 3)
     assert all(type(xi) is np.ndarray and xi.dtype == np.float64 and xi.ndim == 2 for xi in maps)
+    assert len(reads) == len(maps)  # one dense-output read per map, at every derivative order it needs
+
+
+def test_pair_computes_no_discarded_rates_and_solves_the_comoving_epoch_once(monkeypatch):
+    # the oracle's stencil evaluates the lab field on floats, which carry no derivative: its map skips the
+    # rates; the deformed frame at the image epoch, (0, 0, 0, 0) bit for bit, reuses theta_L's solve
+    import framekin.normal as nm
+
+    dual, rated, solved = [], [], []
+    real_make, real_map, real_forward = nm.make_frame, nm._TubeChart._map, nm._TubeChart.forward_fn
+
+    def make(fn, metric, label):
+        def raw(coords):
+            dual.append(any(isinstance(c, HyperDual) for c in coords))
+            return fn(coords)
+
+        return real_make(raw, metric, label=label)
+
+    def spy_map(tube, xi, rates):
+        if rates:
+            rated.append(dual[-1])
+        return real_map(tube, xi, rates)
+
+    def spy_forward(tube, coords):
+        solved.append((tube, np.column_stack(coords).tolist()))
+        return real_forward(tube, coords)
+
+    monkeypatch.setattr(nm, "make_frame", make)
+    monkeypatch.setattr(nm._TubeChart, "_map", spy_map)
+    monkeypatch.setattr(nm._TubeChart, "forward_fn", spy_forward)
+    fk.moving_lab_expansion_pair(1e-3, 0.2)
+    assert dual == [True, True, True, False]  # theta_L, the drifting lab, theta_Lprime, the oracle's stencil
+    assert rated == [True, True]
+    comoving = solved[0][0]
+    assert [x for tube, x in solved if tube is comoving] == [[[0.0, 0.0, 0.0, 0.0]], solved[-1][1]]
+    assert len(solved[-1][1]) == 16
+
+
+def test_lab_field_keeps_a_bounded_number_of_solved_blocks(monkeypatch):
+    import framekin.normal as nm
+
+    monkeypatch.setattr(nm._TubeChart, "_JET_CACHE_SIZE", 2)
+    solves = []
+    real_forward = nm._TubeChart.forward_fn
+    monkeypatch.setattr(nm._TubeChart, "forward_fn", lambda tube, c: solves.append(c[0]) or real_forward(tube, c))
+    m, lab, _ = build_comoving_lab(1e-2)
+    a, b, c, wide = [0.0, 0, 0, 0], [0.01, 0.02, 0, 0], [-0.01, 0, 0.03, 0], [0.0, 0.2, 0, 0]
+    first = jet(lab.component_fn, a)
+    for p in (a, b, a, c, a):
+        got = jet(lab.component_fn, p)
+        if p is a:
+            assert all(np.array_equal(x, y) for x, y in zip(got, first))
+    # a repeat is not solved again until c evicts it; a refused block is never kept
+    assert solves == [0.0, 0.01, -0.01, 0.0]
+    for _ in range(2):
+        with pytest.raises(TubeDomainError, match="slice radius"):
+            jet(lab.component_fn, wide)
+    assert solves[4:] == [0.0, 0.0]
