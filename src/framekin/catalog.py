@@ -8,10 +8,11 @@ whose metric speed at t = 0 is v = u (1 + u^2)^(-1/2).
 
 ``z_chart`` builds the coordinate chart adapted to the drifting frame.  For
 the linear scale factor its time integrals and their inverse are
-elementary, so the chart and its inverse are closed forms in plain dual
-arithmetic, written to stay stable as a -> 0 and u -> 0.  The closed forms of
-the chart-expressed metric, connection and expansions that the tests compare
-the pushed fields against live with the tests, in ``tests/reference.py``.
+elementary, so the chart and its pull-back (the inverse point and its
+Jacobian) are closed forms in plain dual arithmetic, written to stay stable
+as a -> 0 and u -> 0.  The closed forms of the chart-expressed metric,
+connection and expansions that the tests compare the pushed fields against
+live with the tests, in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -125,8 +126,11 @@ def z_chart(model: FriedmannModel) -> ChartMap:
         H = asinh(a u G/R)/(a u)   (G/R when a u is zero or subnormal),
         F = G + u^2 H.
 
-    The inverse recovers G = z = t' + u x1', then W = W0 + a z,
-    R = (W^2 - u^2)^(1/2), t = z (2 W0 + a z)/(R+1) and x1 = x1' + u H.
+    The pull-back recovers G = z = t' + u x1', then W = W0 + a z,
+    R = (W^2 - u^2)^(1/2), t = z (2 W0 + a z)/(R+1) and x1 = x1' + u H,
+    and from the same t the inverse Jacobian through R(t) = 1 + a t.  The
+    two R values agree to rounding only: H reads the first, the Jacobian
+    the second.
     Every form is free of cancellation as a -> 0 and u -> 0.
     """
     scale = model.scale
@@ -155,27 +159,22 @@ def z_chart(model: FriedmannModel) -> ChartMap:
         r = sqrt(w * w - u * u)
         return z * (2.0 * w0 + a * z) / (r + 1.0), r
 
-    def inverse_fn(coords):
+    def pullback_fn(coords):
+        """The inverse point and d(t,x)/d(t',x'), the latter through R at the recovered time."""
         x1p = coords[1]
         z = coords[0] + u * x1p
-        t, r = time_from_z(z)
-        return [t, x1p + u * big_h(z, r), coords[2], coords[3]]
-
-    def inverse_jacobian_fn(coords):
-        """d(t,x)/d(t',x') expressed through R at the recovered time."""
-        t, _ = time_from_z(coords[0] + u * coords[1])
+        t, r_z = time_from_z(z)
         r = scale.value(t)
-        root = sqrt(r * r + u * u)
-        p = root / r
-        one = 1.0
-        return [
+        p = sqrt(r * r + u * u) / r
+        jac = [
             [p, u * p, 0.0, 0.0],
             [u / (r * r), (r * r + u * u) / (r * r), 0.0, 0.0],
-            [0.0, 0.0, one, 0.0],
-            [0.0, 0.0, 0.0, one],
+            [0.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
         ]
+        return [t, x1p + u * big_h(z, r_z), coords[2], coords[3]], jac
 
-    return ChartMap(forward_fn, inverse_fn, f"z-chart(u={u})", inverse_jacobian_fn)
+    return ChartMap(forward_fn, pullback_fn, f"z-chart(u={u})")
 
 
 def rotating_minkowski_frame(omega, radius_cap):

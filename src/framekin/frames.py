@@ -34,6 +34,8 @@ log = logging.getLogger(__name__)
 # Samples per block in classify_synchronizability and is_pirf: one jet call
 # covers a block, and peak memory stays bounded however many samples.
 _BLOCK = 4096
+# Jet evaluations per block, as the DEBUG log counts them: the metric's and the frame's, in _jets.
+_JETS_PER_BLOCK = 2
 
 
 class FrameCausalityError(ValueError):
@@ -215,7 +217,7 @@ def classify_synchronizability(
     below ``threshold`` in chart units.  The classification never claims
     more than the sampled points support.
     """
-    blocks = _blocks(sample_points, "synchronizability", 2)
+    blocks = _blocks(sample_points, "synchronizability")
     dal = wed = spat = tdev = 0.0
     for block in blocks:
         alpha, two_form, wedge = curl_and_wedge(metric, frame, block)
@@ -257,7 +259,7 @@ def is_pirf(metric: MetricField, frame: FrameField, sample_points, tolerance=1e-
     True iff the acceleration covector and the 3-form alpha ^ d alpha stay
     below ``tolerance`` (max-abs over components and samples).
     """
-    blocks = _blocks(sample_points, "pseudo-inertial test", 2)
+    blocks = _blocks(sample_points, "pseudo-inertial test")
     max_accel = max_wedge = 0.0
     for block in blocks:
         dec, jets = _decompose(metric, frame, block)
@@ -277,14 +279,14 @@ def _refuse_non_finite(frame, block, what, *evidence):
         raise ArithmeticError(f"{frame.label}: {what} not finite at {block[bad].tolist()}")
 
 
-def _blocks(sample_points, what, jets_per_block):
+def _blocks(sample_points, what):
     """(N, 4) blocks of at most _BLOCK rows from an (N, 4) array or a sequence of points, logged at DEBUG."""
     samples = np.asarray(sample_points, dtype=float)
     if len(samples) == 0:
         raise ValueError(f"{what} needs at least one sample point")
     blocks = [samples[k : k + _BLOCK] for k in range(0, len(samples), _BLOCK)]
     n = len(blocks)
-    log.debug("%s: %d samples in %d blocks, %d jet evaluations", what, len(samples), n, jets_per_block * n)
+    log.debug("%s: %d samples in %d blocks, %d jet evaluations", what, len(samples), n, _JETS_PER_BLOCK * n)
     return blocks
 
 

@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from .catalog import make_friedmann, z_chart
 from .geometry import (
     DIM,
     SIGNATURE,
@@ -37,6 +38,7 @@ from .geometry import (
     _check_lorentzian,
     _gamma_from_jets,
 )
+from .maps import pushed_metric_field
 
 log = logging.getLogger(__name__)
 
@@ -338,9 +340,6 @@ def free_particle_experiment(a_param, u_param, v_probe):
     included for conversion to coordinate time.  The asymmetry measure is
     the absolute difference of the two acceleration magnitudes.
     """
-    from .catalog import make_friedmann, z_chart
-    from .maps import pushed_metric_field
-
     if not 0.0 < v_probe < 1.0:
         raise ValueError("need 0 < v_probe < 1")
     if a_param < 0:

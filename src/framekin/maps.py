@@ -1,11 +1,11 @@
 """Differentiable coordinate maps and the metric they carry.
 
-A ``ChartMap`` is a diffeomorphism between chart domains given by forward
-and inverse point maps and the inverse map's Jacobian.  All three are
-dual-capable, so any derivative of them is one ``hyperdual.jet`` call;
-``forward`` gives the image of a point.  ``pushed_metric_field`` expresses a
-metric in the image chart as a field of its own, with one inverse-Jacobian
-factor per covariant index.
+A ``ChartMap`` is a diffeomorphism between chart domains given by a forward
+point map and a pull-back, which gives the inverse point and the inverse
+map's Jacobian from one evaluation.  Both are dual-capable, so any derivative
+of them is one ``hyperdual.jet`` call; ``forward`` gives the image of a point.
+``pushed_metric_field`` expresses a metric in the image chart as a field of
+its own, with one inverse-Jacobian factor per covariant index.
 """
 
 from __future__ import annotations
@@ -21,17 +21,16 @@ from .hyperdual import jet
 class ChartMap:
     """Coordinate diffeomorphism with exact Jacobians.
 
-    ``forward_fn`` and ``inverse_fn`` map four scalars to four scalars and
-    must accept HyperDual input.  ``inverse_jacobian_fn`` gives
-    d x^alpha / d x'^mu as a dual-capable 4x4 function of the image
-    coordinates (rows alpha, columns mu); pushing a metric through the map
-    reads it directly.
+    ``forward_fn`` maps four scalars to four scalars and must accept
+    HyperDual input.  ``pullback_fn`` maps the image coordinates x' to
+    ``(x, jac)``: the four scalars of the inverse point x(x') and the 4x4
+    rows [alpha][mu] of d x^alpha / d x'^mu, both dual-capable and from one
+    evaluation; pushing a metric through the map reads both.
     """
 
     forward_fn: Callable
-    inverse_fn: Callable
+    pullback_fn: Callable
     name: str
-    inverse_jacobian_fn: Callable
 
     def forward(self, p):
         """The image coordinates x' of a point p."""
@@ -46,8 +45,7 @@ def pushed_metric_field(cmap: ChartMap, metric: MetricField, name=None) -> Metri
     """
 
     def comps(coords):
-        back = cmap.inverse_fn(coords)
-        a = cmap.inverse_jacobian_fn(coords)
+        back, a = cmap.pullback_fn(coords)
         g = metric.component_fn(back)
         out = [[None] * DIM for _ in range(DIM)]
         for mu in range(DIM):
@@ -64,7 +62,7 @@ def pushed_metric_field(cmap: ChartMap, metric: MetricField, name=None) -> Metri
         return out
 
     def domain(coords):
-        return metric.domain_fn(cmap.inverse_fn(coords))
+        return metric.domain_fn(cmap.pullback_fn(coords)[0])
 
     return MetricField(
         comps,

@@ -27,9 +27,11 @@ checks on each chart point it solves (``TubeDomainError``).
 Both charts are array code over blocks, joined to the dual algebra by
 ``hyperdual.chain`` and inverted by Newton on the same arrays: the point
 chart's map is a cubic polynomial, so its Jacobian and that Jacobian's
-derivatives are closed forms; in the sliding chart one Newton solve, one
-connection-jet lookup and one dense-output read serve a whole block, and one
-map evaluation gives the lab field and its rate (none on float coordinates).
+derivatives are closed forms, and its pull-back joins one evaluation of them
+twice, for the point and for the Jacobian; in the sliding chart one Newton
+solve, one connection-jet lookup and one dense-output read serve a whole
+block, and one map evaluation gives the lab field and its rate (none on float
+coordinates).
 
 Off the curve the chart is second-order accurate; derivative propagation
 through the chart drops remainder terms of the same order as the truncation
@@ -47,6 +49,7 @@ import numpy as np
 from .geodesics import GeodesicPath
 from .geometry import (
     DIM,
+    SIGNATURE,
     MetricField,
     as_points,
     _riemann,
@@ -56,8 +59,6 @@ from .geometry import (
 from .frames import FrameField, make_frame
 from .hyperdual import HyperDual, block_values, chain, dual_newton_invert, first
 from .maps import ChartMap, pushed_metric_field
-
-ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
 class TubeDomainError(ValueError):
@@ -71,7 +72,7 @@ class NonFiniteConnectionError(ArithmeticError):
 def _check_tetrad(metric, p, tetrad):
     g = eval_metric(metric, p)
     e = np.asarray(tetrad, dtype=float)
-    err = np.max(np.abs(e @ g @ e.T - ETA))
+    err = np.max(np.abs(e @ g @ e.T - SIGNATURE))
     if err > 1e-10:
         raise ValueError(f"tetrad not orthonormal at {tuple(p.tolist())}: deviation {err}")
     return e
@@ -118,7 +119,8 @@ def build_normal_chart(metric: MetricField, p0, initial_tetrad) -> NormalChart:
     third order, x = x0 + y - Gamma(y, y) / 2 + C(y, y, y) with y = xi^a e_a,
     evaluated as arrays over blocks together with its Jacobian and that
     Jacobian's derivatives, all closed polynomials, and carried into the
-    dual algebra by ``hyperdual.chain``.  The forward map inverts it by
+    dual algebra by ``hyperdual.chain``: the chart's pull-back gives the
+    point and its Jacobian from one evaluation.  The forward map inverts it by
     Newton iteration with exact Jacobians, so the chart functions are
     differentiable to second order everywhere in the validity ball.  The
     radius min(0.05, 0.015 / sqrt(max |R^a_{bcd}|)), 0.05 on flat space, takes
@@ -150,17 +152,15 @@ def build_normal_chart(metric: MetricField, p0, initial_tetrad) -> NormalChart:
         x = x0 + np.einsum("nma,na->nm", e.T - 0.5 * gx + kxx, xi)
         return x, e.T - gx + 3.0 * kxx, 6.0 * kx - g_axes
 
-    def inverse_fn(xi):
-        return chain(xi, *_map(block_values(xi)[0]))
-
-    def inverse_jacobian_fn(xi):
-        """Rows [mu][a] of d x^mu / d xi^a."""
-        return chain(xi, *_map(block_values(xi)[0])[1:], third)
+    def pullback_fn(xi):
+        """The point x(xi) and the rows [mu][a] of d x^mu / d xi^a, from one map evaluation."""
+        x, jac, hess = _map(block_values(xi)[0])
+        return chain(xi, x, jac, hess), chain(xi, jac, hess, third)
 
     def forward_fn(coords):
         return dual_newton_invert(_map, coords, np.linalg.solve(e.T, (block_values(coords)[0] - x0).T).T)
 
-    cmap = ChartMap(forward_fn, inverse_fn, "normal-chart", inverse_jacobian_fn)
+    cmap = ChartMap(forward_fn, pullback_fn, "normal-chart")
     scale = float(np.max(np.abs(r_axes)))
     radius = min(0.05, 0.015 / math.sqrt(scale)) if scale else 0.05
     return NormalChart(x0, e, gamma, cmap, radius, r_axes)
@@ -188,7 +188,7 @@ def metric_deviation_exponent(chart: NormalChart, pushed: MetricField):
     radii = chart.validity_radius * np.array([0.08, 0.16, 0.32, 0.64])
     direction = np.array([0.3, 0.8, -0.4, 0.33])
     g = eval_metric(pushed, np.outer(radii, direction / np.linalg.norm(direction)))
-    devs = np.max(np.abs(g - ETA), axis=(1, 2))
+    devs = np.max(np.abs(g - SIGNATURE), axis=(1, 2))
     ladder = list(zip(radii.tolist(), devs.tolist()))
     if not devs.any():
         return None, ladder

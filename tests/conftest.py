@@ -59,17 +59,28 @@ def boosted_tetrad(model, t, v=0.4):
     return np.array([[gam, gam * v / r, 0, 0], [gam * v, gam / r, 0, 0], [0, 0, 1 / r, 0], [0, 0, 0, 1 / r]])
 
 
-def tube_map_fn(tube):
-    """The sliding chart's map x(xi) out of the chart, dual-capable, from its arrays."""
-    return lambda xi: chain(xi, *tube._map(block_values(xi)[0], rates=False))
+def tube_pullback_fn(tube):
+    """The sliding chart's pull-back, dual-capable, from one map evaluation: the map x(xi) out of the
+    chart and the rows [mu][a] of d x^mu / d xi^a, whose column 0 is the raw lab field."""
 
+    def pullback_fn(xi):
+        x, jac, hess = tube._map(block_values(xi)[0], rates=True)
+        return chain(xi, x, jac, hess), chain(xi, jac, hess)
 
-def tube_jacobian_fn(tube):
-    """Rows [mu][a] of d x^mu / d xi^a of the sliding chart's map, dual-capable; column 0 is the raw lab field."""
-    return lambda xi: chain(xi, *tube._map(block_values(xi)[0], rates=True)[1:])
+    return pullback_fn
 
 
 def lab_chart(metric, path):
     """The sliding lab chart of a geodesic as a ChartMap: Newton inverse forward, the tube's map back."""
     tube = _TubeChart(metric, path)
-    return fk.ChartMap(tube.forward_fn, tube_map_fn(tube), "lab-chart", tube_jacobian_fn(tube))
+    return fk.ChartMap(tube.forward_fn, tube_pullback_fn(tube), "lab-chart")
+
+
+def pullback_point(cmap):
+    """The point x(x') of a chart map's pull-back, as a dual-capable function of x'."""
+    return lambda c: cmap.pullback_fn(c)[0]
+
+
+def pullback_jacobian(cmap):
+    """The rows [alpha][mu] of d x^alpha / d x'^mu of a chart map's pull-back, as a dual-capable function of x'."""
+    return lambda c: cmap.pullback_fn(c)[1]

@@ -179,8 +179,7 @@ def pushed_frame_field(cmap: ChartMap, frame, metric_image: MetricField, label=N
     """
 
     def comps(coords):
-        back = cmap.inverse_fn(coords)
-        a = cmap.inverse_jacobian_fn(coords)  # dx/dx'
+        back, a = cmap.pullback_fn(coords)  # a = dx/dx'
         lam = dual_matrix_inverse(a)  # dx'/dx at the source point
         q = frame.component_fn(back)
         return [sum(lam[mu][al] * q[al] for al in range(DIM)) for mu in range(DIM)]
@@ -199,7 +198,7 @@ def transform_connection(cmap: ChartMap, metric: MetricField, p):
     image = cmap.forward(p)
     lam = jet(cmap.forward_fn, as_points(p))[1].T  # [mu, alpha] = d x'^mu / d x^alpha
     lam_inv = np.linalg.inv(lam)
-    _, _, d2 = jet(cmap.inverse_fn, image, order=2)
+    _, _, d2 = jet(lambda c: cmap.pullback_fn(c)[0], image, order=2)
     second = np.moveaxis(d2, -1, 0)  # [a, i, j] = d2 x^a / dx'^i dx'^j
     out = np.einsum("ma,bi,cj,abc->mij", lam, lam_inv, lam_inv, gamma)
     out += np.einsum("ma,aij->mij", lam, second)
@@ -230,7 +229,7 @@ def z_chart_metric_closed(model: FriedmannModel, cmap: ChartMap, primed_point) -
     the scale factor at the time recovered by the full inverse map; the x^1
     coefficient simplifies to Rb^2 + u^2.
     """
-    back = jet(cmap.inverse_fn, as_points(primed_point), order=0)[0]
+    back = cmap.pullback_fn(as_points(primed_point).tolist())[0]
     rb = model.scale.value(back[0])
     v2 = model.v**2
     coef = rb * rb * (1.0 - v2 * (1.0 - rb**-2)) / (1.0 - v2)
@@ -254,7 +253,7 @@ def z_chart_connection_closed(model: FriedmannModel, cmap: ChartMap, primed_poin
     recovered time along x1'.
     """
     u = model.u
-    back = jet(cmap.inverse_fn, as_points(primed_point), order=0)[0]
+    back = cmap.pullback_fn(as_points(primed_point).tolist())[0]
     rb = model.scale.value(back[0])
     rd = model.scale.rate(back[0])
     w = np.sqrt(rb * rb + u * u)

@@ -540,10 +540,10 @@ def test_experiment_initial_acceleration_matches_second_differences():
 
 
 def test_experiment_evaluates_the_drift_chart_metric_once(monkeypatch):
-    import framekin.maps as maps
+    import framekin.geodesics as geodesics
 
     calls = []
-    real = maps.pushed_metric_field
+    real = geodesics.pushed_metric_field
 
     def pushed(*args, **kwargs):
         field = real(*args, **kwargs)
@@ -552,7 +552,7 @@ def test_experiment_evaluates_the_drift_chart_metric_once(monkeypatch):
         return field
 
     expected = fk.free_particle_experiment(1e-3, 0.1005, 0.01)
-    monkeypatch.setattr(maps, "pushed_metric_field", pushed)
+    monkeypatch.setattr(geodesics, "pushed_metric_field", pushed)
     assert fk.free_particle_experiment(1e-3, 0.1005, 0.01) == expected
     assert len(calls) == 1  # one order-1 jet at the origin gives g, its checks and the connection
 

@@ -31,9 +31,8 @@ def test_jacobian_inverse_consistency(friedmann_small, friedmann_a03):
     for cmap, points in cases:
         for p in points:
             lam = jet(cmap.forward_fn, p)[1].T
-            lam_inv = jet(cmap.inverse_jacobian_fn, tuple(cmap.forward(p)), order=0)[0]
+            roundtrip, lam_inv = (np.array(part) for part in cmap.pullback_fn(cmap.forward(p).tolist()))
             assert np.max(np.abs(lam @ lam_inv - np.eye(4))) < 1e-12, cmap.name
-            roundtrip = jet(cmap.inverse_fn, tuple(cmap.forward(p)), order=0)[0]
             assert np.max(np.abs(roundtrip - np.array(p))) < 1e-10, cmap.name
 
 
@@ -110,12 +109,13 @@ def test_pushed_domain_maps_a_block_back_in_one_call():
     model = fk.make_friedmann(0.5)
     calls = []
 
-    def inverse_fn(c):  # a translation by 0.5 along x^0, counting its calls
-        calls.append(1)
-        return [c[0] - 0.5, c[1], c[2], c[3]]
-
     identity = np.eye(4).tolist()
-    cmap = fk.ChartMap(lambda c: [c[0] + 0.5, c[1], c[2], c[3]], inverse_fn, "translation", lambda c: identity)
+
+    def pullback_fn(c):  # a translation by 0.5 along x^0, counting its calls
+        calls.append(1)
+        return [c[0] - 0.5, c[1], c[2], c[3]], identity
+
+    cmap = fk.ChartMap(lambda c: [c[0] + 0.5, c[1], c[2], c[3]], pullback_fn, "translation")
     pushed = fk.pushed_metric_field(cmap, model.metric)
     assert pushed.name == "friedmann(a=0.5)@translation"
     block = np.zeros((30, 4))
@@ -127,3 +127,30 @@ def test_pushed_domain_maps_a_block_back_in_one_call():
     with pytest.raises(ChartDomainError, match="point sample 4 ") as err:
         pushed.check_domain(block)
     assert err.value.sample == 4 and len(calls) == 4
+
+
+@pytest.mark.parametrize("scenario, pullbacks", [("plli", 4), ("experiment", 2), ("normal-chart", 4)])
+def test_pullbacks_per_scenario_run(monkeypatch, scenario, pullbacks):
+    # one pull-back gives a point and its Jacobian together, so each evaluation of a pushed metric
+    # pulls back once for its components and once for its domain check, and no more
+    import framekin.cli as cli
+    import framekin.equivalence as equivalence
+    import framekin.geodesics as geodesics
+
+    calls = []
+
+    def counted(build, chart_of=lambda out: out):
+        def wrapper(*args, **kwargs):
+            out = build(*args, **kwargs)
+            cmap = chart_of(out)
+            real = cmap.pullback_fn
+            cmap.pullback_fn = lambda c: calls.append(1) or real(c)
+            return out
+
+        return wrapper
+
+    for module in (equivalence, geodesics):
+        monkeypatch.setattr(module, "z_chart", counted(module.z_chart))
+    monkeypatch.setattr(cli, "build_normal_chart", counted(cli.build_normal_chart, lambda chart: chart.chart_map))
+    fk.run_scenario({"scenario": scenario})
+    assert len(calls) == pullbacks

@@ -10,7 +10,7 @@ from framekin.geodesics import QuinticDense
 from framekin.hyperdual import HyperDual, jet, value
 from framekin.normal import TubeDomainError
 
-from conftest import boosted_tetrad, lab_chart, tube_jacobian_fn, tube_map_fn
+from conftest import boosted_tetrad, lab_chart, pullback_jacobian, pullback_point, tube_pullback_fn
 from reference import covariant_derivative_field
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -27,7 +27,7 @@ def test_minkowski_chart_is_identity(minkowski):
     offs = np.array([0.01, -0.02, 0.005, 0.015])
     xi = chart.forward(tuple(p + offs))
     assert np.max(np.abs(xi - offs)) < 1e-14
-    back = jet(chart.inverse_fn, tuple(xi), order=0)[0]
+    back = jet(pullback_point(chart), tuple(xi), order=0)[0]
     assert np.max(np.abs(back - (p + offs))) < 1e-14
 
 
@@ -83,7 +83,7 @@ def test_roundtrip_second_order_inverse(friedmann_a03):
     worst = 0.0
     for _ in range(20):
         x = p0 + rng.uniform(-0.01, 0.01, 4)
-        back = jet(chart.inverse_fn, tuple(chart.forward(tuple(x))), order=0)[0]
+        back = jet(pullback_point(chart), tuple(chart.forward(tuple(x))), order=0)[0]
         worst = max(worst, float(np.max(np.abs(back - x))))
     assert worst < 1e-5  # Newton inversion makes the pair exact, well under the bound
 
@@ -116,7 +116,7 @@ def test_normal_chart_is_the_scalar_taylor_polynomial(friedmann_a03):
 
     cmap = fk.build_normal_chart(m.metric, x0, e).chart_map
     block = np.random.default_rng(2).uniform(-0.04, 0.04, (5, 4))
-    for fn, ref in ((cmap.inverse_fn, taylor), (cmap.inverse_jacobian_fn, taylor_jacobian)):
+    for fn, ref in ((pullback_point(cmap), taylor), (pullback_jacobian(cmap), taylor_jacobian)):
         for got, want in zip(jet(fn, block, order=2), jet(ref, block, order=2)):
             assert np.max(np.abs(got - want)) < 1e-13
 
@@ -128,7 +128,7 @@ def test_normal_chart_block_equals_its_points(friedmann_a03):
     block = np.random.default_rng(1).uniform(-0.04, 0.04, (7, 4))
     for tetrad in (comoving_tetrad(m, 0.5), boosted_tetrad(m, 0.5)):
         cmap = fk.build_normal_chart(m.metric, (0.5, 0.1, -0.2, 0.3), tetrad).chart_map
-        for fn in (cmap.inverse_fn, cmap.inverse_jacobian_fn):
+        for fn in (pullback_point(cmap), pullback_jacobian(cmap)):
             for order in (0, 1, 2):
                 batched = jet(fn, block, order)
                 for k, xi in enumerate(block):
@@ -143,7 +143,7 @@ def test_normal_chart_forward_undoes_inverse_to_second_order(friedmann_a03):
     cmap = fk.build_normal_chart(m.metric, (0.5, 0.1, -0.2, 0.3), boosted_tetrad(m, 0.5)).chart_map
     block = np.random.default_rng(3).uniform(-0.04, 0.04, (5, 4))
     for xi in (block[0], block):
-        value_, jac, hess = jet(lambda c: cmap.forward_fn(cmap.inverse_fn(c)), xi, order=2)
+        value_, jac, hess = jet(lambda c: cmap.forward_fn(cmap.pullback_fn(c)[0]), xi, order=2)
         assert np.max(np.abs(value_ - xi)) < 1e-12
         assert np.max(np.abs(jac - np.eye(4))) < 1e-12
         assert np.max(np.abs(hess)) < 1e-12
@@ -236,7 +236,7 @@ def test_lab_expansion_zero_at_epoch():
     chart = lab_chart(m.metric, path)
 
     def raw(c):  # column 0 of the chart's inverse Jacobian
-        return [row[0] for row in chart.inverse_jacobian_fn(chart.forward_fn(c))]
+        return [row[0] for row in chart.pullback_fn(chart.forward_fn(c))[1]]
 
     raw_field = SimpleNamespace(component_fn=raw)
     assert abs(np.trace(covariant_derivative_field(m.metric, raw_field, (0.0, 0, 0, 0)))) < 1e-8
@@ -379,14 +379,15 @@ def richardson(fn, xi, h=1e-4):
 
 def test_tube_chart_jacobian_is_the_jet_of_its_map():
     tube = drifting_tube()
-    _, dx = jet(tube_map_fn(tube), OFF_CURVE)  # [n, a, mu]
-    jac = np.array(tube_jacobian_fn(tube)(list(OFF_CURVE.T)))  # [mu, a, n]
+    pullback_fn = tube_pullback_fn(tube)
+    _, dx = jet(lambda xi: pullback_fn(xi)[0], OFF_CURVE)  # [n, a, mu]
+    jac = np.array(pullback_fn(list(OFF_CURVE.T))[1])  # [mu, a, n]
     assert np.max(np.abs(np.moveaxis(jac, -1, 0) - np.swapaxes(dx, 1, 2))) < 1e-12
     for k, xi in enumerate(OFF_CURVE):
-        point = np.array(tube_jacobian_fn(tube)(list(xi)))
+        point = np.array(pullback_fn(list(xi))[1])
         assert np.array_equal(point, jac[..., k])  # a block equals its points
         # the map's own Jacobian is exact: no term of it is held constant
-        measured = richardson(lambda p: np.array(tube_map_fn(tube)(list(p))), xi)
+        measured = richardson(lambda p: np.array(pullback_fn(list(p))[0]), xi)
         assert np.max(np.abs(dx[k] - measured)) < 1e-10
 
 
@@ -394,7 +395,7 @@ def test_raw_lab_field_rate_matches_central_differences():
     tube = drifting_tube()
 
     def raw(xi):  # column 0 of the Jacobian: the raw lab field
-        return [row[0] for row in tube_jacobian_fn(tube)(xi)]
+        return [row[0] for row in tube_pullback_fn(tube)(xi)[1]]
 
     _, exact = jet(raw, OFF_CURVE)  # [n, b, mu]
     for k, xi in enumerate(OFF_CURVE):
@@ -419,7 +420,7 @@ def test_raw_lab_field_gradient_is_the_inverse_jacobian_column(monkeypatch):
     chart, raw = drifting_lab(monkeypatch)
 
     def reference(c):  # column 0 of the inverse Jacobian at the dual chart point
-        return [row[0] for row in chart.inverse_jacobian_fn(chart.forward_fn(c))]
+        return [row[0] for row in chart.pullback_fn(chart.forward_fn(c))[1]]
 
     points = np.array([[0.0, 0.0, 0.0, 0.0], [0.05, 0.03, -0.01, 0.02], [-0.1, 0.0, 0.03, -0.02]])
     for p in (points[0], points):
