@@ -74,13 +74,3 @@ def lab_chart(metric, path):
     """The sliding lab chart of a geodesic as a ChartMap: Newton inverse forward, the tube's map back."""
     tube = _TubeChart(metric, path)
     return fk.ChartMap(tube.forward_fn, tube_pullback_fn(tube), "lab-chart")
-
-
-def pullback_point(cmap):
-    """The point x(x') of a chart map's pull-back, as a dual-capable function of x'."""
-    return lambda c: cmap.pullback_fn(c)[0]
-
-
-def pullback_jacobian(cmap):
-    """The rows [alpha][mu] of d x^alpha / d x'^mu of a chart map's pull-back, as a dual-capable function of x'."""
-    return lambda c: cmap.pullback_fn(c)[1]

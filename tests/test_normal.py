@@ -7,10 +7,10 @@ import pytest
 
 import framekin as fk
 from framekin.geodesics import QuinticDense
-from framekin.hyperdual import HyperDual, jet, value
+from framekin.hyperdual import HyperDual, block_values, chain, jet, value
 from framekin.normal import TubeDomainError
 
-from conftest import boosted_tetrad, lab_chart, pullback_jacobian, pullback_point, tube_pullback_fn
+from conftest import boosted_tetrad, lab_chart, tube_pullback_fn
 from reference import covariant_derivative_field
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -27,7 +27,7 @@ def test_minkowski_chart_is_identity(minkowski):
     offs = np.array([0.01, -0.02, 0.005, 0.015])
     xi = chart.forward(tuple(p + offs))
     assert np.max(np.abs(xi - offs)) < 1e-14
-    back = jet(pullback_point(chart), tuple(xi), order=0)[0]
+    back = jet(lambda c: chart.pullback_fn(c)[0], tuple(xi), order=0)[0]
     assert np.max(np.abs(back - (p + offs))) < 1e-14
 
 
@@ -83,7 +83,7 @@ def test_roundtrip_second_order_inverse(friedmann_a03):
     worst = 0.0
     for _ in range(20):
         x = p0 + rng.uniform(-0.01, 0.01, 4)
-        back = jet(pullback_point(chart), tuple(chart.forward(tuple(x))), order=0)[0]
+        back = jet(lambda c: chart.pullback_fn(c)[0], tuple(chart.forward(tuple(x))), order=0)[0]
         worst = max(worst, float(np.max(np.abs(back - x))))
     assert worst < 1e-5  # Newton inversion makes the pair exact, well under the bound
 
@@ -116,7 +116,7 @@ def test_normal_chart_is_the_scalar_taylor_polynomial(friedmann_a03):
 
     cmap = fk.build_normal_chart(m.metric, x0, e).chart_map
     block = np.random.default_rng(2).uniform(-0.04, 0.04, (5, 4))
-    for fn, ref in ((pullback_point(cmap), taylor), (pullback_jacobian(cmap), taylor_jacobian)):
+    for fn, ref in ((lambda c: cmap.pullback_fn(c)[0], taylor), (lambda c: cmap.pullback_fn(c)[1], taylor_jacobian)):
         for got, want in zip(jet(fn, block, order=2), jet(ref, block, order=2)):
             assert np.max(np.abs(got - want)) < 1e-13
 
@@ -128,7 +128,7 @@ def test_normal_chart_block_equals_its_points(friedmann_a03):
     block = np.random.default_rng(1).uniform(-0.04, 0.04, (7, 4))
     for tetrad in (comoving_tetrad(m, 0.5), boosted_tetrad(m, 0.5)):
         cmap = fk.build_normal_chart(m.metric, (0.5, 0.1, -0.2, 0.3), tetrad).chart_map
-        for fn in (pullback_point(cmap), pullback_jacobian(cmap)):
+        for fn in (lambda c: cmap.pullback_fn(c)[0], lambda c: cmap.pullback_fn(c)[1]):
             for order in (0, 1, 2):
                 batched = jet(fn, block, order)
                 for k, xi in enumerate(block):
@@ -378,16 +378,21 @@ def richardson(fn, xi, h=1e-4):
 
 
 def test_tube_chart_jacobian_is_the_jet_of_its_map():
+    # the values-only map, which the Newton solve runs, against the pull-back's Jacobian
     tube = drifting_tube()
     pullback_fn = tube_pullback_fn(tube)
-    _, dx = jet(lambda xi: pullback_fn(xi)[0], OFF_CURVE)  # [n, a, mu]
+
+    def map_fn(xi):
+        return chain(xi, *tube._map(block_values(xi)[0], rates=False))
+
+    _, dx = jet(map_fn, OFF_CURVE)  # [n, a, mu]
     jac = np.array(pullback_fn(list(OFF_CURVE.T))[1])  # [mu, a, n]
     assert np.max(np.abs(np.moveaxis(jac, -1, 0) - np.swapaxes(dx, 1, 2))) < 1e-12
     for k, xi in enumerate(OFF_CURVE):
         point = np.array(pullback_fn(list(xi))[1])
         assert np.array_equal(point, jac[..., k])  # a block equals its points
         # the map's own Jacobian is exact: no term of it is held constant
-        measured = richardson(lambda p: np.array(pullback_fn(list(p))[0]), xi)
+        measured = richardson(lambda p: np.array(map_fn(list(p))), xi)
         assert np.max(np.abs(dx[k] - measured)) < 1e-10
 
 
