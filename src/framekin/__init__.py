@@ -20,6 +20,7 @@ from .geometry import (
     eval_metric,
     inverse_metric,
     minkowski_metric,
+    refuse_outside,
     riemann,
 )
 from .frames import (

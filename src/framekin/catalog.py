@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import FrameField, make_frame
-from .geometry import ChartDomainError, MetricField, minkowski_metric
-from .hyperdual import asinh, first, sqrt
+from .geometry import ChartDomainError, MetricField, minkowski_metric, refuse_outside
+from .hyperdual import asinh, first, sqrt, value
 from .maps import ChartMap
 
 
@@ -76,8 +76,10 @@ def make_friedmann(a, u=0.0) -> FriedmannModel:
     ((R^2+u^2)^(1/2)/R, u/R^2, 0, 0): unit, geodesic, irrotational.
     """
     scale = ScaleFactor(float(a))
+    name = f"friedmann(a={a})"
 
     def metric_comps(coords):
+        refuse_outside(name, coords, np.logical_not(coords[0] > scale.t_min))  # NaN is outside too
         r = scale.value(coords[0])
         m = -(r * r)
         zero = 0.0
@@ -88,10 +90,7 @@ def make_friedmann(a, u=0.0) -> FriedmannModel:
             [zero, zero, zero, m],
         ]
 
-    def domain(coords):
-        return coords[0] > scale.t_min
-
-    metric = MetricField(metric_comps, name=f"friedmann(a={a})", domain_fn=domain)
+    metric = MetricField(metric_comps, name=name)
     frame_v = make_frame((1.0, 0.0, 0.0, 0.0), metric, label="comoving")
 
     uu = float(u)
@@ -189,12 +188,15 @@ def rotating_minkowski_frame(omega, radius_cap):
         raise ValueError("radius cap must be positive")
     if abs(omega) * radius_cap >= 1.0:
         raise ValueError("light-cylinder violation: need |omega| * radius_cap < 1")
-    metric = minkowski_metric()
+    flat = minkowski_metric().component_fn
+    name = "minkowski(rotating-domain)"
 
-    def domain(coords):
-        return coords[1] ** 2 + coords[2] ** 2 < radius_cap**2
+    def bounded_comps(coords):
+        x, y = value(coords[1]), value(coords[2])
+        refuse_outside(name, coords, np.logical_not(x**2 + y**2 < radius_cap**2))
+        return flat(coords)
 
-    bounded = MetricField(metric.component_fn, name="minkowski(rotating-domain)", domain_fn=domain)
+    bounded = MetricField(bounded_comps, name=name)
 
     def comps(coords):
         x, y = coords[1], coords[2]

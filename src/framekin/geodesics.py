@@ -187,9 +187,9 @@ def _initial_state(metric, p0, v0, tetrad):
     if tetrad is None:
         return np.concatenate([x0, v0])
     e0 = np.asarray(tetrad, dtype=float)
-    if np.max(np.abs(e0 @ g @ e0.T - SIGNATURE)) > 1e-8:
+    if not np.max(np.abs(e0 @ g @ e0.T - SIGNATURE)) <= 1e-8:  # refuses NaN too
         raise ValueError("initial tetrad is not orthonormal for this metric")
-    if np.max(np.abs(e0[0] - v0)) > 1e-8:
+    if not np.max(np.abs(e0[0] - v0)) <= 1e-8:
         raise ValueError("initial tetrad must have e_0 equal to the path velocity")
     return np.concatenate([x0, v0, e0.ravel()])
 

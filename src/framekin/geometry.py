@@ -31,32 +31,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .hyperdual import DIM, first, jet
+from .hyperdual import DIM, block_values, first, jet
 
 SIGNATURE = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
-class _PointError(ValueError):
-    """A failure at one point; ``sample`` is the point's index when it was raised from a block, else None."""
-
-    def __init__(self, message, sample=None):
-        super().__init__(message)
-        self.sample = sample
-
-
-class ChartDomainError(_PointError):
+class ChartDomainError(ValueError):
     """Point lies outside the chart domain of a field."""
 
 
-class MetricSignatureError(_PointError):
+class MetricSignatureError(ValueError):
     """Evaluated metric is not Lorentzian with a timelike x^0."""
 
 
-class SingularMetricError(_PointError):
+class SingularMetricError(ValueError):
     """Metric matrix is singular or numerically unusable."""
 
 
@@ -78,9 +70,17 @@ def as_points(p):
 
 
 def _sample(coords, k):
-    """(text, index): the k-th point of a point or block as error messages name it, and its ``sample``."""
-    coords = np.asarray(coords, dtype=float)
-    return (f"{coords.tolist()}", None) if coords.ndim == 1 else (f"sample {k} {coords[k].tolist()}", k)
+    """The k-th point of a point (4,) or block (N, 4) as error messages name it."""
+    return f"{coords.tolist()}" if coords.ndim == 1 else f"sample {k} {coords[k].tolist()}"
+
+
+def refuse_outside(name, coords, outside):
+    """Raise ChartDomainError at the first point where ``outside`` (a bool, or one per point of a block) holds;
+    ``coords`` are the four scalars that a metric's ``component_fn``, which calls this, receives."""
+    bad = first(outside)
+    if bad is not None:
+        vals, point = block_values(coords)
+        raise ChartDomainError(f"{name}: point {_sample(vals[0] if point else vals, bad)} outside chart domain")
 
 
 @dataclass
@@ -89,34 +89,24 @@ class MetricField:
 
     ``component_fn`` maps a list of four scalars (floats or HyperDuals) to a
     4x4 nested sequence of scalars g_{mu nu}.  Writing the components in
-    plain arithmetic is what makes first and second derivatives exact.
+    plain arithmetic is what makes first and second derivatives exact.  A
+    metric defined on part of its chart refuses the points outside it in
+    ``component_fn`` itself, through ``refuse_outside``.
 
     Args:
         component_fn: coordinates -> 4x4 components, dual-capable.
         name: display name.
-        domain_fn: optional test of the chart domain, called like
-            ``component_fn`` but with plain values: four floats for a point,
-            four coordinate columns (N,) for a block.  It returns a bool, or
-            one bool per point of a block; False means outside the domain,
-            and evaluation there raises ChartDomainError.
     """
 
     component_fn: Callable
     name: str = "metric"
-    domain_fn: Optional[Callable] = None
 
     def check_domain(self, p):
-        """``as_points(p)``, after raising ChartDomainError at a block's first non-finite or any out-of-domain point."""
+        """``as_points(p)``, after raising ChartDomainError at a block's first non-finite point."""
         coords = as_points(p)
         if coords.ndim == 2 and not np.isfinite(coords).all():
-            where, k = _sample(coords, first(~np.isfinite(coords).all(axis=1)))
-            raise ChartDomainError(f"{self.name}: non-finite coordinates {where}", k)
-        if self.domain_fn is not None:
-            ok = self.domain_fn(coords.tolist() if coords.ndim == 1 else list(coords.T))
-            bad = (None if ok else 0) if coords.ndim == 1 else first(~np.asarray(ok, dtype=bool))
-            if bad is not None:
-                where, k = _sample(coords, bad)
-                raise ChartDomainError(f"{self.name}: point {where} outside chart domain", k)
+            where = _sample(coords, first(~np.isfinite(coords).all(axis=1)))
+            raise ChartDomainError(f"{self.name}: non-finite coordinates {where}")
         return coords
 
 
@@ -133,19 +123,16 @@ def _check_lorentzian(metric: MetricField, g, coords):
     scale = np.maximum(1.0, np.abs(g).max(axis=(-2, -1)))  # not finite where a component is not
     bad = first(~np.isfinite(scale))
     if bad is not None:
-        where, k = _sample(coords, bad)
-        raise MetricSignatureError(f"{metric.name}: components not finite at {where}", k)
+        raise MetricSignatureError(f"{metric.name}: components not finite at {_sample(coords, bad)}")
     gt = np.swapaxes(g, -1, -2)
     bad = first(np.abs(g - gt).max(axis=(-2, -1)) > 1e-12 * scale)
     if bad is not None:
-        where, k = _sample(coords, bad)
-        raise MetricSignatureError(f"{metric.name}: components not symmetric at {where}", k)
+        raise MetricSignatureError(f"{metric.name}: components not symmetric at {_sample(coords, bad)}")
     eig = np.linalg.eigvalsh(0.5 * g + 0.5 * gt)  # g + gt may overflow; ascending: three negative, one positive
     bad = first(~((eig[..., 2] < 0) & (eig[..., 3] > 0) & (g[..., 0, 0] > 0)))
     if bad is not None:
-        where, k = _sample(coords, bad)
-        where = f"{where}: eigenvalues {eig.reshape(-1, DIM)[bad]}"
-        raise MetricSignatureError(f"{metric.name}: not Lorentzian (+,-,-,-) at {where}", k)
+        where = f"{_sample(coords, bad)}: eigenvalues {eig.reshape(-1, DIM)[bad]}"
+        raise MetricSignatureError(f"{metric.name}: not Lorentzian (+,-,-,-) at {where}")
 
 
 def inverse_metric(metric: MetricField, p) -> np.ndarray:
@@ -168,19 +155,18 @@ def _invert(g: np.ndarray, name) -> np.ndarray:
     # the bound in Python floats: an overflow gives inf and inf * 0 nan, with no numpy warning
     if ginv is not None and float(np.vdot(g, g)) * float(np.vdot(ginv, ginv)) < 1e24:
         return ginv
-    point = g.ndim == 2
-    where = "" if point else " at sample {}"
+    where = "" if g.ndim == 2 else " at sample {}"
     bad = first(~np.logical_and.reduce(np.isfinite(g), axis=(-2, -1)))
     if bad is not None:
         message = f"{name}: singular metric, det={np.ravel(np.linalg.det(g))[bad]}" + where.format(bad)
-        raise SingularMetricError(message, None if point else bad)
+        raise SingularMetricError(message)
     lam = np.abs(np.linalg.eigvalsh(g))
     lam.sort(axis=-1)
     bad = first(lam[..., 0] <= 1e-13 * lam[..., -1])
     if bad is not None:
         lo, hi = lam.reshape(-1, DIM)[bad, [0, -1]].tolist()
         message = f"{name}: metric numerically singular, cond={hi / lo if lo else math.inf:.2e}" + where.format(bad)
-        raise SingularMetricError(message, None if point else bad)
+        raise SingularMetricError(message)
     return np.linalg.inv(g) if ginv is None else ginv  # inv raised LinAlgError: raise it again
 
 

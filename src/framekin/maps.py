@@ -5,7 +5,9 @@ point map and a pull-back, which gives the inverse point and the inverse
 map's Jacobian from one evaluation.  Both are dual-capable, so any derivative
 of them is one ``hyperdual.jet`` call; ``forward`` gives the image of a point.
 ``pushed_metric_field`` expresses a metric in the image chart as a field of
-its own, with one inverse-Jacobian factor per covariant index.
+its own, with one inverse-Jacobian factor per covariant index; it pulls each
+evaluation's points back once, and the base metric refuses those outside its
+domain.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ def pushed_metric_field(cmap: ChartMap, metric: MetricField, name=None) -> Metri
     """The metric expressed in the image chart as a field of its own.
 
     Components at image coordinates x' are
-    g'_{mu nu}(x') = (d x^a / d x'^mu)(d x^b / d x'^nu) g_{ab}(x(x')).
+    g'_{mu nu}(x') = (d x^a / d x'^mu)(d x^b / d x'^nu) g_{ab}(x(x')), from
+    one pull-back; the base metric refuses a pulled-back point outside its domain.
     """
 
     def comps(coords):
@@ -61,11 +64,4 @@ def pushed_metric_field(cmap: ChartMap, metric: MetricField, name=None) -> Metri
                 out[nu][mu] = acc
         return out
 
-    def domain(coords):
-        return metric.domain_fn(cmap.pullback_fn(coords)[0])
-
-    return MetricField(
-        comps,
-        name=name or f"{metric.name}@{cmap.name}",
-        domain_fn=domain if metric.domain_fn is not None else None,
-    )
+    return MetricField(comps, name=name or f"{metric.name}@{cmap.name}")

@@ -73,7 +73,7 @@ def _check_tetrad(metric, p, tetrad):
     g = eval_metric(metric, p)
     e = np.asarray(tetrad, dtype=float)
     err = np.max(np.abs(e @ g @ e.T - SIGNATURE))
-    if err > 1e-10:
+    if not err <= 1e-10:  # refuses NaN too
         raise ValueError(f"tetrad not orthonormal at {tuple(p.tolist())}: deviation {err}")
     return e
 

@@ -1,5 +1,7 @@
 """Model catalog: scale factor, drift chart, quadrature, rotating fixture."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -240,3 +242,18 @@ def test_scale_factor_domain():
     m = fk.make_friedmann(0.1)
     with pytest.raises(fk.ChartDomainError):
         fk.eval_metric(m.metric, (-10.5, 0, 0, 0))
+    # the domain is t > t_min = -2 exactly, at a point and in a block, for values and for jets
+    metric = fk.make_friedmann(0.5).metric
+    edge, inside = (-2.0, 0.0, 0.0, 0.0), (np.nextafter(-2.0, 0.0), 0.0, 0.0, 0.0)
+    for evaluate in (fk.eval_metric, fk.christoffel):
+        with pytest.raises(fk.ChartDomainError, match=r"^friedmann\(a=0.5\): point \[-2.0, 0.0, 0.0, 0.0\] outside"):
+            evaluate(metric, edge)
+        with pytest.raises(fk.ChartDomainError, match=r": point sample 1 \[-2.0, 0.0, 0.0, 0.0\] outside"):
+            evaluate(metric, [inside, edge])
+    for p in (inside, [inside, inside]):
+        assert np.isfinite(fk.eval_metric(metric, p)).all()
+        # the connection accepts the point and refuses its metric, where R^2 ~ 1e-32, as singular
+        with pytest.raises(fk.SingularMetricError):
+            fk.christoffel(metric, p)
+    with pytest.raises(fk.ChartDomainError, match=r"point \[nan, 0.0, 0.0, 0.0\] outside"):  # a pull-back may give NaN
+        metric.component_fn([math.nan, 0.0, 0.0, 0.0])

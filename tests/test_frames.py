@@ -485,3 +485,14 @@ def test_a_frame_normalized_against_another_metric_evaluates_its_own(monkeypatch
         calls.clear()
         assert np.array_equal(run(mink), shared)  # the two metrics have the same components
         assert calls == [plain, own]
+
+
+def test_a_frame_keeps_its_own_metrics_domain_against_another_metric():
+    # the rotating frame normalizes against its light-cylinder metric, whose components refuse radius 2
+    # even when the decomposition's metric, plain minkowski, has no domain
+    rot = fk.rotating_minkowski_frame(0.1, 1.0)
+    refusal = r"^minkowski\(rotating-domain\): point {}\[0.0, 2.0, 0.0, 0.0\] outside chart domain$"
+    with pytest.raises(ChartDomainError, match=refusal.format("")):
+        fk.kinematic_decompose(fk.minkowski_metric(), rot, (0.0, 2.0, 0.0, 0.0))
+    with pytest.raises(ChartDomainError, match=refusal.format("sample 1 ")):
+        fk.kinematic_decompose(fk.minkowski_metric(), rot, [(0.0, 0.5, 0.0, 0.0), (0.0, 2.0, 0.0, 0.0)])

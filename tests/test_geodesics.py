@@ -223,6 +223,14 @@ def test_transport_rejects_bad_tetrad():
         fk.integrate_geodesic(m.metric, (0, 0, 0, 0), (1, 0, 0, 0), 1.0, fk.StepControl(step=0.05), tetrad=2.0 * np.eye(4))
 
 
+def test_transport_rejects_a_tetrad_with_a_nan_axis():
+    tetrad = np.eye(4)
+    tetrad[1] = np.nan
+    ctrl = fk.StepControl(step=0.05)
+    with pytest.raises(ValueError, match="initial tetrad is not orthonormal"):
+        fk.integrate_geodesic(fk.minkowski_metric(), (0, 0, 0, 0), (1, 0, 0, 0), 0.1, ctrl, tetrad=tetrad)
+
+
 def test_transported_e0_follows_velocity():
     m = fk.make_friedmann(0.01, 0.3)
     u, w = 0.3, np.sqrt(1.09)
@@ -306,11 +314,16 @@ def orthonormal_tetrad(g, e0):
 
 
 def cut_or_drift_chart(domain):
-    """The expanding model cut off at t = -0.9, or its drift-adapted chart, whose domain test
-    inverts the chart and fails past the big bang naming no sample."""
+    """The expanding model cut off at t = -0.9, or its drift-adapted chart, whose pull-back
+    fails past the big bang naming no sample."""
     model = fk.make_friedmann(0.5, 0.1)
     if domain == "cut":
-        return fk.MetricField(model.metric.component_fn, name="cut", domain_fn=lambda c: c[0] > -0.9)
+
+        def comps(c):  # refuses t <= -0.9
+            fk.refuse_outside("cut", c, np.logical_not(c[0] > -0.9))
+            return model.metric.component_fn(c)
+
+        return fk.MetricField(comps, name="cut")
     return pushed_metric_field(z_chart(model), model.metric, name="friedmann-drift-chart")
 
 
@@ -341,8 +354,8 @@ def test_backward_truncation_leaves_the_forward_sweep_unchanged():
 
 @pytest.mark.parametrize("carried", [False, True])
 def test_truncation_without_a_sample_index(carried):
-    # in the drift-adapted chart the domain test inverts the chart, which raises past the big
-    # bang naming no sample: the backward sweep must end there and the forward one run on
+    # in the drift-adapted chart the components pull back through the chart, which raises past
+    # the big bang naming no sample: the backward sweep must end there and the forward one run on
     m = cut_or_drift_chart("drift-chart")
     for p0 in ((0, 0, 0, 0), (0.2, 0.1, 0, 0)):
         e = orthonormal_tetrad(fk.eval_metric(m, p0), np.array([1.0, 0.2, 0.0, 0.0]))

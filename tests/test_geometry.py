@@ -16,7 +16,7 @@ import pytest
 
 import framekin as fk
 from framekin.geometry import ChartDomainError, MetricSignatureError, SingularMetricError, _invert, christoffel_jet
-from framekin.hyperdual import DIM, first, jet
+from framekin.hyperdual import DIM, first, jet, value
 
 from conftest import random_points
 from reference import covariant_derivative_field, fd_metric_derivatives, fd_riemann_from_connection
@@ -44,15 +44,17 @@ def test_eval_metric_domain_error():
         fk.eval_metric(m.metric, (-2.5, 0.0, 0.0, 0.0))
 
 
-def test_domain_fn_sees_a_point_or_a_block_in_one_call():
+def test_domain_refusal_runs_once_per_point_or_block():
+    # a metric with a domain refuses outside points in its components: one call sees a point or a block
     model = fk.make_friedmann(0.5)
     calls = []
 
-    def domain(c):
-        calls.append([np.shape(x) for x in c])
-        return c[0] > -1.0
+    def comps(c):
+        calls.append([np.shape(value(x)) for x in c])
+        fk.refuse_outside("cut", c, np.logical_not(c[0] > -1.0))
+        return model.metric.component_fn(c)
 
-    metric = fk.MetricField(model.metric.component_fn, name="cut", domain_fn=domain)
+    metric = fk.MetricField(comps, name="cut")
     fk.eval_metric(metric, (0.5, 0.1, 0.2, 0.3))
     assert calls == [[()] * 4]  # four floats
     calls.clear()
@@ -61,9 +63,9 @@ def test_domain_fn_sees_a_point_or_a_block_in_one_call():
     assert calls == [[(20,)] * 4]  # four coordinate columns
     calls.clear()
     block[[7, 9], 0] = -1.5
-    with pytest.raises(ChartDomainError, match=r"cut: point sample 7 \[-1.5, 0.0, 0.0, 0.0\] outside chart domain") as err:
+    with pytest.raises(ChartDomainError, match=r"cut: point sample 7 \[-1.5, 0.0, 0.0, 0.0\] outside chart domain"):
         fk.eval_metric(metric, block)
-    assert err.value.sample == 7 and len(calls) == 1
+    assert len(calls) == 1
 
 
 def test_eval_metric_signature_error():
@@ -79,9 +81,8 @@ def test_eval_metric_signature_error():
     bad = fk.MetricField(comps)
     with pytest.raises(MetricSignatureError):
         fk.eval_metric(bad, (0, 0, 0, 0))
-    with pytest.raises(MetricSignatureError, match="sample 0") as err:
+    with pytest.raises(MetricSignatureError, match="sample 0"):
         fk.eval_metric(bad, [(0, 0, 0, 0), (1, 0, 0, 0)])
-    assert err.value.sample == 0
     with pytest.raises(MetricSignatureError):
         fk.riemann(bad, (0, 0, 0, 0))
 
@@ -91,10 +92,9 @@ def test_non_finite_components_name_the_metric_and_point():
     m = fk.make_friedmann(1e-3)
     with pytest.raises(MetricSignatureError, match=r"friedmann\(a=0.001\): components not finite at \[1e\+306,") as err:
         fk.eval_metric(m.metric, (1e306, 0, 0, 0))
-    assert err.value.sample is None
-    with pytest.raises(MetricSignatureError, match="components not finite at sample 1 ") as err:
+    assert "sample" not in str(err.value)
+    with pytest.raises(MetricSignatureError, match="components not finite at sample 1 "):
         fk.eval_metric(m.metric, [(0, 0, 0, 0), (1e306, 0, 0, 0), (1e307, 0, 0, 0)])
-    assert err.value.sample == 1
 
 
 def test_signature_check_of_components_near_the_largest_float():
@@ -131,12 +131,11 @@ def test_block_metric_and_connection_equal_single_points(friedmann_a03, minkowsk
             assert np.array_equal(g[k], fk.eval_metric(metric, p))
             assert np.array_equal(con[k], fk.christoffel(metric, p))
     block[7, 0] = -10.0  # before the big bang of a = 0.3
-    with pytest.raises(ChartDomainError, match="sample 7") as err:
+    with pytest.raises(ChartDomainError, match="sample 7"):
         fk.christoffel(friedmann_a03.metric, block)
-    assert err.value.sample == 7
     with pytest.raises(ChartDomainError) as err:
         fk.christoffel(friedmann_a03.metric, block[7])
-    assert err.value.sample is None
+    assert "sample" not in str(err.value)
 
 
 @pytest.mark.parametrize("model", [(0.3, 0.0), (1e-3, 0.1005), (0.05, 0.3)])
@@ -149,9 +148,8 @@ def test_block_connection_jet_equals_single_points(model, rng):
         g1, dg1 = christoffel_jet(metric, p)
         assert np.array_equal(gamma[k], g1) and np.array_equal(dgamma[k], dg1)
     block[4, 0] = np.nan
-    with pytest.raises(ChartDomainError, match="sample 4") as err:
+    with pytest.raises(ChartDomainError, match="sample 4"):
         christoffel_jet(metric, block)
-    assert err.value.sample == 4
 
 
 def test_singular_metric_error_names_its_sample():
@@ -162,12 +160,11 @@ def test_singular_metric_error_names_its_sample():
     metric = fk.MetricField(comps, name="degenerate")
     block = np.array([[1.0, 0, 0, 0], [0.5, 0, 0, 0], [0.0, 0, 0, 0]])
     for evaluate in (fk.christoffel, christoffel_jet):
-        with pytest.raises(SingularMetricError, match="at sample 2") as err:
+        with pytest.raises(SingularMetricError, match="at sample 2"):
             evaluate(metric, block)
-        assert err.value.sample == 2
         with pytest.raises(SingularMetricError) as err:
             evaluate(metric, block[2])
-        assert err.value.sample is None
+        assert "sample" not in str(err.value)
 
 
 def lapse_metric():
@@ -201,27 +198,25 @@ def test_connection_refuses_singular_and_non_finite_metrics(t, x, refusal):
                 continue
             with pytest.raises(SingularMetricError, match="^lapse: " + re.escape(refusal)) as err:
                 evaluate(metric, point)
-            assert err.value.sample is None and " at sample" not in str(err.value)
-            with pytest.raises(SingularMetricError, match="^lapse: " + re.escape(refusal) + ".* at sample 2$") as err:
+            assert "sample" not in str(err.value)
+            with pytest.raises(SingularMetricError, match="^lapse: " + re.escape(refusal) + ".* at sample 2$"):
                 evaluate(metric, block)
-            assert err.value.sample == 2
 
 
 def _invert_by_eigenvalues(g, name):
     """The inversion as it was before the norm bound: every metric's condition decided by eigvalsh."""
-    point = g.ndim == 2
-    where = "" if point else " at sample {}"
+    where = "" if g.ndim == 2 else " at sample {}"
     bad = first(~np.logical_and.reduce(np.isfinite(g), axis=(-2, -1)))
     if bad is not None:
         message = f"{name}: singular metric, det={np.ravel(np.linalg.det(g))[bad]}" + where.format(bad)
-        raise SingularMetricError(message, None if point else bad)
+        raise SingularMetricError(message)
     lam = np.abs(np.linalg.eigvalsh(g))
     lam.sort(axis=-1)
     bad = first(lam[..., 0] <= 1e-13 * lam[..., -1])
     if bad is not None:
         lo, hi = lam.reshape(-1, DIM)[bad, [0, -1]].tolist()
         message = f"{name}: metric numerically singular, cond={hi / lo if lo else math.inf:.2e}" + where.format(bad)
-        raise SingularMetricError(message, None if point else bad)
+        raise SingularMetricError(message)
     return np.linalg.inv(g)
 
 
@@ -263,8 +258,8 @@ def _decision_fixtures():
 def _outcome(invert, g):
     try:
         return invert(g, "m")
-    except Exception as exc:  # the type, message and sample are compared
-        return type(exc), str(exc), getattr(exc, "sample", "none")
+    except Exception as exc:  # the type and message, which names the sample, are compared
+        return type(exc), str(exc)
 
 
 def _same(a, b):

@@ -154,6 +154,14 @@ def test_rejects_non_orthonormal_tetrad(friedmann_a03):
         fk.build_normal_chart(friedmann_a03.metric, (0.5, 0, 0, 0), np.eye(4))
 
 
+def test_rejects_a_tetrad_with_a_nan_axis():
+    # a bad input, refused as one (ValueError), not as a numeric failure of the chart
+    tetrad = np.eye(4)
+    tetrad[1] = np.nan
+    with pytest.raises(ValueError, match="tetrad not orthonormal"):
+        fk.build_normal_chart(fk.minkowski_metric(), (0, 0, 0, 0), tetrad)
+
+
 def test_cubic_term_overflow_is_refused_without_a_warning():
     # a boosted tetrad (gamma = 100) scales the cubic term by gamma^3: at a = 1e151 the term is finite
     # but six times it, the map's constant second Jacobian derivative, is not
